@@ -53,31 +53,35 @@ def cfar_threshold_factor(n_training: int, p_fa: float) -> float:
 
 
 def ca_cfar(profile, config: CfarConfig) -> np.ndarray:
-    """Detection mask over a power profile.
+    """Detection mask over power profiles along the last axis.
 
     Each cell is compared against alpha times the mean of its training
-    cells (half per side beyond the guard cells). The profile must be
-    longer than the full window, 2 * (n_training/2 + n_guard) + 1 cells.
+    cells (half per side beyond the guard cells). Leading axes index
+    independent profiles (beams, frames), so one call covers a whole sweep
+    and the mask has the input's shape. Each profile must be longer than
+    the full window, 2 * (n_training/2 + n_guard) + 1 cells.
     """
     profile = np.asarray(profile, dtype=float)
-    if profile.ndim != 1:
-        raise ConfigError("profile must be one-dimensional")
+    if profile.ndim < 1:
+        raise ConfigError("profile must have at least one dimension")
     if np.any(profile < 0) or not np.all(np.isfinite(profile)):
         raise ConfigError("profile must be finite and non-negative")
     t_side = config.n_training // 2
     g = config.n_guard
-    n = profile.size
+    n = profile.shape[-1]
     if n <= 2 * (t_side + g):
         raise ConfigError(
             f"profile of {n} cells is too short for a {2 * (t_side + g) + 1}-cell window"
         )
-    cs = np.concatenate(([0.0], np.cumsum(profile)))
+    cs = np.concatenate(
+        (np.zeros(profile.shape[:-1] + (1,)), np.cumsum(profile, axis=-1)), axis=-1
+    )
     idx = np.arange(n)
     left_lo = np.maximum(idx - g - t_side, 0)
     left_hi = np.maximum(idx - g, 0)
     right_lo = np.minimum(idx + g + 1, n)
     right_hi = np.minimum(idx + g + 1 + t_side, n)
-    train_sum = (cs[left_hi] - cs[left_lo]) + (cs[right_hi] - cs[right_lo])
+    train_sum = (cs[..., left_hi] - cs[..., left_lo]) + (cs[..., right_hi] - cs[..., right_lo])
     counts = (left_hi - left_lo) + (right_hi - right_lo)
     alpha = counts * (config.p_fa ** (-1.0 / counts) - 1.0)
     return profile > alpha * train_sum / counts

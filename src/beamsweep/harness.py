@@ -155,18 +155,14 @@ def simulate_acquisition(
 def _eligibility(
     profiles: np.ndarray, keep: np.ndarray, centers: np.ndarray, cfar: CfarConfig
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-angle CFAR eligibility of the gated argmax bin, plus its range."""
-    n_beams = profiles.shape[0]
-    eligible = np.zeros(n_beams, dtype=bool)
-    ranges = np.empty(n_beams)
-    kept_centers = centers[keep]
-    for b in range(n_beams):
-        gated = profiles[b][keep]
-        mask = ca_cfar(gated, cfar)
-        i = int(np.argmax(gated))
-        eligible[b] = mask[i]
-        ranges[b] = kept_centers[i]
-    return eligible, ranges
+    """Per-angle CFAR eligibility of the gated argmax bin, plus its range.
+
+    profiles is (..., n_beams, n_range); both results are (..., n_beams).
+    """
+    gated = profiles[..., keep]
+    i = np.argmax(gated, axis=-1)
+    eligible = np.take_along_axis(ca_cfar(gated, cfar), i[..., None], axis=-1)[..., 0]
+    return eligible, centers[keep][i]
 
 
 def estimate_ground_truth(
@@ -354,16 +350,19 @@ def _run_seed(
         raise ConfigError("minimal grid is not a subset of the oversampled grid")
 
     # ground truth: full detection pipeline on each single-frame spectrum
-    frame_peaks = []
-    for f in range(acq.n_frames):
-        eligible, ranges = _eligibility(
-            acq.profiles[:, f], acq.gate_keep, acq.range_centers_m, settings.cfar
-        )
-        peaks = extract_peaks(
-            acq.magnitudes[:, f], over_grid, resolution,
-            settings.max_peaks, detected=eligible, ranges_m=ranges,
-        )
-        frame_peaks.append([p.naf for p in peaks])
+    frame_eligible, frame_ranges = _eligibility(
+        acq.profiles.swapaxes(0, 1), acq.gate_keep, acq.range_centers_m, settings.cfar
+    )
+    frame_peaks = [
+        [
+            p.naf
+            for p in extract_peaks(
+                acq.magnitudes[:, f], over_grid, resolution, settings.max_peaks,
+                detected=frame_eligible[f], ranges_m=frame_ranges[f],
+            )
+        ]
+        for f in range(acq.n_frames)
+    ]
     ground_truth, gt_counts = estimate_ground_truth(frame_peaks, scenario.target_nafs)
 
     dwell = settings.dwell_frames

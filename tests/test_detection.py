@@ -68,7 +68,7 @@ def test_cfar_minimum_profile_length():
 def test_cfar_input_validation():
     cfg = CfarConfig()
     with pytest.raises(ConfigError):
-        ca_cfar(np.ones((4, 32)), cfg)
+        ca_cfar(np.float64(1.0), cfg)
     bad = np.ones(32)
     bad[3] = -1.0
     with pytest.raises(ConfigError):
@@ -76,6 +76,23 @@ def test_cfar_input_validation():
     bad[3] = np.nan
     with pytest.raises(ConfigError):
         ca_cfar(bad, cfg)
+
+
+def test_cfar_nd_equals_stacked_rows(rng):
+    # leading axes are independent profiles; spikes sit in both one-sided
+    # edge windows and in the interior
+    profiles = rng.exponential(1.0, size=(3, 5, 64))
+    profiles[0, :, 0] = 1000.0
+    profiles[1, :, -1] = 1000.0
+    profiles[2, :, [1, 32, 62]] = 1000.0
+    cfg = CfarConfig()
+    mask = ca_cfar(profiles, cfg)
+    assert mask.shape == profiles.shape
+    stacked = np.array([[ca_cfar(row, cfg) for row in block] for block in profiles])
+    np.testing.assert_array_equal(mask, stacked)
+    assert mask[0, :, 0].all() and mask[1, :, -1].all() and mask[2, :, 32].all()
+    with pytest.raises(ConfigError):
+        ca_cfar(np.ones((4, 20)), cfg)
 
 
 def test_cfar_scale_invariant(rng):

@@ -6,6 +6,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from beamsweep import (
+    CfarConfig,
     ConfigError,
     EvalSettings,
     RearWall,
@@ -22,6 +23,7 @@ from beamsweep import (
     score_rmse,
     simulate_acquisition,
 )
+from beamsweep.harness import _eligibility
 from beamsweep.ofdm import range_doppler_periodogram, synthesize_csi
 from beamsweep.reconstruct import SweepPlan
 
@@ -223,6 +225,21 @@ def test_acquisition_validation(small_acquisition):
         simulate_acquisition(scene, geom, weights, radio, plan, 0, (7, 0))
     with pytest.raises(ConfigError):
         simulate_acquisition(scene, geom, weights, radio, plan, 2, (7, 0), "coherent")
+
+
+def test_eligibility_over_frames_equals_per_frame_calls(small_acquisition):
+    _, _, _, _, _, acq = small_acquisition
+    frames = acq.profiles.swapaxes(0, 1)  # (frames, beams, range)
+    cfar = CfarConfig()
+    eligible, ranges = _eligibility(frames, acq.gate_keep, acq.range_centers_m, cfar)
+    assert eligible.shape == ranges.shape == (2, 9)
+    assert eligible.any()
+    for f, profiles in enumerate(frames):
+        want_eligible, want_ranges = _eligibility(
+            profiles, acq.gate_keep, acq.range_centers_m, cfar
+        )
+        np.testing.assert_array_equal(eligible[f], want_eligible)
+        np.testing.assert_array_equal(ranges[f], want_ranges)
 
 
 def _oracle_window_power(radio, geom, weights, scene, steer, n_frames, seed):
