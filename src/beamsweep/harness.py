@@ -4,8 +4,8 @@ One recorded oversampled acquisition (24 frames per beam by default) feeds
 everything, the way a captured dataset would: the minimal sweep is every
 tenth beam of it, methods average the first six frames, and ground truth is
 the per-target median over all 24 single-frame estimates of the oversampled
-pipeline. Per-(beam, frame) noise streams are derived from (master seed,
-scenario index, beam index, frame index), so reports are byte-reproducible.
+pipeline. Each acquisition draws from one noise stream derived from (master
+seed, scenario index), so reports are byte-reproducible.
 """
 from __future__ import annotations
 
@@ -91,27 +91,29 @@ def simulate_acquisition(
     seed_prefix: Sequence[int],
     mode: str = "poc",
 ) -> Acquisition:
-    """Sweep the scene, one seeded noise stream per (beam, frame).
+    """Sweep the scene; one seeded noise stream covers the whole acquisition.
 
-    Frames are synthesized in the domain the pipeline consumes: each
-    (beam, frame) stream draws the symbol-summed noise directly, one
-    CN(0, n_symbols * noise_power) sample per subcarrier added to n_symbols
-    times the scene profile, and only the display-window bins of the
-    zero-padded range IDFT are computed, one beam at a time. The explicit
-    per-symbol path (synthesize_csi, then the zero-Doppler column of
-    range_doppler_periodogram) is the reference; the two agree exactly
-    without noise and in distribution with it.
+    Frames are synthesized in the domain the pipeline consumes, the
+    display-window bins of the zero-padded range IDFT: n_symbols times the
+    scene profile plus symbol-summed white CN(0, n_symbols * noise_power)
+    subcarrier noise, both seen through the window IDFT W. The noise bins
+    are drawn directly, as white window-sized samples per (beam, frame)
+    times the QR factor R of W, which gives them the same covariance.
+    default_rng(seed_prefix) draws the noise of every beam and frame in one
+    call, then the phasors. The explicit per-symbol path (synthesize_csi,
+    then the zero-Doppler column of range_doppler_periodogram) is the
+    reference; the two agree exactly without noise and in distribution,
+    inter-bin correlation included, with it.
 
-    mode "poc" multiplies each frame by a random unit phasor, drawn from the
-    same stream after the noise, destroying phase coherency across dwells
-    the way free-running hardware does; mode "ideal" keeps the frames
-    coherent.
+    mode "poc" multiplies each frame by a random unit phasor, modelling
+    the free-running phase of the hardware; mode "ideal" leaves frames
+    unrotated. Frames are combined only after |.|^2, so both modes give
+    the same power and magnitudes.
     """
     if mode not in ("poc", "ideal"):
         raise ConfigError(f"unknown acquisition mode {mode!r}")
     if n_frames < 1:
         raise ConfigError("n_frames must be at least 1")
-    prefix = tuple(int(s) for s in seed_prefix)
     window = radio.window_bins()
     centers = radio.range_axis()[window]
     lo, hi = RANGE_GATE_EXCLUDE_M
@@ -126,29 +128,22 @@ def simulate_acquisition(
     ) / n_fft
     signal = radio.n_symbols * scene_subcarrier_profile(
         radio, scene.scatterers, geom, weights, plan.beam_grid
-    )
-    noise_scale = np.sqrt(radio.n_symbols * scene.noise_power / 2)
+    ) @ window_idft  # (n_beams, n_window)
     n_beams = plan.n_beams
-    magnitudes = np.empty((n_beams, n_frames))
-    profiles = np.empty((n_beams, n_frames, window.size))
-    selected = np.empty((n_beams, n_frames))
-    kept_centers = centers[keep]
-    rows = np.empty((n_frames, radio.n_subcarriers), dtype=complex)
-    phasors = np.ones(n_frames, dtype=complex)
-    for b in range(n_beams):
-        for f in range(n_frames):
-            rng = np.random.default_rng(prefix + (b, f))
-            rng.standard_normal(out=rows[f].view(np.float64))
-            if mode == "poc":
-                phasors[f] = np.exp(2j * np.pi * rng.uniform())
-        rows *= noise_scale
-        rows += signal[b]
-        power = np.abs((rows @ window_idft) * phasors[:, None]) ** 2
-        profiles[b] = power
-        gated = power[:, keep]
-        idx = np.argmax(gated, axis=1)
-        magnitudes[b] = np.sqrt(gated[np.arange(n_frames), idx])
-        selected[b] = kept_centers[idx]
+    rng = np.random.default_rng(tuple(int(s) for s in seed_prefix))
+    noise = rng.standard_normal((n_beams, n_frames, 2 * window.size)).view(complex)
+    noise *= np.sqrt(radio.n_symbols * scene.noise_power / 2)
+    # R^H R = W^H W: white noise times R has the covariance of white noise
+    # seen through W. The Gram matrix W^H W itself (condition number ~1e17)
+    # is too ill-conditioned for a Cholesky factor.
+    bins = noise @ np.linalg.qr(window_idft, mode="r") + signal[:, None, :]
+    if mode == "poc":
+        bins *= np.exp(2j * np.pi * rng.uniform(size=(n_beams, n_frames, 1)))
+    profiles = np.abs(bins) ** 2
+    gated = profiles[..., keep]
+    idx = np.argmax(gated, axis=-1)
+    magnitudes = np.sqrt(np.take_along_axis(gated, idx[..., None], axis=-1)[..., 0])
+    selected = centers[keep][idx]
     return Acquisition(plan, magnitudes, profiles, selected, centers, keep, mode)
 
 

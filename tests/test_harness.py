@@ -284,6 +284,33 @@ def test_acquisition_noise_matches_explicit_csi_path_in_distribution(small_acqui
         assert ks_2samp(fast[:, k], slow[:, k]).pvalue > 0.01
 
 
+def _mean_lag_correlation(power, lag):
+    """Mean over bin pairs k, k + lag of the across-frame power correlation."""
+    return np.mean([
+        np.corrcoef(power[:, k], power[:, k + lag])[0, 1]
+        for k in range(power.shape[1] - lag)
+    ])
+
+
+def test_acquisition_noise_matches_explicit_csi_path_across_bins(small_acquisition):
+    # white subcarrier noise seen through the window IDFT correlates
+    # neighbouring bins: |rho|^2 = 0.61 in power at lag 1 and 0.09 at lag 2.
+    # The per-bin marginal test above cannot see this; a draw with
+    # independent bins gives about 0 at lag 1 and fails here.
+    radio, geom, weights, scene, _, _ = small_acquisition
+    empty = Scene((), scene.noise_power)  # every bin holds noise only
+    n_frames = 300
+    plan = SweepPlan(np.array([0.0]), "minimal")
+    fast = simulate_acquisition(empty, geom, weights, radio, plan, n_frames, (13, 0)).profiles[0]
+    slow = _oracle_window_power(radio, geom, weights, empty, 0.0, n_frames, 14)
+    fast_lag1, slow_lag1 = (_mean_lag_correlation(p, 1) for p in (fast, slow))
+    assert 0.5 < slow_lag1 < 0.72, slow_lag1
+    assert 0.5 < fast_lag1 < 0.72, fast_lag1
+    assert abs(fast_lag1 - slow_lag1) < 0.08
+    for power in (fast, slow):
+        assert _mean_lag_correlation(power, 2) < 0.2
+
+
 @pytest.fixture(scope="module")
 def far_report(tmp_path_factory):
     out = tmp_path_factory.mktemp("far_report")
