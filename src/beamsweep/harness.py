@@ -348,16 +348,13 @@ def _run_seed(
     frame_eligible, frame_ranges = _eligibility(
         acq.profiles.swapaxes(0, 1), acq.gate_keep, acq.range_centers_m, settings.cfar
     )
-    frame_peaks = [
-        [
-            p.naf
-            for p in extract_peaks(
-                acq.magnitudes[:, f], over_grid, resolution, settings.max_peaks,
-                detected=frame_eligible[f], ranges_m=frame_ranges[f],
-            )
-        ]
-        for f in range(acq.n_frames)
-    ]
+    frame_peaks = []
+    for f in range(acq.n_frames):
+        peaks = extract_peaks(
+            acq.magnitudes[:, f], over_grid, resolution, settings.max_peaks,
+            detected=frame_eligible[f], ranges_m=frame_ranges[f],
+        )
+        frame_peaks.append([p.naf for p in peaks])
     ground_truth, gt_counts = estimate_ground_truth(frame_peaks, scenario.target_nafs)
 
     dwell = settings.dwell_frames
