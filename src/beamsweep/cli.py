@@ -182,6 +182,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    if args.factor < 1:
+        raise ConfigError("--factor must be a positive integer")
     cfg = _load_config(args.config)
     settings = _build_settings(cfg, args)
     naf, values = _read_two_column_csv(args.sweep, "value")

@@ -52,7 +52,7 @@ def cfar_threshold_factor(n_training: int, p_fa: float) -> float:
     return n_training * (p_fa ** (-1.0 / n_training) - 1.0)
 
 
-def ca_cfar(profile, config: CfarConfig) -> np.ndarray:
+def ca_cfar(profile, config: CfarConfig, cells=None) -> np.ndarray:
     """Detection mask over power profiles along the last axis.
 
     Each cell is compared against alpha times the mean of its training
@@ -60,6 +60,10 @@ def ca_cfar(profile, config: CfarConfig) -> np.ndarray:
     independent profiles (beams, frames), so one call covers a whole sweep
     and the mask has the input's shape. Each profile must be longer than
     the full window, 2 * (n_training/2 + n_guard) + 1 cells.
+
+    cells, when given, is an integer index array for the last axis, shaped
+    as for np.take_along_axis; only those cells are tested, and the mask
+    equals the full mask gathered there, bit for bit.
     """
     profile = np.asarray(profile, dtype=float)
     if profile.ndim < 1:
@@ -76,15 +80,29 @@ def ca_cfar(profile, config: CfarConfig) -> np.ndarray:
     cs = np.concatenate(
         (np.zeros(profile.shape[:-1] + (1,)), np.cumsum(profile, axis=-1)), axis=-1
     )
-    idx = np.arange(n)
+    if cells is None:
+        idx, cut = np.arange(n), profile
+
+        def at(j):
+            return cs[..., j]
+
+    else:
+        idx = np.asarray(cells)
+        if idx.dtype.kind not in "iu" or np.any((idx < 0) | (idx >= n)):
+            raise ConfigError(f"cells must be integer indices in [0, {n})")
+        cut = np.take_along_axis(profile, idx, axis=-1)
+
+        def at(j):
+            return np.take_along_axis(cs, j, axis=-1)
+
     left_lo = np.maximum(idx - g - t_side, 0)
     left_hi = np.maximum(idx - g, 0)
     right_lo = np.minimum(idx + g + 1, n)
     right_hi = np.minimum(idx + g + 1 + t_side, n)
-    train_sum = (cs[..., left_hi] - cs[..., left_lo]) + (cs[..., right_hi] - cs[..., right_lo])
+    train_sum = (at(left_hi) - at(left_lo)) + (at(right_hi) - at(right_lo))
     counts = (left_hi - left_lo) + (right_hi - right_lo)
     alpha = counts * (config.p_fa ** (-1.0 / counts) - 1.0)
-    return profile > alpha * train_sum / counts
+    return cut > alpha * train_sum / counts
 
 
 def gate_range(map_: RangeAngleMap, exclude: Tuple[float, float]) -> RangeAngleMap:

@@ -9,6 +9,8 @@ seed, scenario index), so reports are byte-reproducible.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -17,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .beams import BeamformingWeights, build_dictionary
+from .beams import BeamformingWeights, Dictionary, build_dictionary
 from .detection import CfarConfig, PeakEstimate, ca_cfar, extract_peaks
 from .errors import ConfigError
 from .geometry import ArrayGeometry, naf_resolution
@@ -81,6 +83,87 @@ class Acquisition:
         return self.profiles[:, :n].mean(axis=1)
 
 
+@dataclass(frozen=True)
+class _WindowBasis:
+    """What the display window of one radio config fixes for every sweep."""
+
+    centers: np.ndarray  # range of each window bin (m)
+    keep: np.ndarray  # False inside the range exclusion
+    idft: np.ndarray  # (n_subcarriers, n_window) IDFT rows of the window bins
+    r_factor: np.ndarray  # R of idft = QR, so R^H R = idft^H idft
+
+
+@functools.lru_cache(maxsize=8)
+def _window_basis(radio: RadioConfig) -> _WindowBasis:
+    """Built on first use per (hashable, frozen) radio config; arrays read-only."""
+    window = radio.window_bins()
+    centers = radio.range_axis()[window]
+    lo, hi = RANGE_GATE_EXCLUDE_M
+    keep = ~((centers >= lo) & (centers <= hi))
+    if not np.any(keep):
+        raise ConfigError("range exclusion removes every display bin")
+    n_fft = radio.range_fft_size
+    # the index product is reduced mod n_fft first so the phase argument
+    # stays below 2*pi
+    idft = np.exp(
+        2j * np.pi * (np.outer(np.arange(radio.n_subcarriers), window) % n_fft) / n_fft
+    ) / n_fft
+    # The Gram matrix idft^H idft itself (condition number ~1e17) is too
+    # ill-conditioned for a Cholesky factor.
+    basis = _WindowBasis(centers, keep, idft, np.linalg.qr(idft, mode="r"))
+    for arr in vars(basis).values():
+        arr.flags.writeable = False
+    return basis
+
+
+def _signal_window(
+    scene: Scene,
+    geom: ArrayGeometry,
+    weights: BeamformingWeights,
+    radio: RadioConfig,
+    plan: SweepPlan,
+) -> np.ndarray:
+    """Noise-free window bins per beam: n_symbols times the scene profile
+    seen through the window IDFT, (n_beams, n_window)."""
+    return radio.n_symbols * scene_subcarrier_profile(
+        radio, scene.scatterers, geom, weights, plan.beam_grid
+    ) @ _window_basis(radio).idft
+
+
+def _draw_acquisition(
+    signal: np.ndarray,
+    noise_power: float,
+    radio: RadioConfig,
+    plan: SweepPlan,
+    n_frames: int,
+    seed_prefix: Sequence[int],
+    mode: str,
+) -> Acquisition:
+    """The seeded step of simulate_acquisition, from its signal window on."""
+    if mode not in ("poc", "ideal"):
+        raise ConfigError(f"unknown acquisition mode {mode!r}")
+    if n_frames < 1:
+        raise ConfigError("n_frames must be at least 1")
+    basis = _window_basis(radio)
+    n_beams, n_window = signal.shape
+    rng = np.random.default_rng(tuple(int(s) for s in seed_prefix))
+    noise = rng.standard_normal((n_beams, n_frames, 2 * n_window)).view(complex)
+    noise *= np.sqrt(radio.n_symbols * noise_power / 2)
+    # R^H R = W^H W: white noise times R has the covariance of white noise
+    # seen through W. The product stays per beam: as one 2-D product it is
+    # bitwise equal for n_frames > 1 only, because numpy sends 1-row
+    # products through gemv.
+    bins = noise @ basis.r_factor + signal[:, None, :]
+    if mode == "poc":
+        bins *= np.exp(2j * np.pi * rng.uniform(size=(n_beams, n_frames, 1)))
+    profiles = np.abs(bins) ** 2
+    gated = profiles[..., basis.keep]
+    idx = np.argmax(gated, axis=-1)
+    magnitudes = np.sqrt(np.take_along_axis(gated, idx[..., None], axis=-1)[..., 0])
+    selected = basis.centers[basis.keep][idx]
+    return Acquisition(plan, magnitudes, profiles, selected, basis.centers, basis.keep, mode)
+
+
 def simulate_acquisition(
     scene: Scene,
     geom: ArrayGeometry,
@@ -103,48 +186,18 @@ def simulate_acquisition(
     call, then the phasors. The explicit per-symbol path (synthesize_csi,
     then the zero-Doppler column of range_doppler_periodogram) is the
     reference; the two agree exactly without noise and in distribution,
-    inter-bin correlation included, with it.
+    inter-bin correlation included, with it. W and R depend on the radio
+    config alone and are built once per config.
 
     mode "poc" multiplies each frame by a random unit phasor, modelling
     the free-running phase of the hardware; mode "ideal" leaves frames
     unrotated. Frames are combined only after |.|^2, so both modes give
     the same power and magnitudes.
     """
-    if mode not in ("poc", "ideal"):
-        raise ConfigError(f"unknown acquisition mode {mode!r}")
-    if n_frames < 1:
-        raise ConfigError("n_frames must be at least 1")
-    window = radio.window_bins()
-    centers = radio.range_axis()[window]
-    lo, hi = RANGE_GATE_EXCLUDE_M
-    keep = ~((centers >= lo) & (centers <= hi))
-    if not np.any(keep):
-        raise ConfigError("range exclusion removes every display bin")
-    n_fft = radio.range_fft_size
-    # IDFT rows for the window bins only; the index product is reduced mod
-    # n_fft first so the phase argument stays below 2*pi
-    window_idft = np.exp(
-        2j * np.pi * (np.outer(np.arange(radio.n_subcarriers), window) % n_fft) / n_fft
-    ) / n_fft
-    signal = radio.n_symbols * scene_subcarrier_profile(
-        radio, scene.scatterers, geom, weights, plan.beam_grid
-    ) @ window_idft  # (n_beams, n_window)
-    n_beams = plan.n_beams
-    rng = np.random.default_rng(tuple(int(s) for s in seed_prefix))
-    noise = rng.standard_normal((n_beams, n_frames, 2 * window.size)).view(complex)
-    noise *= np.sqrt(radio.n_symbols * scene.noise_power / 2)
-    # R^H R = W^H W: white noise times R has the covariance of white noise
-    # seen through W. The Gram matrix W^H W itself (condition number ~1e17)
-    # is too ill-conditioned for a Cholesky factor.
-    bins = noise @ np.linalg.qr(window_idft, mode="r") + signal[:, None, :]
-    if mode == "poc":
-        bins *= np.exp(2j * np.pi * rng.uniform(size=(n_beams, n_frames, 1)))
-    profiles = np.abs(bins) ** 2
-    gated = profiles[..., keep]
-    idx = np.argmax(gated, axis=-1)
-    magnitudes = np.sqrt(np.take_along_axis(gated, idx[..., None], axis=-1)[..., 0])
-    selected = centers[keep][idx]
-    return Acquisition(plan, magnitudes, profiles, selected, centers, keep, mode)
+    signal = _signal_window(scene, geom, weights, radio, plan)
+    return _draw_acquisition(
+        signal, scene.noise_power, radio, plan, n_frames, seed_prefix, mode
+    )
 
 
 def _eligibility(
@@ -156,7 +209,7 @@ def _eligibility(
     """
     gated = profiles[..., keep]
     i = np.argmax(gated, axis=-1)
-    eligible = np.take_along_axis(ca_cfar(gated, cfar), i[..., None], axis=-1)[..., 0]
+    eligible = ca_cfar(gated, cfar, cells=i[..., None])[..., 0]
     return eligible, centers[keep][i]
 
 
@@ -300,29 +353,25 @@ def _interpolated_map(
     return np.maximum(dense, 0.0) ** 2  # (n_angle, n_range)
 
 
-def _run_seed(
-    scenario: Scenario,
-    scenario_index: int,
-    methods: Sequence[str],
-    master_seed: int,
-    settings: EvalSettings,
-    dictionary,
-) -> _SeedOutcome:
+@dataclass(frozen=True)
+class _Campaign:
+    """The seed-independent state of one run_comparison call, built once."""
+
+    settings: EvalSettings
+    geom: ArrayGeometry
+    weights: BeamformingWeights
+    over_plan: SweepPlan
+    minimal_plan: SweepPlan
+    min_idx: np.ndarray  # oversampled-grid index of each minimal beam
+    order: int
+    resolution: float
+    dictionary: Dictionary
+
+
+def _build_campaign(settings: EvalSettings) -> _Campaign:
     radio = settings.radio
     geom = settings.geometry()
     weights = settings.weights()
-    if settings.snr_db is not None:
-        scenario = Scenario(
-            name=scenario.name,
-            kind=scenario.kind,
-            separation_naf=scenario.separation_naf,
-            target_range_m=scenario.target_range_m,
-            target_amplitude_db=scenario.target_amplitude_db,
-            elevation_deg=scenario.elevation_deg,
-            snr_db=settings.snr_db,
-            rear_wall=scenario.rear_wall,
-        )
-    scene = build_scene(scenario, radio, geom, settings.include_rear_wall)
     n_1d = min(settings.n_tx, settings.n_rx)
     over_plan = oversampled_sweep_plan(
         n_1d, settings.naf_limit, settings.oversampling_factor,
@@ -331,11 +380,8 @@ def _run_seed(
     minimal_plan = minimal_sweep_plan(
         n_1d, settings.naf_limit, settings.dwell_frames, radio.frame_duration_s
     )
-    order = 2 * n_1d - 1
-    resolution = naf_resolution(n_1d)
-    acq = simulate_acquisition(
-        scene, geom, weights, radio, over_plan,
-        settings.ground_truth_frames, (master_seed, scenario_index), settings.mode,
+    dictionary = build_dictionary(
+        geom, weights, minimal_plan.beam_grid, over_plan.beam_grid, settings.dictionary_kind,
     )
     over_grid = over_plan.beam_grid
     min_idx = np.nonzero(
@@ -343,6 +389,29 @@ def _run_seed(
     )[0]
     if min_idx.size != minimal_plan.n_beams:
         raise ConfigError("minimal grid is not a subset of the oversampled grid")
+    return _Campaign(
+        settings, geom, weights, over_plan, minimal_plan, min_idx,
+        2 * n_1d - 1, naf_resolution(n_1d), dictionary,
+    )
+
+
+def _run_seed(
+    campaign: _Campaign,
+    scenario: Scenario,
+    scene: Scene,
+    signal: np.ndarray,
+    scenario_index: int,
+    methods: Sequence[str],
+    master_seed: int,
+) -> _SeedOutcome:
+    settings = campaign.settings
+    minimal_plan = campaign.minimal_plan
+    resolution = campaign.resolution
+    acq = _draw_acquisition(
+        signal, scene.noise_power, settings.radio, campaign.over_plan,
+        settings.ground_truth_frames, (master_seed, scenario_index), settings.mode,
+    )
+    over_grid = campaign.over_plan.beam_grid
 
     # ground truth: full detection pipeline on each single-frame spectrum
     frame_eligible, frame_ranges = _eligibility(
@@ -359,8 +428,9 @@ def _run_seed(
 
     dwell = settings.dwell_frames
     avg_profiles = acq.mean_profiles(dwell)
-    values9 = acq.beam_values(dwell)[min_idx]
-    profiles9 = avg_profiles[min_idx]
+    beam_values = acq.beam_values(dwell)
+    values9 = beam_values[campaign.min_idx]
+    profiles9 = avg_profiles[campaign.min_idx]
     sweep9 = AngularSweep(minimal_plan, values9, "magnitude")
 
     estimates: Dict[str, List[float]] = {}
@@ -368,12 +438,11 @@ def _run_seed(
     maps: Dict[str, RangeAngleMap] = {}
     for method in methods:
         if method == "oversampled":
-            spectrum = acq.beam_values(dwell)
             eligible, ranges = _eligibility(
                 avg_profiles, acq.gate_keep, acq.range_centers_m, settings.cfar
             )
             peaks = extract_peaks(
-                spectrum, over_grid, resolution, settings.max_peaks,
+                beam_values, over_grid, resolution, settings.max_peaks,
                 detected=eligible, ranges_m=ranges,
             )
             maps[method] = RangeAngleMap(
@@ -386,7 +455,7 @@ def _run_seed(
                 else spline_interpolate(sweep9, over_grid)
             )
             power_map = _interpolated_map(
-                method, minimal_plan.beam_grid, profiles9, over_grid, order
+                method, minimal_plan.beam_grid, profiles9, over_grid, campaign.order
             )
             eligible, ranges = _eligibility(
                 power_map, acq.gate_keep, acq.range_centers_m, settings.cfar
@@ -397,7 +466,7 @@ def _run_seed(
             )
             maps[method] = RangeAngleMap(power_map.T, acq.range_centers_m, over_grid)
         elif method == "omp":
-            estimate = omp(dictionary, values9, settings.omp)
+            estimate = omp(campaign.dictionary, values9, settings.omp)
             strongest = int(np.argmax(values9))
             gated = profiles9[strongest][acq.gate_keep]
             range_m = float(acq.range_centers_m[acq.gate_keep][np.argmax(gated)])
@@ -481,19 +550,9 @@ def run_comparison(
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}")
-    settings_geom = settings.geometry()
-    n_1d = min(settings.n_tx, settings.n_rx)
-    over_plan = oversampled_sweep_plan(
-        n_1d, settings.naf_limit, settings.oversampling_factor,
-        settings.dwell_frames, settings.radio.frame_duration_s,
-    )
-    minimal_plan = minimal_sweep_plan(
-        n_1d, settings.naf_limit, settings.dwell_frames, settings.radio.frame_duration_s
-    )
-    dictionary = build_dictionary(
-        settings_geom, settings.weights(), minimal_plan.beam_grid,
-        over_plan.beam_grid, settings.dictionary_kind,
-    )
+    if any(s < 0 for s in seeds):
+        raise ConfigError("master seeds must be non-negative")
+    campaign = _build_campaign(settings)
 
     catalog_index = {s.name: i for i, s in enumerate(scenario_catalog())}
     results: Dict[str, Dict[str, List[Tuple[List[float], Tuple[float, float]]]]] = {
@@ -505,10 +564,18 @@ def run_comparison(
     first_sweeps: Dict[str, np.ndarray] = {}
     for scenario in scenarios:
         idx = catalog_index.get(scenario.name, len(catalog_index))
+        simulated = (
+            scenario if settings.snr_db is None
+            else dataclasses.replace(scenario, snr_db=settings.snr_db)
+        )
+        scene = build_scene(simulated, settings.radio, campaign.geom, settings.include_rear_wall)
+        signal = _signal_window(
+            scene, campaign.geom, campaign.weights, settings.radio, campaign.over_plan
+        )
         truths = []
         counts = []
         for seed in seeds:
-            outcome = _run_seed(scenario, idx, methods, seed, settings, dictionary)
+            outcome = _run_seed(campaign, scenario, scene, signal, idx, methods, seed)
             truths.append(outcome.ground_truth)
             counts.append(outcome.gt_counts)
             for m in methods:
@@ -562,10 +629,10 @@ def run_comparison(
             "dwell_frames": settings.dwell_frames,
             "ground_truth_frames": settings.ground_truth_frames,
             "sweep_seconds": {
-                "minimal": sweep_duration(minimal_plan),
-                "oversampled": sweep_duration(over_plan),
+                "minimal": sweep_duration(campaign.minimal_plan),
+                "oversampled": sweep_duration(campaign.over_plan),
             },
-            "naf_resolution": naf_resolution(n_1d),
+            "naf_resolution": campaign.resolution,
             "cross_track_m_per_001_naf_at_18m": naf_error_to_cross_track_m(0.01, 18.0),
         },
         "scenarios": gt_info,
@@ -597,6 +664,6 @@ def run_comparison(
         for name, values in first_sweeps.items():
             with open(out / f"{name}_sweep.csv", "w") as fh:
                 fh.write("naf,value\n")
-                for g, v in zip(minimal_plan.beam_grid, values):
+                for g, v in zip(campaign.minimal_plan.beam_grid, values):
                     fh.write(f"{float(g)!r},{float(v)!r}\n")
     return result

@@ -9,7 +9,6 @@ signal energy sits in the zero-Doppler slice.
 """
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -46,6 +45,9 @@ class RadioConfig:
     n_range_bins: int = 42
 
     def __post_init__(self):
+        # a tuple keeps the config hashable (a JSON config gives a list), so
+        # it can key the cached window basis
+        object.__setattr__(self, "range_window_m", tuple(self.range_window_m))
         if min(self.carrier_hz, self.subcarrier_spacing_hz, self.frame_duration_s) <= 0:
             raise ConfigError("carrier, subcarrier spacing and frame duration must be positive")
         if self.n_subcarriers < 1 or self.n_symbols < 1 or self.n_range_bins < 1:
@@ -311,9 +313,15 @@ def load_ramp(path) -> RangeAngleMap:
 
 
 def dump_csv(map_: RangeAngleMap, path) -> None:
-    """CSV mirror of the RAMP grid: header row of NAFs, rows led by range."""
+    """CSV mirror of the RAMP grid: header row of NAFs, rows led by range.
+
+    Cells are repr(float) and lines end in CRLF, byte for byte as
+    csv.writer writes them.
+    """
+    header = ",".join(["range_m"] + [repr(v) for v in map_.naf_axis.tolist()])
+    rows = np.column_stack((map_.range_axis, map_.power)).tolist()
+    # str() of a list of floats joins their repr()s with ", "; no float repr
+    # holds a comma, quote or space, so csv.writer would quote no cell
+    lines = [header] + [str(row)[1:-1].replace(", ", ",") for row in rows]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["range_m"] + [repr(float(v)) for v in map_.naf_axis])
-        for r, row in zip(map_.range_axis, map_.power):
-            writer.writerow([repr(float(r))] + [repr(float(v)) for v in row])
+        fh.write("\r\n".join(lines) + "\r\n")

@@ -196,6 +196,23 @@ def test_reconstruct_off_lattice_is_contract_violation(tmp_path, capsys):
     assert "internal error" in capsys.readouterr().err
 
 
+def test_reconstruct_rejects_non_positive_factor(tmp_path, capsys):
+    mg = minimal_naf_grid(8, 0.5 * np.sin(np.radians(33.0)))
+    src = tmp_path / "sweep.csv"
+    dst = tmp_path / "dense.csv"
+    _write_sweep(src, mg, np.ones(mg.size))
+    for factor in ("0", "-3"):
+        rc = cli.main(
+            ["reconstruct", "--sweep", str(src), "--method", "dft",
+             "--factor", factor, "--out", str(dst)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--factor must be a positive integer" in err
+        assert err.count("\n") == 1
+    assert not dst.exists()
+
+
 def test_simulate_writes_outputs(tmp_path, capsys):
     out = tmp_path / "sim"
     rc = cli.main(
@@ -272,6 +289,17 @@ def test_seed_env_var_must_be_integer(tmp_path, monkeypatch, capsys):
     )
     assert rc == 1
     assert cli.SEED_ENV_VAR in capsys.readouterr().err
+
+
+def test_negative_master_seed_rejected(tmp_path, monkeypatch, capsys):
+    base = ["evaluate", "--seeds", "1", "--scenarios", "octahedral_far",
+            "--methods", "dft", "--out", str(tmp_path / "x")]
+    assert cli.main(base + ["--seed", "-2"]) == 1
+    assert "master seeds must be non-negative" in capsys.readouterr().err
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "-1")
+    assert cli.main(base) == 1
+    assert "master seeds must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_unknown_scenario_rejected(tmp_path, capsys):

@@ -91,6 +91,17 @@ def test_cfar_nd_equals_stacked_rows(rng):
     stacked = np.array([[ca_cfar(row, cfg) for row in block] for block in profiles])
     np.testing.assert_array_equal(mask, stacked)
     assert mask[0, :, 0].all() and mask[1, :, -1].all() and mask[2, :, 32].all()
+    # testing only given cells equals the full mask gathered there: every
+    # cell, the edge cells 0 and n-1 included, in a shuffled order per row;
+    # the loose p_fa puts many cells near their threshold
+    cells = rng.permuted(np.broadcast_to(np.arange(64), profiles.shape), axis=-1)
+    for c in (cfg, CfarConfig(8, 1, 0.3)):
+        np.testing.assert_array_equal(
+            ca_cfar(profiles, c, cells=cells),
+            np.take_along_axis(ca_cfar(profiles, c), cells, axis=-1),
+        )
+    with pytest.raises(ConfigError):
+        ca_cfar(profiles, cfg, cells=np.full((3, 5, 1), 64))
     with pytest.raises(ConfigError):
         ca_cfar(np.ones((4, 20)), cfg)
 

@@ -9,6 +9,7 @@ from beamsweep import (
     CfarConfig,
     ConfigError,
     EvalSettings,
+    RadioConfig,
     RearWall,
     Scatterer,
     Scenario,
@@ -23,7 +24,7 @@ from beamsweep import (
     score_rmse,
     simulate_acquisition,
 )
-from beamsweep.harness import _eligibility
+from beamsweep.harness import _eligibility, _window_basis
 from beamsweep.ofdm import range_doppler_periodogram, synthesize_csi
 from beamsweep.reconstruct import SweepPlan
 
@@ -225,6 +226,17 @@ def test_acquisition_validation(small_acquisition):
         simulate_acquisition(scene, geom, weights, radio, plan, 0, (7, 0))
     with pytest.raises(ConfigError):
         simulate_acquisition(scene, geom, weights, radio, plan, 2, (7, 0), "coherent")
+
+
+def test_window_basis_is_cached_and_read_only(small_acquisition):
+    radio, _, _, _, _, acq = small_acquisition
+    basis = _window_basis(radio)
+    # an equal config, with the range window as a JSON config gives it
+    assert _window_basis(RadioConfig(range_window_m=[0.0, 25.0])) is basis
+    assert acq.range_centers_m is basis.centers and acq.gate_keep is basis.keep
+    for arr in (basis.centers, basis.keep, basis.idft, basis.r_factor):
+        assert not arr.flags.writeable
+    assert _window_basis(RadioConfig(n_range_bins=40)).idft.shape == (792, 40)
 
 
 def test_eligibility_over_frames_equals_per_frame_calls(small_acquisition):

@@ -207,3 +207,20 @@ def test_dump_csv_mirrors_grid(tmp_path):
     assert rows[0] == ["range_m", "-0.1", "0.1"]
     assert [float(v) for v in rows[1]] == [0.0, 1.5, 0.25]
     assert [float(v) for v in rows[2]] == [0.6, 0.0, 3.0]
+    # byte for byte what csv.writer makes of repr(float) cells, also on
+    # the values with unusual reprs (a one-column map may have a NaN NAF)
+    odd = RangeAngleMap(
+        np.array([[5e-324], [1e22], [-0.0], [1 / 3]]),
+        np.array([-np.inf, -0.0, 1 / 3, np.inf]),
+        np.array([np.nan]),
+    )
+    for case in (m, odd):
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["range_m"] + [repr(float(v)) for v in case.naf_axis])
+            for r, row in zip(case.range_axis, case.power):
+                writer.writerow([repr(float(r))] + [repr(float(v)) for v in row])
+        dump_csv(case, path)
+        assert path.read_bytes() == ref.read_bytes()
+    assert b"nan" in path.read_bytes() and b"-inf" in path.read_bytes()
