@@ -11,29 +11,22 @@ scoring.
 from .beams import (
     BeamformingWeights,
     Dictionary,
-    Psf,
     Scatterer,
     beamformed_response,
     build_dictionary,
     dirichlet_kernel,
-    psf,
 )
 from .detection import (
     CfarConfig,
     PeakEstimate,
     ca_cfar,
-    cfar_threshold_factor,
     extract_peaks,
-    gate_range,
 )
 from .errors import ConfigError, ContractViolation
 from .geometry import (
     ArrayGeometry,
     Coarray,
-    Direction,
     NafAngle,
-    direction_vector,
-    naf_of_direction,
     naf_resolution,
     sum_coarray,
 )
@@ -55,16 +48,13 @@ from .ofdm import (
     Periodogram,
     RadioConfig,
     RangeAngleMap,
-    average_frames,
-    collapse_to_angle_value,
     dump_csv,
     dump_ramp,
     load_ramp,
     range_doppler_periodogram,
     synthesize_csi,
-    zero_doppler_profile,
 )
-from .omp import OmpConfig, SparseEstimate, omp, omp_tie_break, sparse_to_peaks
+from .omp import OmpConfig, SparseEstimate, omp, sparse_to_peaks
 from .reconstruct import (
     AngularSweep,
     SweepPlan,

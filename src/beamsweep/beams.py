@@ -21,11 +21,9 @@ from .geometry import ArrayGeometry, NafAngle
 __all__ = [
     "BeamformingWeights",
     "Scatterer",
-    "Psf",
     "Dictionary",
     "dirichlet_kernel",
     "beamformed_response",
-    "psf",
     "build_dictionary",
 ]
 
@@ -126,34 +124,12 @@ def _pair_factor(geom: ArrayGeometry, weights: BeamformingWeights, lags) -> np.n
 
 
 @dataclass(frozen=True)
-class Psf:
-    """Two-way point spread function sampled on a NAF grid."""
-
-    grid: np.ndarray
-    samples: np.ndarray  # complex response to a unit scatterer at NAF 0
-    coarray_order: int
-
-    def __post_init__(self):
-        if self.grid.shape != self.samples.shape:
-            raise ConfigError("PSF grid and samples must have equal length")
-
-
-def psf(geom: ArrayGeometry, weights: BeamformingWeights, grid) -> Psf:
-    """Response of a unit scatterer at NAF 0 swept over `grid`."""
-    grid = np.asarray(grid, dtype=float)
-    samples = _pair_factor(geom, weights, grid)
-    order = 2 * min(geom.n_tx, geom.n_rx) - 1
-    return Psf(grid, samples, order)
-
-
-@dataclass(frozen=True)
 class Dictionary:
     """Unit-norm magnitude beam-response atoms over a candidate NAF grid."""
 
     atoms: np.ndarray  # (n_beams, n_candidates)
     candidate_grid: np.ndarray
     beam_grid: np.ndarray
-    kind: str = "matched"
 
     def __post_init__(self):
         if self.atoms.ndim != 2:
@@ -198,4 +174,4 @@ def build_dictionary(
     # a numerically-zero atom would normalize float fuzz into a fake unit atom
     if np.any(norms < 1e-9 * max(float(norms.max()), peak)):
         raise ConfigError("candidate grid produced an all-zero atom")
-    return Dictionary(atoms / norms, candidate_grid, beam_grid, kind)
+    return Dictionary(atoms / norms, candidate_grid, beam_grid)

@@ -218,7 +218,9 @@ def cmd_detect(args) -> int:
     cfg = _load_config(args.config)
     settings = _build_settings(cfg, args)
     naf, values = _read_two_column_csv(args.spectrum, "value")
-    resolution = args.resolution if args.resolution else naf_resolution(settings.n_tx)
+    resolution = (
+        args.resolution if args.resolution is not None else naf_resolution(settings.n_tx)
+    )
     peaks = extract_peaks(values, naf, resolution, args.max_peaks)
     with open(args.out, "w", newline="") as fh:
         fh.write("naf,range_m,power\n")

@@ -1,21 +1,18 @@
-"""Cell-averaging CFAR along range, range gating, and angular peak extraction."""
+"""Cell-averaging CFAR along range and angular peak extraction."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .ofdm import RangeAngleMap
 
 __all__ = [
     "CfarConfig",
     "PeakEstimate",
-    "cfar_threshold_factor",
     "ca_cfar",
-    "gate_range",
     "extract_peaks",
 ]
 
@@ -41,15 +38,6 @@ class CfarConfig:
             raise ConfigError("n_guard must be non-negative")
         if not 0 < self.p_fa < 1:
             raise ConfigError("p_fa must be in (0, 1)")
-
-
-def cfar_threshold_factor(n_training: int, p_fa: float) -> float:
-    """Scaling alpha = N * (p_fa**(-1/N) - 1) for exponentially distributed cells."""
-    if n_training < 1:
-        raise ConfigError("need at least one training cell")
-    if not 0 < p_fa < 1:
-        raise ConfigError("p_fa must be in (0, 1)")
-    return n_training * (p_fa ** (-1.0 / n_training) - 1.0)
 
 
 def ca_cfar(profile, config: CfarConfig, cells=None) -> np.ndarray:
@@ -105,21 +93,6 @@ def ca_cfar(profile, config: CfarConfig, cells=None) -> np.ndarray:
     return cut > alpha * train_sum / counts
 
 
-def gate_range(map_: RangeAngleMap, exclude: Tuple[float, float]) -> RangeAngleMap:
-    """Drop the map rows whose range falls inside the closed exclusion interval.
-
-    An empty interval (min > max) returns the map unchanged; removing every
-    row is a configuration error.
-    """
-    lo, hi = exclude
-    if lo > hi:
-        return map_
-    keep = ~((map_.range_axis >= lo) & (map_.range_axis <= hi))
-    if not np.any(keep):
-        raise ConfigError("range gate would remove every row")
-    return RangeAngleMap(map_.power[keep], map_.range_axis[keep], map_.naf_axis)
-
-
 @dataclass(frozen=True)
 class PeakEstimate:
     """One detected target: NAF position, range, linear power."""
@@ -149,7 +122,6 @@ def extract_peaks(
     max_peaks: int = 2,
     detected: Optional[Sequence[bool]] = None,
     ranges_m: Optional[Sequence[float]] = None,
-    refine: bool = True,
 ) -> list[PeakEstimate]:
     """Iteratively pick angular peaks, excluding +/- resolution around each.
 
@@ -188,11 +160,14 @@ def extract_peaks(
         if not value > 0:
             break
         naf = float(naf_axis[i])
-        if refine and 0 < i < spectrum.size - 1:
+        if 0 < i < spectrum.size - 1:
             step = 0.5 * (naf_axis[i + 1] - naf_axis[i - 1])
             naf += _parabolic_offset(spectrum[i - 1], value, spectrum[i + 1]) * step
         range_m = float(ranges[i]) if ranges is not None else math.nan
         # refinement promotes naf to a numpy scalar, whose repr is unprintable
         peaks.append(PeakEstimate(float(naf), range_m, float(value) ** 2))
         eligible &= np.abs(naf_axis - naf) > resolution
+        # the interval is centred on the refined NAF, so a resolution below
+        # the parabolic shift would leave the picked bin itself eligible
+        eligible[i] = False
     return peaks

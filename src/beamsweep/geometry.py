@@ -10,7 +10,6 @@ cos(elevation); with half-wavelength spacing it lives in [-0.5, 0.5].
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,39 +18,6 @@ from .errors import ConfigError
 
 # Normalized angular frequency, dimensionless.
 NafAngle = float
-
-
-@dataclass(frozen=True)
-class Direction:
-    """Far-field direction in radians; azimuth from boresight, elevation up."""
-
-    azimuth_rad: float
-    elevation_rad: float
-
-    def __post_init__(self):
-        if not -math.pi / 2 <= self.azimuth_rad <= math.pi / 2:
-            raise ConfigError(f"azimuth {self.azimuth_rad} outside [-pi/2, pi/2]")
-        if not -math.pi / 2 <= self.elevation_rad <= math.pi / 2:
-            raise ConfigError(f"elevation {self.elevation_rad} outside [-pi/2, pi/2]")
-
-
-def direction_vector(direction: Direction) -> np.ndarray:
-    """Projected unit-sphere coordinates [cos(el)*sin(az), sin(el)]."""
-    az, el = direction.azimuth_rad, direction.elevation_rad
-    return np.array([math.cos(el) * math.sin(az), math.sin(el)])
-
-
-def naf_of_direction(direction: Direction, spacing_wavelengths: float = 0.5) -> NafAngle:
-    """Horizontal NAF of a direction for the given element spacing in wavelengths."""
-    if spacing_wavelengths <= 0:
-        raise ConfigError("element spacing must be positive")
-    value = spacing_wavelengths * math.sin(direction.azimuth_rad) * math.cos(
-        direction.elevation_rad
-    )
-    if abs(value) > 0.5:
-        # spacings above lambda/2 alias outside the principal NAF period
-        raise ConfigError(f"NAF {value} outside [-0.5, 0.5]; reduce spacing")
-    return value
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

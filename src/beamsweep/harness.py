@@ -58,16 +58,13 @@ class Acquisition:
 
     magnitudes[b, f] is the square root of the gated collapsed power of
     beam b in frame f; profiles[b, f] is the windowed zero-Doppler power
-    profile; selected_range_m[b, f] the range of the gated argmax bin.
+    profile.
     """
 
-    plan: SweepPlan
     magnitudes: np.ndarray
     profiles: np.ndarray
-    selected_range_m: np.ndarray
     range_centers_m: np.ndarray  # windowed display bin centers
     gate_keep: np.ndarray  # bool per display bin, False inside the exclusion
-    mode: str
 
     @property
     def n_frames(self) -> int:
@@ -134,7 +131,6 @@ def _draw_acquisition(
     signal: np.ndarray,
     noise_power: float,
     radio: RadioConfig,
-    plan: SweepPlan,
     n_frames: int,
     seed_prefix: Sequence[int],
     mode: str,
@@ -157,11 +153,8 @@ def _draw_acquisition(
     if mode == "poc":
         bins *= np.exp(2j * np.pi * rng.uniform(size=(n_beams, n_frames, 1)))
     profiles = np.abs(bins) ** 2
-    gated = profiles[..., basis.keep]
-    idx = np.argmax(gated, axis=-1)
-    magnitudes = np.sqrt(np.take_along_axis(gated, idx[..., None], axis=-1)[..., 0])
-    selected = basis.centers[basis.keep][idx]
-    return Acquisition(plan, magnitudes, profiles, selected, basis.centers, basis.keep, mode)
+    magnitudes = np.sqrt(profiles[..., basis.keep].max(axis=-1))
+    return Acquisition(magnitudes, profiles, basis.centers, basis.keep)
 
 
 def simulate_acquisition(
@@ -195,9 +188,7 @@ def simulate_acquisition(
     the same power and magnitudes.
     """
     signal = _signal_window(scene, geom, weights, radio, plan)
-    return _draw_acquisition(
-        signal, scene.noise_power, radio, plan, n_frames, seed_prefix, mode
-    )
+    return _draw_acquisition(signal, scene.noise_power, radio, n_frames, seed_prefix, mode)
 
 
 def _eligibility(
@@ -408,7 +399,7 @@ def _run_seed(
     minimal_plan = campaign.minimal_plan
     resolution = campaign.resolution
     acq = _draw_acquisition(
-        signal, scene.noise_power, settings.radio, campaign.over_plan,
+        signal, scene.noise_power, settings.radio,
         settings.ground_truth_frames, (master_seed, scenario_index), settings.mode,
     )
     over_grid = campaign.over_plan.beam_grid

@@ -31,12 +31,11 @@ _RAMP_HEADER = struct.Struct("<4sIIIdddd")
 class RadioConfig:
     """FR2 OFDM numerology used for sensing.
 
-    Defaults: 27.6 GHz carrier, 120 kHz subcarrier spacing, 792 subcarriers
-    (95.04 MHz), one 14-symbol slot processed per 10 ms frame, display
-    window [0, 25) m split into 42 range bins.
+    Defaults: 120 kHz subcarrier spacing, 792 subcarriers (95.04 MHz), one
+    14-symbol slot processed per 10 ms frame, display window [0, 25) m
+    split into 42 range bins.
     """
 
-    carrier_hz: float = 27.6e9
     subcarrier_spacing_hz: float = 120e3
     n_subcarriers: int = 792
     n_symbols: int = 14
@@ -48,8 +47,8 @@ class RadioConfig:
         # a tuple keeps the config hashable (a JSON config gives a list), so
         # it can key the cached window basis
         object.__setattr__(self, "range_window_m", tuple(self.range_window_m))
-        if min(self.carrier_hz, self.subcarrier_spacing_hz, self.frame_duration_s) <= 0:
-            raise ConfigError("carrier, subcarrier spacing and frame duration must be positive")
+        if min(self.subcarrier_spacing_hz, self.frame_duration_s) <= 0:
+            raise ConfigError("subcarrier spacing and frame duration must be positive")
         if self.n_subcarriers < 1 or self.n_symbols < 1 or self.n_range_bins < 1:
             raise ConfigError("subcarrier, symbol and range-bin counts must be positive")
         lo, hi = self.range_window_m
@@ -59,10 +58,6 @@ class RadioConfig:
             raise ConfigError("range window exceeds the unambiguous range")
         if self.range_fft_size < self.n_subcarriers:
             raise ConfigError("range window/bin combination requires fewer FFT bins than subcarriers")
-
-    @property
-    def bandwidth_hz(self) -> float:
-        return self.n_subcarriers * self.subcarrier_spacing_hz
 
     @property
     def unambiguous_range_m(self) -> float:
@@ -78,10 +73,9 @@ class RadioConfig:
     def range_bin_width_m(self) -> float:
         return self.unambiguous_range_m / self.range_fft_size
 
-    def range_axis(self, n_bins: int | None = None) -> np.ndarray:
-        """Bin-center ranges of the zero-padded transform (first n_bins bins)."""
-        n = self.range_fft_size if n_bins is None else n_bins
-        return np.arange(n) * self.range_bin_width_m
+    def range_axis(self) -> np.ndarray:
+        """Bin-center ranges of the zero-padded transform."""
+        return np.arange(self.range_fft_size) * self.range_bin_width_m
 
     def window_bins(self) -> np.ndarray:
         """Indices of the n_range_bins display bins starting at the window floor."""
@@ -193,10 +187,6 @@ class Periodogram:
         object.__setattr__(self, "power", p)
 
     @property
-    def range_axis(self) -> np.ndarray:
-        return self.config.range_axis()
-
-    @property
     def zero_doppler(self) -> np.ndarray:
         return self.power[:, 0]
 
@@ -211,46 +201,6 @@ def range_doppler_periodogram(csi: FrameCsi) -> Periodogram:
     ranged = np.fft.ifft(csi.entries, n=cfg.range_fft_size, axis=0)
     moved = np.fft.fft(ranged, axis=1)
     return Periodogram(np.abs(moved) ** 2, cfg)
-
-
-def zero_doppler_profile(csi: FrameCsi) -> np.ndarray:
-    """Complex zero-Doppler range profile: IDFT of the symbol-summed CSI.
-
-    Equals the zero-Doppler column of the full transform (summing symbols
-    first commutes with the subcarrier IDFT up to float rounding).
-    """
-    cfg = csi.config
-    return np.fft.ifft(csi.entries.sum(axis=1), n=cfg.range_fft_size)
-
-
-def collapse_to_angle_value(
-    pg: Periodogram, range_gate: Tuple[float, float]
-) -> Tuple[float, float]:
-    """Max zero-Doppler power inside the gate and the range it occurs at.
-
-    The gate (min_m, max_m) is the interval to KEEP; bins are compared by
-    center. Returns (power, range_m).
-    """
-    lo, hi = range_gate
-    bins = pg.config.window_bins()
-    centers = pg.range_axis[bins]
-    keep = (centers >= lo) & (centers <= hi)
-    if not np.any(keep):
-        raise ConfigError("range gate keeps no display bins")
-    column = pg.zero_doppler[bins][keep]
-    i = int(np.argmax(column))
-    return float(column[i]), float(centers[keep][i])
-
-
-def average_frames(values, count: int | None = None) -> float:
-    """Arithmetic mean of the first `count` per-frame magnitudes."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ConfigError("cannot average zero frames")
-    n = values.size if count is None else count
-    if not 1 <= n <= values.size:
-        raise ConfigError("count must be in [1, len(values)]")
-    return float(np.mean(values[:n]))
 
 
 @dataclass(frozen=True)

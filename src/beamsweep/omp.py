@@ -11,7 +11,7 @@ from .beams import Dictionary
 from .detection import PeakEstimate
 from .errors import ConfigError, ContractViolation
 
-__all__ = ["OmpConfig", "SparseEstimate", "omp", "omp_tie_break", "sparse_to_peaks"]
+__all__ = ["OmpConfig", "SparseEstimate", "omp", "sparse_to_peaks"]
 
 
 @dataclass(frozen=True)
@@ -49,14 +49,6 @@ class SparseEstimate:
     negative_coefficients: bool = False
 
 
-def omp_tie_break(values) -> int:
-    """Index of the largest value; exact ties go to the lowest index."""
-    values = np.asarray(values)
-    if values.size == 0:
-        raise ConfigError("cannot select from an empty correlation vector")
-    return int(np.argmax(values))
-
-
 def omp(dictionary: Dictionary, y, config: OmpConfig = OmpConfig()) -> SparseEstimate:
     """Greedy pursuit of y over the dictionary atoms.
 
@@ -91,7 +83,7 @@ def omp(dictionary: Dictionary, y, config: OmpConfig = OmpConfig()) -> SparseEst
         if np.linalg.norm(residual) <= config.residual_tolerance * y_norm:
             break
         proxy = np.abs(d.T @ residual)
-        pick = omp_tie_break(proxy)
+        pick = int(np.argmax(proxy))  # exact ties go to the lowest index
         if proxy[pick] == 0.0 or pick in support:
             # no atom explains the residual any further
             break

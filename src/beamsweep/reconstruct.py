@@ -49,7 +49,6 @@ class SweepPlan:
 
     beam_grid: np.ndarray
     kind: str  # "minimal" or "oversampled"
-    oversampling_factor: int = 1
     dwell_frames: int = 6
     frame_duration_s: float = 0.010
 
@@ -63,8 +62,6 @@ class SweepPlan:
             raise ConfigError("beam grid must lie within [-0.5, 0.5]")
         if self.kind not in ("minimal", "oversampled"):
             raise ConfigError(f"unknown sweep kind {self.kind!r}")
-        if self.oversampling_factor < 1:
-            raise ConfigError("oversampling factor must be >= 1")
         if self.dwell_frames < 1 or self.frame_duration_s <= 0:
             raise ConfigError("dwell frames and frame duration must be positive")
         grid.flags.writeable = False
@@ -82,7 +79,7 @@ def minimal_sweep_plan(
     frame_duration_s: float = 0.010,
 ) -> SweepPlan:
     grid = minimal_naf_grid(n_1d, naf_limit)
-    return SweepPlan(grid, "minimal", 1, dwell_frames, frame_duration_s)
+    return SweepPlan(grid, "minimal", dwell_frames, frame_duration_s)
 
 
 def oversampled_sweep_plan(
@@ -102,7 +99,7 @@ def oversampled_sweep_plan(
     step_den = (2 * n_1d - 1) * factor
     k_max = int(np.floor(naf_limit * step_den + _LATTICE_TOL))
     grid = np.arange(-k_max, k_max + 1) / step_den
-    return SweepPlan(grid, "oversampled", int(factor), dwell_frames, frame_duration_s)
+    return SweepPlan(grid, "oversampled", dwell_frames, frame_duration_s)
 
 
 def sweep_duration(plan: SweepPlan) -> float:

@@ -65,7 +65,6 @@ class Scenario:
     separation_naf: float
     target_range_m: float = 18.0
     target_amplitude_db: float = 0.0
-    elevation_deg: float = -3.9
     snr_db: float = 25.0  # collapsed-peak SNR of a 0 dB reference target
     rear_wall: RearWall = field(default_factory=RearWall)
 

@@ -6,12 +6,10 @@ from beamsweep import (
     ArrayGeometry,
     BeamformingWeights,
     ConfigError,
-    Psf,
     Scatterer,
     beamformed_response,
     build_dictionary,
     dirichlet_kernel,
-    psf,
 )
 from beamsweep.reconstruct import minimal_naf_grid
 
@@ -106,17 +104,6 @@ def test_scatterer_validation():
         Scatterer(0.6, 10.0)
     with pytest.raises(ConfigError):
         Scatterer(0.1, 0.0)
-
-
-def test_psf(geom8, ones8):
-    grid = np.linspace(-0.5, 0.5, 101)
-    p = psf(geom8, ones8, grid)
-    assert p.coarray_order == 15
-    assert p.samples.shape == grid.shape
-    assert np.abs(p.samples).max() == pytest.approx(64.0)
-    assert int(np.argmax(np.abs(p.samples))) == 50
-    with pytest.raises(ConfigError):
-        Psf(grid, p.samples[:-1], 15)
 
 
 def test_dictionary_shapes_and_norms(geom8, ones8):

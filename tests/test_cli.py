@@ -96,6 +96,24 @@ def test_detect_default_resolution_follows_array_config(tmp_path):
     assert len(_read_rows(narrow)) == 2
 
 
+def test_detect_rejects_non_positive_resolution(tmp_path, capsys):
+    # zero is a given value, not an absent one: it must not fall back to
+    # the array's default width
+    axis = (np.arange(91) - 45) / 150.0
+    spectrum = np.zeros(91)
+    spectrum[30] = 2.0
+    src = tmp_path / "spectrum.csv"
+    _write_sweep(src, axis, spectrum)
+    for value in ("0", "-0.01"):
+        dst = tmp_path / f"peaks{value}.csv"
+        rc = cli.main(
+            ["detect", "--spectrum", str(src), "--resolution", value, "--out", str(dst)]
+        )
+        assert rc == 1
+        assert "resolution must be positive" in capsys.readouterr().err
+        assert not dst.exists()
+
+
 def test_detect_max_peaks_flag(tmp_path):
     axis = (np.arange(91) - 45) / 150.0
     spectrum = np.zeros(91)

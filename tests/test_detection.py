@@ -5,27 +5,22 @@ from beamsweep import (
     CfarConfig,
     ConfigError,
     PeakEstimate,
-    RangeAngleMap,
+    RadioConfig,
     ca_cfar,
-    cfar_threshold_factor,
     extract_peaks,
-    gate_range,
 )
+from beamsweep.harness import _window_basis
 
 
 def test_threshold_factor_values():
-    assert cfar_threshold_factor(16, 1e-6) == pytest.approx(21.94197929058648, rel=1e-14)
-    assert cfar_threshold_factor(11, 1e-6) == pytest.approx(27.623109076366447, rel=1e-14)
-    assert cfar_threshold_factor(16, 1e-2) == pytest.approx(5.3363429146131836, rel=1e-14)
-
-
-def test_threshold_factor_validation():
-    with pytest.raises(ConfigError):
-        cfar_threshold_factor(0, 1e-6)
-    with pytest.raises(ConfigError):
-        cfar_threshold_factor(16, 0.0)
-    with pytest.raises(ConfigError):
-        cfar_threshold_factor(16, 1.0)
+    # alpha = N * (p_fa**(-1/N) - 1): N = 16 training cells in the interior,
+    # N = 11 at cell 5, whose left window the profile edge cuts to 3 cells
+    cfg = CfarConfig()
+    for cell, alpha in ((32, 21.94197929058648), (5, 27.623109076366447)):
+        for scale, expected in ((1 + 1e-12, True), (1 - 1e-12, False)):
+            profile = np.ones(64)
+            profile[cell] = alpha * scale
+            assert ca_cfar(profile, cfg)[cell] == expected
 
 
 def test_cfar_config_validation():
@@ -120,32 +115,22 @@ def test_cfar_false_alarm_rate_on_noise():
     assert 0.5e-2 < rate < 2e-2
 
 
-def _map_from(radio, n_naf=5):
-    centers = radio.range_axis(radio.n_range_bins)
-    power = np.arange(centers.size * n_naf, dtype=float).reshape(centers.size, n_naf)
-    return RangeAngleMap(power, centers, np.linspace(-0.2, 0.2, n_naf))
-
-
 def test_gate_range_drops_excluded_rows(radio):
-    map_ = _map_from(radio)
-    gated = gate_range(map_, (21.0, 25.0))
-    assert map_.range_axis.size == 42
-    assert gated.range_axis.size == 36
-    assert gated.range_axis[-1] == pytest.approx(20.828839189296488, rel=1e-12)
-    assert gated.range_axis.max() < 21.0
-    assert gated.power.shape == (36, 5)
-    np.testing.assert_array_equal(gated.naf_axis, map_.naf_axis)
+    # the range gate keeps the display bins outside RANGE_GATE_EXCLUDE_M
+    basis = _window_basis(radio)
+    kept = basis.centers[basis.keep]
+    assert basis.centers.size == 42
+    assert kept.size == 36
+    assert kept[-1] == pytest.approx(20.828839189296488, rel=1e-12)
+    assert kept.max() < 21.0
+    dropped = basis.centers[~basis.keep]
+    assert dropped.min() >= 21.0 and dropped.max() <= 25.0
 
 
-def test_gate_range_empty_interval_is_identity(radio):
-    map_ = _map_from(radio)
-    assert gate_range(map_, (5.0, 1.0)) is map_
-
-
-def test_gate_range_must_keep_a_row(radio):
-    map_ = _map_from(radio)
+def test_gate_range_must_keep_a_row():
+    # a display window inside [21, 25] m leaves the gate nothing to keep
     with pytest.raises(ConfigError):
-        gate_range(map_, (-1.0, 1e6))
+        _window_basis(RadioConfig(range_window_m=(21.5, 24.5), n_range_bins=7))
 
 
 def test_peak_estimate_requires_positive_power():
@@ -178,6 +163,12 @@ def test_extract_merges_peaks_inside_exclusion():
     peaks = extract_peaks(spectrum, axis, 1.0 / 15.0, max_peaks=2)
     assert len(peaks) == 1
     assert peaks[0].naf == pytest.approx(axis[45])
+    # an exclusion narrower than the parabolic shift still retires the
+    # picked bin, so the same peak is never reported twice
+    smooth = np.exp(-(((axis - 0.0502) / 0.03) ** 2))
+    first, second = extract_peaks(smooth, axis, 1e-4, max_peaks=2)
+    assert abs(first.naf - axis[np.argmax(smooth)]) > 1e-4
+    assert second.naf != first.naf
 
 
 def test_parabolic_refinement_exact_on_quadratic():
@@ -200,11 +191,13 @@ def test_refinement_offset_clamped_to_half_bin():
     assert peak.power == pytest.approx(9.0)
 
 
-def test_refine_false_keeps_bin_center():
+def test_edge_peak_keeps_bin_center():
+    # refinement needs both neighbours, so a peak in an end bin is not moved
     axis = np.linspace(-0.5, 0.5, 101)
-    spectrum = 1.0 - (axis - 0.003) ** 2
-    (peak,) = extract_peaks(spectrum, axis, 0.1, max_peaks=1, refine=False)
-    assert peak.naf == axis[np.argmax(spectrum)]
+    for vertex, i in ((-0.503, 0), (0.503, -1)):
+        spectrum = 1.0 - (axis - vertex) ** 2
+        (peak,) = extract_peaks(spectrum, axis, 0.1, max_peaks=1)
+        assert peak.naf == axis[i]
 
 
 def test_detected_mask_gates_candidates():

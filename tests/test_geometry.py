@@ -1,51 +1,13 @@
-"""Array layouts, NAF conversion and the sum coarray."""
-import math
-
+"""Array layouts, NAF resolution and the sum coarray."""
 import numpy as np
 import pytest
 
 from beamsweep import (
     ArrayGeometry,
     ConfigError,
-    Direction,
-    direction_vector,
-    naf_of_direction,
     naf_resolution,
     sum_coarray,
 )
-
-
-def test_direction_bounds():
-    Direction(math.pi / 2, -math.pi / 2)  # boundary ok
-    with pytest.raises(ConfigError):
-        Direction(1.8, 0.0)
-    with pytest.raises(ConfigError):
-        Direction(0.0, -1.8)
-
-
-def test_direction_vector_values():
-    np.testing.assert_allclose(direction_vector(Direction(0.0, 0.0)), [0.0, 0.0])
-    v = direction_vector(Direction(math.radians(33.0), math.radians(-3.9)))
-    np.testing.assert_allclose(
-        v, [math.cos(math.radians(-3.9)) * math.sin(math.radians(33.0)),
-            math.sin(math.radians(-3.9))], rtol=1e-15)
-
-
-def test_naf_of_direction():
-    d = Direction(math.radians(33.0), 0.0)
-    assert naf_of_direction(d) == pytest.approx(0.5 * math.sin(math.radians(33.0)), rel=1e-15)
-    # elevation shrinks the horizontal NAF by cos
-    tilted = Direction(math.radians(33.0), math.radians(-3.9))
-    assert abs(naf_of_direction(tilted)) < abs(naf_of_direction(d))
-    assert naf_of_direction(Direction(math.pi / 2, 0.0)) == pytest.approx(0.5)
-
-
-def test_naf_of_direction_errors():
-    with pytest.raises(ConfigError):
-        naf_of_direction(Direction(0.3, 0.0), spacing_wavelengths=0.0)
-    # spacing over half a wavelength aliases at wide angles
-    with pytest.raises(ConfigError):
-        naf_of_direction(Direction(math.pi / 2, 0.0), spacing_wavelengths=1.0)
 
 
 def test_uniform_linear_centered():

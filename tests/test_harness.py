@@ -178,11 +178,9 @@ def test_acquisition_shapes(small_acquisition):
     radio, _, _, _, plan, acq = small_acquisition
     assert acq.magnitudes.shape == (9, 2)
     assert acq.profiles.shape == (9, 2, 42)
-    assert acq.selected_range_m.shape == (9, 2)
     assert acq.range_centers_m.shape == (42,)
     assert acq.gate_keep.sum() == 36
     assert acq.n_frames == 2
-    assert acq.mode == "poc"
 
 
 def test_acquisition_is_deterministic(small_acquisition):
@@ -190,7 +188,6 @@ def test_acquisition_is_deterministic(small_acquisition):
     again = simulate_acquisition(scene, geom, weights, radio, plan, 2, (7, 0))
     np.testing.assert_array_equal(acq.magnitudes, again.magnitudes)
     np.testing.assert_array_equal(acq.profiles, again.profiles)
-    np.testing.assert_array_equal(acq.selected_range_m, again.selected_range_m)
 
 
 def test_acquisition_seed_prefix_matters(small_acquisition):
@@ -201,9 +198,13 @@ def test_acquisition_seed_prefix_matters(small_acquisition):
 
 def test_selected_ranges_come_from_kept_bins(small_acquisition):
     _, _, _, _, _, acq = small_acquisition
+    _, ranges = _eligibility(
+        acq.profiles.swapaxes(0, 1), acq.gate_keep, acq.range_centers_m, CfarConfig()
+    )
     kept = acq.range_centers_m[acq.gate_keep]
-    assert np.isin(acq.selected_range_m, kept).all()
-    assert acq.selected_range_m.max() < 21.0
+    assert ranges.shape == (2, 9)
+    assert np.isin(ranges, kept).all()
+    assert ranges.max() < 21.0
 
 
 def test_poc_phasor_leaves_power_unchanged(small_acquisition):

@@ -9,7 +9,6 @@ from beamsweep import (
     build_dictionary,
     minimal_naf_grid,
     omp,
-    omp_tie_break,
     sparse_to_peaks,
 )
 
@@ -37,11 +36,14 @@ def test_config_validation():
 
 
 def test_tie_break_prefers_lowest_index():
-    assert omp_tie_break([0.5, 3.0, 3.0]) == 1
-    assert omp_tie_break([3.0, 0.5, 3.0]) == 0
-    assert omp_tie_break([1.0]) == 0
-    with pytest.raises(ConfigError):
-        omp_tie_break([])
+    # two identical atoms correlate equally with y; the lower index wins
+    a = np.array([0.6, 0.8, 0.0])
+    b = np.array([0.0, 0.0, 1.0])
+    for atoms, first in (((b, a, a), 1), ((a, b, a), 0)):
+        d = _toy_dictionary(np.column_stack(atoms))
+        est = omp(d, 2.0 * a, OmpConfig(max_atoms=1))
+        assert est.support == (first,)
+        np.testing.assert_allclose(est.coefficients, [2.0], rtol=1e-12)
 
 
 def test_single_atom_recovery(geom8, ones8):

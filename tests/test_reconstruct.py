@@ -61,8 +61,6 @@ def test_sweep_plan_validation():
     with pytest.raises(ConfigError):
         SweepPlan(np.array([0.0]), "dense")
     with pytest.raises(ConfigError):
-        SweepPlan(np.array([0.0]), "minimal", oversampling_factor=0)
-    with pytest.raises(ConfigError):
         SweepPlan(np.array([0.0]), "minimal", dwell_frames=0)
     with pytest.raises(ConfigError):
         oversampled_sweep_plan(8, LIMIT, 0)
