@@ -491,7 +491,7 @@ class RmseReport:
 
         with open(path, "w", newline="") as fh:
             fh.write("group,target," + ",".join(methods) + "\n")
-            for group in ("reflectors", "walls", "combined"):
+            for group in ("reflectors", "walls", "total"):
                 for t in (0, 1):
                     cells = [cell(group, m, lambda e: e["rmse_per_target"][t]) for m in methods]
                     fh.write(f"{group},t{t + 1}," + ",".join(cells) + "\n")
@@ -593,12 +593,11 @@ def run_comparison(
         m: {name: _pool_scores(runs) for name, runs in results[m].items()}
         for m in methods
     }
-    groups: Dict[str, dict] = {"reflectors": {}, "walls": {}, "combined": {}, "total": {}}
+    groups: Dict[str, dict] = {"reflectors": {}, "walls": {}, "total": {}}
     for m in methods:
         for group, kinds in (
             ("reflectors", ("octahedral",)),
             ("walls", ("wall",)),
-            ("combined", ("octahedral", "wall")),
             ("total", ("octahedral", "wall")),
         ):
             pool = [

@@ -346,6 +346,7 @@ def test_report_structure(far_report):
     assert meta["naf_resolution"] == pytest.approx(1.0 / 15.0, rel=1e-12)
 
     groups = data["groups"]
+    assert set(groups) == {"reflectors", "walls", "total"}
     for m in methods:
         assert groups["walls"][m] is None
         assert groups["reflectors"][m] == groups["total"][m]
@@ -384,9 +385,11 @@ def test_report_files_written(far_report):
 
     table = (out / "report.csv").read_text().splitlines()
     assert table[0] == "group,target,oversampled,dft,spline,omp"
-    assert len(table) == 1 + 3 * 2 + 1
+    assert [row.split(",")[:2] for row in table[1:]] == [
+        [g, t] for g in ("reflectors", "walls", "total") for t in ("t1", "t2")
+    ] + [["total", "pooled"]]
     walls_row = table[3].split(",")
-    assert walls_row[0] == "walls" and walls_row[2] == "nan"
+    assert walls_row[2] == "nan"
 
 
 def test_report_bytes_reproducible(far_report):
