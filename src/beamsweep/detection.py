@@ -65,24 +65,20 @@ def ca_cfar(profile, config: CfarConfig, cells=None) -> np.ndarray:
         raise ConfigError(
             f"profile of {n} cells is too short for a {2 * (t_side + g) + 1}-cell window"
         )
-    cs = np.concatenate(
-        (np.zeros(profile.shape[:-1] + (1,)), np.cumsum(profile, axis=-1)), axis=-1
-    )
     if cells is None:
-        idx, cut = np.arange(n), profile
-
-        def at(j):
-            return cs[..., j]
-
+        idx = np.broadcast_to(np.arange(n), profile.shape)
     else:
         idx = np.asarray(cells)
         if idx.dtype.kind not in "iu" or np.any((idx < 0) | (idx >= n)):
             raise ConfigError(f"cells must be integer indices in [0, {n})")
-        cut = np.take_along_axis(profile, idx, axis=-1)
+    cs = np.concatenate(
+        (np.zeros(profile.shape[:-1] + (1,)), np.cumsum(profile, axis=-1)), axis=-1
+    )
 
-        def at(j):
-            return np.take_along_axis(cs, j, axis=-1)
+    def at(j):
+        return np.take_along_axis(cs, j, axis=-1)
 
+    cut = np.take_along_axis(profile, idx, axis=-1)
     left_lo = np.maximum(idx - g - t_side, 0)
     left_hi = np.maximum(idx - g, 0)
     right_lo = np.minimum(idx + g + 1, n)

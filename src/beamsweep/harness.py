@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .beams import BeamformingWeights, Dictionary, build_dictionary
 from .detection import CfarConfig, PeakEstimate, ca_cfar, extract_peaks
@@ -33,7 +32,6 @@ from .reconstruct import (
     AngularSweep,
     SweepPlan,
     dft_interpolate,
-    dirichlet_resample,
     minimal_sweep_plan,
     oversampled_sweep_plan,
     spline_interpolate,
@@ -328,22 +326,6 @@ class _SeedOutcome:
     sweep_values: np.ndarray  # minimal-sweep beam magnitudes
 
 
-def _interpolated_map(
-    kind: str,
-    minimal_grid: np.ndarray,
-    profiles9: np.ndarray,
-    target_grid: np.ndarray,
-    order: int,
-) -> np.ndarray:
-    """Interpolate windowed magnitude profiles across angle, return power."""
-    mags = np.sqrt(profiles9)  # (9, n_range)
-    if kind == "dft":
-        dense = dirichlet_resample(minimal_grid, mags, target_grid, order)
-    else:
-        dense = CubicSpline(minimal_grid, mags, axis=0, bc_type="natural")(target_grid)
-    return np.maximum(dense, 0.0) ** 2  # (n_angle, n_range)
-
-
 @dataclass(frozen=True)
 class _Campaign:
     """The seed-independent state of one run_comparison call, built once."""
@@ -354,7 +336,6 @@ class _Campaign:
     over_plan: SweepPlan
     minimal_plan: SweepPlan
     min_idx: np.ndarray  # oversampled-grid index of each minimal beam
-    order: int
     resolution: float
     dictionary: Dictionary
 
@@ -382,7 +363,7 @@ def _build_campaign(settings: EvalSettings) -> _Campaign:
         raise ConfigError("minimal grid is not a subset of the oversampled grid")
     return _Campaign(
         settings, geom, weights, over_plan, minimal_plan, min_idx,
-        2 * n_1d - 1, naf_resolution(n_1d), dictionary,
+        naf_resolution(n_1d), dictionary,
     )
 
 
@@ -427,27 +408,17 @@ def _run_seed(
     estimates: Dict[str, List[float]] = {}
     peaks_by_method: Dict[str, List[PeakEstimate]] = {}
     maps: Dict[str, RangeAngleMap] = {}
+    interpolators = {"dft": dft_interpolate, "spline": spline_interpolate}
     for method in methods:
-        if method == "oversampled":
-            eligible, ranges = _eligibility(
-                avg_profiles, acq.gate_keep, acq.range_centers_m, settings.cfar
-            )
-            peaks = extract_peaks(
-                beam_values, over_grid, resolution, settings.max_peaks,
-                detected=eligible, ranges_m=ranges,
-            )
-            maps[method] = RangeAngleMap(
-                avg_profiles.T, acq.range_centers_m, over_grid
-            )
-        elif method in ("dft", "spline"):
-            spectrum = (
-                dft_interpolate(sweep9, over_grid)
-                if method == "dft"
-                else spline_interpolate(sweep9, over_grid)
-            )
-            power_map = _interpolated_map(
-                method, minimal_plan.beam_grid, profiles9, over_grid, campaign.order
-            )
+        if method in ("oversampled", "dft", "spline"):
+            if method == "oversampled":
+                spectrum, power_map = beam_values, avg_profiles
+            else:
+                interpolate = interpolators[method]
+                spectrum = interpolate(sweep9, over_grid)
+                # the windowed profiles, interpolated as magnitudes per range bin
+                profile_sweep = AngularSweep(minimal_plan, np.sqrt(profiles9))
+                power_map = np.maximum(interpolate(profile_sweep, over_grid), 0.0) ** 2
             eligible, ranges = _eligibility(
                 power_map, acq.gate_keep, acq.range_centers_m, settings.cfar
             )

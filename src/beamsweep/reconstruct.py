@@ -32,15 +32,22 @@ __all__ = [
 _LATTICE_TOL = 1e-9
 
 
-def minimal_naf_grid(n_1d: int, naf_limit: float) -> np.ndarray:
-    """Steering NAFs k/(2n-1) for all integers k within the sweep limit."""
+def _lattice(n_1d: int, naf_limit: float, factor: int) -> np.ndarray:
+    """NAFs k/((2n-1) * factor) for all integers k within the sweep limit."""
+    if not isinstance(factor, (int, np.integer)) or factor < 1:
+        raise ConfigError("factor must be a positive integer")
     if not isinstance(n_1d, (int, np.integer)) or n_1d < 1:
         raise ConfigError("n_1d must be a positive integer")
     if not 0 < naf_limit <= 0.5:
         raise ConfigError("naf_limit must be in (0, 0.5]")
-    order = 2 * n_1d - 1
-    k_max = int(np.floor(naf_limit * order + _LATTICE_TOL))
-    return np.arange(-k_max, k_max + 1) / order
+    step_den = (2 * n_1d - 1) * factor
+    k_max = int(np.floor(naf_limit * step_den + _LATTICE_TOL))
+    return np.arange(-k_max, k_max + 1) / step_den
+
+
+def minimal_naf_grid(n_1d: int, naf_limit: float) -> np.ndarray:
+    """Steering NAFs k/(2n-1) for all integers k within the sweep limit."""
+    return _lattice(n_1d, naf_limit, 1)
 
 
 @dataclass(frozen=True)
@@ -90,15 +97,7 @@ def oversampled_sweep_plan(
     frame_duration_s: float = 0.010,
 ) -> SweepPlan:
     """Minimal grid refined by `factor` (keeps the minimal points as a subset)."""
-    if not isinstance(factor, (int, np.integer)) or factor < 1:
-        raise ConfigError("factor must be a positive integer")
-    if not isinstance(n_1d, (int, np.integer)) or n_1d < 1:
-        raise ConfigError("n_1d must be a positive integer")
-    if not 0 < naf_limit <= 0.5:
-        raise ConfigError("naf_limit must be in (0, 0.5]")
-    step_den = (2 * n_1d - 1) * factor
-    k_max = int(np.floor(naf_limit * step_den + _LATTICE_TOL))
-    grid = np.arange(-k_max, k_max + 1) / step_den
+    grid = _lattice(n_1d, naf_limit, factor)
     return SweepPlan(grid, "oversampled", dwell_frames, frame_duration_s)
 
 
@@ -113,6 +112,8 @@ class AngularSweep:
 
     mode "ideal" keeps coherent complex values; mode "magnitude" holds
     non-coherent magnitudes as delivered by the hardware-faithful pipeline.
+    values is (n_beams, ...): trailing axes (range bins, say) are
+    interpolated independently, each as its own 1-D sweep would be.
     """
 
     plan: SweepPlan
@@ -124,7 +125,7 @@ class AngularSweep:
             raise ConfigError(f"unknown sweep mode {self.mode!r}")
         values = np.asarray(self.values)
         values = values.astype(complex if self.mode == "ideal" else float)
-        if values.shape != (self.plan.n_beams,):
+        if values.shape[:1] != (self.plan.n_beams,):
             raise ConfigError("one value per planned beam required")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
