@@ -132,6 +132,17 @@ def test_interpolators_exact_at_samples(geom8, ones8, rng):
         spline_interpolate(sweep, plan.beam_grid), mags, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("interpolate", [dft_interpolate, spline_interpolate])
+def test_interpolators_treat_trailing_axes_as_sweeps(interpolate, rng):
+    plan = minimal_sweep_plan(8, LIMIT)
+    mags = rng.uniform(0.0, 3.0, (9, 42))
+    dense = oversampled_sweep_plan(8, LIMIT, 10).beam_grid
+    got = interpolate(AngularSweep(plan, mags), dense)
+    assert got.shape == (81, 42)
+    for j in range(42):
+        np.testing.assert_array_equal(got[:, j], interpolate(AngularSweep(plan, mags[:, j]), dense))
+
+
 def test_dc_reconstruction():
     plan = minimal_sweep_plan(8, 0.5)
     sweep = AngularSweep(plan, np.full(15, 2.5 + 0j), "ideal")
