@@ -80,8 +80,6 @@ def _build_settings(cfg: dict, args) -> EvalSettings:
     for key in ("dwell_frames", "ground_truth_frames", "oversampling_factor", "max_peaks"):
         if key in cfg:
             kwargs[key] = int(cfg[key])
-    if "mode" in cfg:
-        kwargs["mode"] = str(cfg["mode"])
     if "include_rear_wall" in cfg:
         kwargs["include_rear_wall"] = bool(cfg["include_rear_wall"])
     kwargs["dictionary_kind"] = getattr(args, "dictionary", None) or cfg.get(

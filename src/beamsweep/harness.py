@@ -131,11 +131,8 @@ def _draw_acquisition(
     radio: RadioConfig,
     n_frames: int,
     seed_prefix: Sequence[int],
-    mode: str,
 ) -> Acquisition:
     """The seeded step of simulate_acquisition, from its signal window on."""
-    if mode not in ("poc", "ideal"):
-        raise ConfigError(f"unknown acquisition mode {mode!r}")
     if n_frames < 1:
         raise ConfigError("n_frames must be at least 1")
     basis = _window_basis(radio)
@@ -148,8 +145,6 @@ def _draw_acquisition(
     # bitwise equal for n_frames > 1 only, because numpy sends 1-row
     # products through gemv.
     bins = noise @ basis.r_factor + signal[:, None, :]
-    if mode == "poc":
-        bins *= np.exp(2j * np.pi * rng.uniform(size=(n_beams, n_frames, 1)))
     profiles = np.abs(bins) ** 2
     magnitudes = np.sqrt(profiles[..., basis.keep].max(axis=-1))
     return Acquisition(magnitudes, profiles, basis.centers, basis.keep)
@@ -174,19 +169,20 @@ def simulate_acquisition(
     are drawn directly, as white window-sized samples per (beam, frame)
     times the QR factor R of W, which gives them the same covariance.
     default_rng(seed_prefix) draws the noise of every beam and frame in one
-    call, then the phasors. The explicit per-symbol path (synthesize_csi,
-    then the zero-Doppler column of range_doppler_periodogram) is the
-    reference; the two agree exactly without noise and in distribution,
-    inter-bin correlation included, with it. W and R depend on the radio
+    call. The explicit per-symbol path (synthesize_csi, then the
+    zero-Doppler column of range_doppler_periodogram) is the reference;
+    the two agree exactly without noise and in distribution, inter-bin
+    correlation included, with it. W and R depend on the radio
     config alone and are built once per config.
 
-    mode "poc" multiplies each frame by a random unit phasor, modelling
-    the free-running phase of the hardware; mode "ideal" leaves frames
-    unrotated. Frames are combined only after |.|^2, so both modes give
-    the same power and magnitudes.
+    mode must be "poc". Frames are combined only after |.|^2, so a
+    per-frame phase, such as the free-running phase of the hardware, would
+    change no output, and none is drawn.
     """
+    if mode != "poc":
+        raise ConfigError(f"unknown acquisition mode {mode!r}")
     signal = _signal_window(scene, geom, weights, radio, plan)
-    return _draw_acquisition(signal, scene.noise_power, radio, n_frames, seed_prefix, mode)
+    return _draw_acquisition(signal, scene.noise_power, radio, n_frames, seed_prefix)
 
 
 def _eligibility(
@@ -305,7 +301,6 @@ class EvalSettings:
     omp: OmpConfig = field(default_factory=OmpConfig)
     dictionary_kind: str = "matched"
     max_peaks: int = 2
-    mode: str = "poc"
     snr_db: Optional[float] = None  # overrides each scenario's own SNR
     include_rear_wall: bool = True
 
@@ -381,7 +376,7 @@ def _run_seed(
     resolution = campaign.resolution
     acq = _draw_acquisition(
         signal, scene.noise_power, settings.radio,
-        settings.ground_truth_frames, (master_seed, scenario_index), settings.mode,
+        settings.ground_truth_frames, (master_seed, scenario_index),
     )
     over_grid = campaign.over_plan.beam_grid
 
@@ -584,7 +579,6 @@ def run_comparison(
         "metadata": {
             "master_seeds": seeds,
             "methods": methods,
-            "mode": settings.mode,
             "dictionary_kind": settings.dictionary_kind,
             "reference_snr_db": snr_ref if snr_ref is not None else "per-scenario",
             "dwell_frames": settings.dwell_frames,
