@@ -31,6 +31,13 @@ from .scenarios import scenario_catalog
 
 SEED_ENV_VAR = "BEAMSWEEP_SEED"
 
+# top-level config scalars, each with the type EvalSettings takes
+_SCALARS = {
+    "naf_limit": float, "snr_db": float, "dwell_frames": int,
+    "ground_truth_frames": int, "oversampling_factor": int, "max_peaks": int,
+}
+_CONFIG_KEYS = {*_SCALARS, "radio", "array", "cfar", "omp", "include_rear_wall", "dictionary", "seed"}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -53,6 +60,20 @@ def _load_config(path) -> dict:
     return cfg
 
 
+def _reject_unknown(keys, known, where: str) -> None:
+    unknown = sorted(set(keys) - known)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys {unknown}; allowed: {sorted(known)}")
+
+
+def _number(kind, value, key: str):
+    """kind(value), or a ConfigError naming the key when that fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config key {key!r} must be a number, not {value!r}") from exc
+
+
 def _build_settings(cfg: dict, args) -> EvalSettings:
     def section(name):
         value = cfg.get(name, {})
@@ -60,28 +81,29 @@ def _build_settings(cfg: dict, args) -> EvalSettings:
             raise ConfigError(f"config section {name!r} must be an object")
         return value
 
+    _reject_unknown(cfg, _CONFIG_KEYS, "config")
     try:
         radio = RadioConfig(**section("radio"))
         array = section("array")
+        _reject_unknown(array, {"n_tx", "n_rx"}, "array")
         cfar = CfarConfig(**section("cfar"))
         omp_cfg = OmpConfig(**section("omp"))
     except TypeError as exc:
         raise ConfigError(f"unknown config key: {exc}") from exc
     kwargs = dict(
         radio=radio,
-        n_tx=int(array.get("n_tx", 8)),
-        n_rx=int(array.get("n_rx", 8)),
+        n_tx=_number(int, array.get("n_tx", 8), "n_tx"),
+        n_rx=_number(int, array.get("n_rx", 8), "n_rx"),
         cfar=cfar,
         omp=omp_cfg,
     )
-    for key in ("naf_limit", "snr_db"):
+    for key, kind in _SCALARS.items():
         if key in cfg:
-            kwargs[key] = float(cfg[key])
-    for key in ("dwell_frames", "ground_truth_frames", "oversampling_factor", "max_peaks"):
-        if key in cfg:
-            kwargs[key] = int(cfg[key])
+            kwargs[key] = _number(kind, cfg[key], key)
     if "include_rear_wall" in cfg:
-        kwargs["include_rear_wall"] = bool(cfg["include_rear_wall"])
+        if not isinstance(cfg["include_rear_wall"], bool):
+            raise ConfigError("config key 'include_rear_wall' must be true or false")
+        kwargs["include_rear_wall"] = cfg["include_rear_wall"]
     kwargs["dictionary_kind"] = getattr(args, "dictionary", None) or cfg.get(
         "dictionary", "matched"
     )
@@ -99,7 +121,7 @@ def _master_seed(args, cfg: dict) -> int:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from exc
     if getattr(args, "seed", None) is not None:
         return args.seed
-    return int(cfg.get("seed", 1))
+    return _number(int, cfg.get("seed", 1), "seed")
 
 
 def _pick_scenarios(names) -> list:
@@ -129,6 +151,9 @@ def _read_two_column_csv(path, value_field: str):
         raise ConfigError(
             f"{path} must have 'naf' and '{value_field}' columns"
         ) from exc
+    bad = ~(np.isfinite(naf) & np.isfinite(val))
+    if bad.any():
+        raise ConfigError(f"{path} data row {int(np.argmax(bad)) + 1} is not finite")
     return naf, val
 
 

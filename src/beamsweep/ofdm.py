@@ -255,7 +255,10 @@ def load_ramp(path) -> RangeAngleMap:
     _, version, n_range, n_angle, r0, r1, a0, a1 = _RAMP_HEADER.unpack_from(raw)
     if version != _RAMP_VERSION:
         raise ConfigError(f"unsupported RAMP version {version}")
-    data = np.frombuffer(raw, dtype="<f8", count=n_range * n_angle, offset=_RAMP_HEADER.size)
+    n_cells = n_range * n_angle
+    if len(raw) < _RAMP_HEADER.size + 8 * n_cells:
+        raise ConfigError(f"RAMP file is shorter than the {n_cells} cells its header declares")
+    data = np.frombuffer(raw, dtype="<f8", count=n_cells, offset=_RAMP_HEADER.size)
     power = data.reshape(n_range, n_angle).copy()
     range_axis = np.linspace(r0, r1, n_range) if n_range > 1 else np.array([r0])
     naf_axis = np.linspace(a0, a1, n_angle) if n_angle > 1 else np.array([a0])

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,6 +361,81 @@ def test_config_file_errors(tmp_path, capsys):
     badsection = tmp_path / "badsection.json"
     badsection.write_text(json.dumps({"cfar": 3}))
     assert cli.main(base + ["--config", str(badsection)]) == 1
+
+
+def test_config_rejects_unknown_keys(tmp_path, capsys):
+    sweep = tmp_path / "sweep.csv"
+    _write_sweep(sweep, [0.0], [1.0])
+    base = ["reconstruct", "--sweep", str(sweep), "--method", "dft", "--out", str(tmp_path / "o.csv")]
+    for cfg, name in (({"mode": "poc"}, "'mode'"), ({"array": {"n_tx": 8, "n_z": 2}}, "'n_z'")):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(base + ["--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "unknown" in err and name in err and err.count("\n") == 1
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_config_include_rear_wall_must_be_boolean(tmp_path, capsys):
+    sweep = tmp_path / "sweep.csv"
+    _write_sweep(sweep, [0.0], [1.0])
+    base = ["reconstruct", "--sweep", str(sweep), "--method", "dft", "--out", str(tmp_path / "o.csv")]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"include_rear_wall": "false"}))
+    assert cli.main(base + ["--config", str(path)]) == 1
+    assert "include_rear_wall" in capsys.readouterr().err
+    path.write_text(json.dumps({"include_rear_wall": False}))
+    assert cli.main(base + ["--config", str(path)]) == 0
+
+
+def test_config_non_numeric_values_exit_one(tmp_path, capsys):
+    base = ["evaluate", "--seeds", "1", "--scenarios", "octahedral_far",
+            "--methods", "dft", "--out", str(tmp_path / "x")]
+    for cfg in ({"dwell_frames": "six"}, {"snr_db": None}, {"array": {"n_tx": "eight"}},
+                {"seed": "one"}, {"max_peaks": float("inf")}):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(base + ["--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "must be a number" in err and err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
+
+
+def test_readme_config_example_runs(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration file", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "cfg.json"
+    path.write_text(example)
+    out = tmp_path / "eval"
+    rc = cli.main(["evaluate", "--config", str(path), "--seeds", "1",
+                   "--scenarios", "octahedral_far", "--out", str(out)])
+    assert rc == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["metadata"]["master_seeds"] == [json.loads(example)["seed"]]
+
+
+def test_non_finite_csv_cells_rejected(tmp_path, capsys):
+    axis = (np.arange(91) - 45) / 150.0
+    spectrum = np.zeros(91)
+    spectrum[30] = 2.0
+    spectrum[50] = np.nan
+    src = tmp_path / "spectrum.csv"
+    _write_sweep(src, axis, spectrum)
+    out = tmp_path / "peaks.csv"
+    assert cli.main(["detect", "--spectrum", str(src), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "row 51 is not finite" in err and err.count("\n") == 1
+    values = np.ones(9)
+    values[4] = np.nan
+    sweep = tmp_path / "sweep.csv"
+    _write_sweep(sweep, minimal_naf_grid(8, 0.2723), values)
+    dense = tmp_path / "dense.csv"
+    assert cli.main(["reconstruct", "--sweep", str(sweep), "--method", "dft", "--out", str(dense)]) == 1
+    assert "row 5 is not finite" in capsys.readouterr().err
+    _write_sweep(sweep, [0.0, np.inf], [1.0, 1.0])
+    assert cli.main(["reconstruct", "--sweep", str(sweep), "--method", "dft", "--out", str(dense)]) == 1
+    assert not out.exists() and not dense.exists()
 
 
 def test_sweep_file_errors(tmp_path):

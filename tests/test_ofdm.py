@@ -151,6 +151,11 @@ def test_ramp_rejects_garbage(tmp_path):
     short.write_bytes(b"RA")
     with pytest.raises(ConfigError):
         load_ramp(short)
+    # a whole header whose data stops one cell early
+    dump_ramp(RangeAngleMap(np.ones((3, 4)), np.arange(3.0), np.arange(4.0)), short)
+    short.write_bytes(short.read_bytes()[:-8])
+    with pytest.raises(ConfigError, match="12 cells"):
+        load_ramp(short)
 
 
 def test_ramp_version_check(tmp_path, rng):
