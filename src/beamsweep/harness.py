@@ -315,7 +315,6 @@ class EvalSettings:
 class _SeedOutcome:
     ground_truth: Tuple[float, float]
     gt_counts: Tuple[int, int]
-    estimates: Dict[str, List[float]]
     peaks: Dict[str, List[PeakEstimate]]
     maps: Dict[str, RangeAngleMap]
     sweep_values: np.ndarray  # minimal-sweep beam magnitudes
@@ -351,9 +350,9 @@ def _build_campaign(settings: EvalSettings) -> _Campaign:
         geom, weights, minimal_plan.beam_grid, over_plan.beam_grid, settings.dictionary_kind,
     )
     over_grid = over_plan.beam_grid
-    min_idx = np.nonzero(
-        np.isclose(over_grid[:, None], minimal_plan.beam_grid[None, :], atol=1e-12).any(axis=1)
-    )[0]
+    # both grids are integer ratios from one lattice builder, so a shared
+    # point is the same double in each
+    min_idx = np.flatnonzero(np.isin(over_grid, minimal_plan.beam_grid))
     if min_idx.size != minimal_plan.n_beams:
         raise ConfigError("minimal grid is not a subset of the oversampled grid")
     return _Campaign(
@@ -398,41 +397,35 @@ def _run_seed(
     beam_values = acq.beam_values(dwell)
     values9 = beam_values[campaign.min_idx]
     profiles9 = avg_profiles[campaign.min_idx]
-    sweep9 = AngularSweep(minimal_plan, values9, "magnitude")
+    sweep9 = AngularSweep(minimal_plan, values9)
 
-    estimates: Dict[str, List[float]] = {}
     peaks_by_method: Dict[str, List[PeakEstimate]] = {}
     maps: Dict[str, RangeAngleMap] = {}
-    interpolators = {"dft": dft_interpolate, "spline": spline_interpolate}
-    for method in methods:
-        if method in ("oversampled", "dft", "spline"):
-            if method == "oversampled":
-                spectrum, power_map = beam_values, avg_profiles
-            else:
-                interpolate = interpolators[method]
-                spectrum = interpolate(sweep9, over_grid)
-                # the windowed profiles, interpolated as magnitudes per range bin
-                profile_sweep = AngularSweep(minimal_plan, np.sqrt(profiles9))
-                power_map = np.maximum(interpolate(profile_sweep, over_grid), 0.0) ** 2
-            eligible, ranges = _eligibility(
-                power_map, acq.gate_keep, acq.range_centers_m, settings.cfar
-            )
-            peaks = extract_peaks(
-                spectrum, over_grid, resolution, settings.max_peaks,
-                detected=eligible, ranges_m=ranges,
-            )
-            maps[method] = RangeAngleMap(power_map.T, acq.range_centers_m, over_grid)
-        elif method == "omp":
+    for method in methods:  # run_comparison has checked every name
+        if method == "omp":
             estimate = omp(campaign.dictionary, values9, settings.omp)
             strongest = int(np.argmax(values9))
             gated = profiles9[strongest][acq.gate_keep]
             range_m = float(acq.range_centers_m[acq.gate_keep][np.argmax(gated)])
-            peaks = sparse_to_peaks(estimate, over_grid, range_m)
+            peaks_by_method[method] = sparse_to_peaks(estimate, over_grid, range_m)
+            continue
+        if method == "oversampled":
+            spectrum, power_map = beam_values, avg_profiles
         else:
-            raise ConfigError(f"unknown method {method!r}")
-        estimates[method] = [p.naf for p in peaks]
-        peaks_by_method[method] = peaks
-    return _SeedOutcome(ground_truth, gt_counts, estimates, peaks_by_method, maps, values9)
+            interpolate = dft_interpolate if method == "dft" else spline_interpolate
+            spectrum = interpolate(sweep9, over_grid)
+            # the windowed profiles, interpolated as magnitudes per range bin
+            profile_sweep = AngularSweep(minimal_plan, np.sqrt(profiles9))
+            power_map = np.maximum(interpolate(profile_sweep, over_grid), 0.0) ** 2
+        eligible, ranges = _eligibility(
+            power_map, acq.gate_keep, acq.range_centers_m, settings.cfar
+        )
+        peaks_by_method[method] = extract_peaks(
+            spectrum, over_grid, resolution, settings.max_peaks,
+            detected=eligible, ranges_m=ranges,
+        )
+        maps[method] = RangeAngleMap(power_map.T, acq.range_centers_m, over_grid)
+    return _SeedOutcome(ground_truth, gt_counts, peaks_by_method, maps, values9)
 
 
 @dataclass(frozen=True)
@@ -537,7 +530,7 @@ def run_comparison(
             counts.append(outcome.gt_counts)
             for m in methods:
                 results[m].setdefault(scenario.name, []).append(
-                    (outcome.estimates[m], outcome.ground_truth)
+                    ([p.naf for p in outcome.peaks[m]], outcome.ground_truth)
                 )
                 for p in outcome.peaks[m]:
                     peak_rows.append(
