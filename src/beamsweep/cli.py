@@ -36,7 +36,9 @@ _SCALARS = {
     "naf_limit": float, "snr_db": float, "dwell_frames": int,
     "ground_truth_frames": int, "oversampling_factor": int, "max_peaks": int,
 }
-_CONFIG_KEYS = {*_SCALARS, "radio", "array", "cfar", "omp", "include_rear_wall", "dictionary", "seed"}
+_CONFIG_KEYS = {
+    *_SCALARS, "radio", "array", "cfar", "omp", "include_rear_wall", "dictionary", "seed",
+}
 
 
 class _Parser(argparse.ArgumentParser):

@@ -257,7 +257,7 @@ def load_ramp(path) -> RangeAngleMap:
         raise ConfigError(f"unsupported RAMP version {version}")
     n_cells = n_range * n_angle
     if len(raw) < _RAMP_HEADER.size + 8 * n_cells:
-        raise ConfigError(f"RAMP file is shorter than the {n_cells} cells its header declares")
+        raise ConfigError(f"RAMP file holds fewer than the {n_cells} cells its header declares")
     data = np.frombuffer(raw, dtype="<f8", count=n_cells, offset=_RAMP_HEADER.size)
     power = data.reshape(n_range, n_angle).copy()
     range_axis = np.linspace(r0, r1, n_range) if n_range > 1 else np.array([r0])
