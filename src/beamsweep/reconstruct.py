@@ -161,15 +161,13 @@ def dirichlet_resample(sample_nafs, values, target_nafs, order: int):
     sample_nafs = np.asarray(sample_nafs, dtype=float)
     values = np.asarray(values)
     target_nafs = np.asarray(target_nafs, dtype=float)
-    lags = target_nafs[None, :] - sample_nafs[:, None]
-    kernel = dirichlet_kernel(lags, order)
-    kernel = kernel.reshape(kernel.shape + (1,) * (values.ndim - 1))
+    kernel = dirichlet_kernel(target_nafs[None, :] - sample_nafs[:, None], order)
     # sample by sample, so every trailing column of values gets the same
     # sums in the same order: an (n, k) call equals k one-column calls bit
     # for bit, which BLAS gemm and gemv do not promise
     out = np.zeros(target_nafs.shape + values.shape[1:], np.result_type(kernel, values))
     for k, v in zip(kernel, values, strict=True):
-        out += k * v
+        out += np.multiply.outer(k, v)
     return out
 
 
