@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
+import math
 import os
 import sys
+import typing
 
 import numpy as np
 
@@ -24,7 +27,9 @@ from .omp import OmpConfig, omp
 from .reconstruct import (
     AngularSweep,
     SweepPlan,
+    _infer_order,
     dft_interpolate,
+    oversampled_sweep_plan,
     spline_interpolate,
 )
 from .scenarios import scenario_catalog
@@ -62,10 +67,10 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _reject_unknown(keys, known, where: str) -> None:
-    unknown = sorted(set(keys) - known)
+def _reject_unknown(keys, known, where: str = "") -> None:
+    unknown = sorted(set(keys).difference(known))
     if unknown:
-        raise ConfigError(f"unknown {where} keys {unknown}; allowed: {sorted(known)}")
+        raise ConfigError(f"unknown config keys {unknown}{where}; allowed: {sorted(known)}")
 
 
 def _number(kind, value, key: str):
@@ -76,28 +81,65 @@ def _number(kind, value, key: str):
         raise ConfigError(f"config key {key!r} must be a number, not {value!r}") from exc
 
 
-def _build_settings(cfg: dict, args) -> EvalSettings:
-    def section(name):
-        value = cfg.get(name, {})
-        if not isinstance(value, dict):
-            raise ConfigError(f"config section {name!r} must be an object")
-        return value
+def _is_int(value) -> bool:
+    return type(value) is int  # a JSON integer; bool is not one
 
-    _reject_unknown(cfg, _CONFIG_KEYS, "config")
+
+def _is_finite(value) -> bool:
     try:
-        radio = RadioConfig(**section("radio"))
-        array = section("array")
-        _reject_unknown(array, {"n_tx", "n_rx"}, "array")
-        cfar = CfarConfig(**section("cfar"))
-        omp_cfg = OmpConfig(**section("omp"))
-    except TypeError as exc:
-        raise ConfigError(f"unknown config key: {exc}") from exc
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+@functools.cache
+def _schema(cls) -> dict:
+    """Field name -> (value check, its wording) for a config dataclass,
+    derived from the field annotations."""
+    schema = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        if hint is int:
+            schema[name] = (_is_int, "an integer")
+        elif hint is float:
+            schema[name] = (_is_finite, "a finite number")
+        else:  # a fixed-length tuple of floats, as range_window_m
+            n = len(typing.get_args(hint))
+            schema[name] = (
+                lambda v, n=n: isinstance(v, list) and len(v) == n and all(map(_is_finite, v)),
+                f"a list of {n} finite numbers",
+            )
+    return schema
+
+
+def _object(cfg: dict, name: str) -> dict:
+    value = cfg.get(name, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"config section {name!r} must be an object")
+    return value
+
+
+def _section(cfg: dict, name: str, cls):
+    """cls built from config section `name`, every value type-checked first."""
+    values = _object(cfg, name)
+    schema = _schema(cls)
+    _reject_unknown(values, schema, f" in {name!r}")
+    for key, value in values.items():
+        check, wording = schema[key]
+        if not check(value):
+            raise ConfigError(f"config key '{name}.{key}' must be {wording}, not {value!r}")
+    return cls(**values)
+
+
+def _build_settings(cfg: dict, args) -> EvalSettings:
+    _reject_unknown(cfg, _CONFIG_KEYS)
+    array = _object(cfg, "array")
+    _reject_unknown(array, {"n_tx", "n_rx"}, " in 'array'")
     kwargs = dict(
-        radio=radio,
+        radio=_section(cfg, "radio", RadioConfig),
         n_tx=_number(int, array.get("n_tx", 8), "n_tx"),
         n_rx=_number(int, array.get("n_rx", 8), "n_rx"),
-        cfar=cfar,
-        omp=omp_cfg,
+        cfar=_section(cfg, "cfar", CfarConfig),
+        omp=_section(cfg, "omp", OmpConfig),
     )
     for key, kind in _SCALARS.items():
         if key in cfg:
@@ -213,11 +255,17 @@ def cmd_reconstruct(args) -> int:
     settings = _build_settings(cfg, args)
     naf, values = _read_two_column_csv(args.sweep, "value")
     plan = SweepPlan(naf, "minimal", dwell_frames=settings.dwell_frames)
+    try:
+        order = _infer_order(plan.beam_grid)
+    except ContractViolation as exc:
+        raise ConfigError(f"{args.sweep}: {exc}") from exc
     sweep = AngularSweep(plan, values, "magnitude")
-    order = int(round(1.0 / (naf[1] - naf[0]))) if naf.size > 1 else 1
-    factor = args.factor
-    k_max = int(round(naf[-1] * order)) * factor
-    grid = np.arange(-k_max, k_max + 1) / (order * factor)
+    # the lattice refined by --factor, out to the sweep's outermost sample;
+    # a single beam at NAF 0 (order 1) is its own grid
+    k_max = round(max(-naf[0], naf[-1]) * order)
+    grid = plan.beam_grid
+    if k_max:
+        grid = oversampled_sweep_plan((order + 1) // 2, k_max / order, args.factor).beam_grid
     if args.method == "dft":
         dense = dft_interpolate(sweep, grid)
     elif args.method == "spline":
@@ -271,7 +319,13 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser every main() call shares, built on the first one.
+
+    It holds no per-call state: parse_args returns a fresh namespace, and
+    every default lives on the parser, never on a parsed result.
+    """
     parser = _Parser(prog="beamsweep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

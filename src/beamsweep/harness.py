@@ -92,7 +92,7 @@ class _WindowBasis:
 def _window_basis(radio: RadioConfig) -> _WindowBasis:
     """Built on first use per (hashable, frozen) radio config; arrays read-only."""
     window = radio.window_bins()
-    centers = radio.range_axis()[window]
+    centers = window * radio.range_bin_width_m
     lo, hi = RANGE_GATE_EXCLUDE_M
     keep = ~((centers >= lo) & (centers <= hi))
     if not np.any(keep):

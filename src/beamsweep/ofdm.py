@@ -51,6 +51,10 @@ class RadioConfig:
             raise ConfigError("subcarrier spacing and frame duration must be positive")
         if self.n_subcarriers < 1 or self.n_symbols < 1 or self.n_range_bins < 1:
             raise ConfigError("subcarrier, symbol and range-bin counts must be positive")
+        if self.n_range_bins > self.n_subcarriers:
+            # the window IDFT (n_subcarriers x n_range_bins) must have full
+            # column rank for the noise-shaping QR factor to be square
+            raise ConfigError("n_range_bins must not exceed n_subcarriers")
         lo, hi = self.range_window_m
         if not 0 <= lo < hi:
             raise ConfigError("range window must satisfy 0 <= min < max")

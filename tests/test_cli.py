@@ -204,15 +204,39 @@ def test_reconstruct_dictionary_from_config(tmp_path):
     assert len(_read_rows(dst)) == 81
 
 
-def test_reconstruct_off_lattice_is_contract_violation(tmp_path, capsys):
+def test_reconstruct_off_lattice_exits_one(tmp_path, capsys):
+    # a non-uniform grid, an even order (spacing 1/2) and a uniform grid off
+    # the k/(2n-1) lattice, refused alike by every method
     src = tmp_path / "sweep.csv"
     dst = tmp_path / "dense.csv"
-    _write_sweep(src, [0.0, 0.1, 0.25], [1.0, 1.0, 1.0])
-    rc = cli.main(
-        ["reconstruct", "--sweep", str(src), "--method", "dft", "--out", str(dst)]
+    cases = (
+        ([0.0, 0.1, 0.25], "not uniform"),
+        ([-0.5, 0.0, 0.5], "not 1/(2n-1)"),
+        (np.arange(-4, 5) / 15 + 0.01, "not aligned"),
     )
-    assert rc == 2
-    assert "internal error" in capsys.readouterr().err
+    for nafs, message in cases:
+        _write_sweep(src, nafs, np.ones(len(nafs)))
+        for method in ("dft", "spline", "omp"):
+            rc = cli.main(
+                ["reconstruct", "--sweep", str(src), "--method", method, "--out", str(dst)]
+            )
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert message in err and str(src) in err and err.count("\n") == 1
+            assert "internal error" not in err
+    assert not dst.exists()
+
+
+def test_reconstruct_grid_spans_the_outermost_sample(tmp_path):
+    # an asymmetric sweep: the dense grid reaches -4/15 on both sides
+    src = tmp_path / "sweep.csv"
+    dst = tmp_path / "dense.csv"
+    _write_sweep(src, np.arange(-4, 3) / 15, np.ones(7))
+    assert cli.main(
+        ["reconstruct", "--sweep", str(src), "--method", "spline", "--factor", "3", "--out", str(dst)]
+    ) == 0
+    nafs = [float(r["naf"]) for r in _read_rows(dst)]
+    assert nafs == (np.arange(-12, 13) / 45).tolist()
 
 
 def test_reconstruct_rejects_non_positive_factor(tmp_path, capsys):
@@ -401,6 +425,30 @@ def test_config_non_numeric_values_exit_one(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_config_section_values_exit_one(tmp_path, capsys):
+    # each value checked against its field type, and more range bins than
+    # subcarriers refused, all before any array is built
+    base = ["evaluate", "--seeds", "1", "--scenarios", "octahedral_far",
+            "--methods", "dft", "--out", str(tmp_path / "x")]
+    for cfg, message in (
+        ({"radio": {"range_window_m": [1, 2, 3]}}, "'radio.range_window_m' must be a list of 2"),
+        ({"radio": {"n_range_bins": 42.5}}, "'radio.n_range_bins' must be an integer"),
+        ({"radio": {"n_range_bins": 1e9}}, "'radio.n_range_bins' must be an integer"),
+        ({"radio": {"n_subcarriers": 32}}, "n_range_bins must not exceed n_subcarriers"),
+        ({"cfar": {"n_training": "x"}}, "'cfar.n_training' must be an integer"),
+        ({"cfar": {"n_guard": True}}, "'cfar.n_guard' must be an integer"),
+        ({"cfar": {"p_fa": float("nan")}}, "'cfar.p_fa' must be a finite number"),
+        ({"omp": {"max_atoms": "3"}}, "'omp.max_atoms' must be an integer"),
+        ({"omp": {"residual_tolerance": [0.1]}}, "'omp.residual_tolerance' must be a finite number"),
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(base + ["--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
+
+
 def test_readme_config_example_runs(tmp_path):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("## Configuration file", 1)[1]
@@ -462,3 +510,48 @@ def test_usage_errors_exit_one(capsys):
     assert cli.main(["evaluate"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def _two_spike_spectrum(tmp_path):
+    axis = (np.arange(91) - 45) / 150.0
+    spectrum = np.zeros(91)
+    spectrum[30] = 2.0
+    spectrum[60] = 1.5
+    src = tmp_path / "spectrum.csv"
+    _write_sweep(src, axis, spectrum)
+    return src
+
+
+def test_reused_parser_keeps_no_values_between_calls(tmp_path):
+    src = _two_spike_spectrum(tmp_path)
+    out = tmp_path / "peaks.csv"
+    plain = ["detect", "--spectrum", str(src), "--out", str(out)]
+    assert cli.main(plain) == 0
+    first = out.read_bytes()
+    assert cli.main(plain + ["--resolution", "0.2", "--max-peaks", "1"]) == 0
+    flagged = out.read_bytes()
+    assert cli.main(plain) == 0
+    assert out.read_bytes() == first != flagged
+    assert len(_read_rows(out)) == 2
+
+
+def test_good_call_after_a_bad_command_line(tmp_path, capsys):
+    src = _two_spike_spectrum(tmp_path)
+    out = tmp_path / "peaks.csv"
+    good = ["detect", "--spectrum", str(src), "--out", str(out)]
+    assert cli.main(good) == 0
+    expected = out.read_bytes()
+    out.unlink()
+    capsys.readouterr()
+    for bad in (good + ["--max-peaks", "two"], ["detect", "--spectrum", str(src)],
+                good + ["--method", "dft"], ["reconstruct", "--method", "svd"]):
+        assert cli.main(bad) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    assert cli.main(good) == 0
+    assert out.read_bytes() == expected
+    assert capsys.readouterr().out == f"2 peak(s) written to {out}\n"

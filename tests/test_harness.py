@@ -234,6 +234,12 @@ def test_window_basis_is_cached_and_read_only(small_acquisition):
     assert _window_basis(RadioConfig(n_range_bins=40)).idft.shape == (792, 40)
 
 
+def test_window_centers_are_the_range_axis_entries():
+    for radio in (RadioConfig(), RadioConfig(range_window_m=(3.0, 20.0), n_range_bins=100)):
+        centers = _window_basis(radio).centers
+        assert centers.tobytes() == radio.range_axis()[radio.window_bins()].tobytes()
+
+
 def test_eligibility_over_frames_equals_per_frame_calls(small_acquisition):
     _, _, _, _, _, acq = small_acquisition
     frames = acq.profiles.swapaxes(0, 1)  # (frames, beams, range)

@@ -39,6 +39,15 @@ def test_radio_validation():
         RadioConfig(n_range_bins=1)  # window would need fewer FFT bins than subcarriers
 
 
+def test_radio_rejects_more_range_bins_than_subcarriers():
+    # the window IDFT's QR factor is square only for n_range_bins <= n_subcarriers;
+    # both configs are refused before any array is built
+    for kwargs in ({"n_subcarriers": 32}, {"n_range_bins": 10**9}):
+        with pytest.raises(ConfigError, match="n_range_bins must not exceed n_subcarriers"):
+            RadioConfig(**kwargs)
+    assert RadioConfig(n_subcarriers=42, n_range_bins=42).n_range_bins == 42
+
+
 def test_profile_empty_scene(radio, geom8, ones8):
     p = scene_subcarrier_profile(radio, [], geom8, ones8, 0.0)
     assert p.shape == (792,)
