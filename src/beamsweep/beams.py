@@ -27,6 +27,8 @@ __all__ = [
     "build_dictionary",
 ]
 
+DICTIONARY_KINDS = ("matched", "flat")  # see build_dictionary
+
 
 @dataclass(frozen=True)
 class BeamformingWeights:
@@ -159,17 +161,17 @@ def build_dictionary(
     candidate_grid = np.asarray(candidate_grid, dtype=float)
     if beam_grid.size == 0 or candidate_grid.size == 0:
         raise ConfigError("beam and candidate grids must be non-empty")
+    if kind not in DICTIONARY_KINDS:
+        raise ConfigError(f"unknown dictionary kind {kind!r}")
     lags = beam_grid[:, None] - candidate_grid[None, :]
     if kind == "matched":
         weights.check_matches(geom)
         atoms = np.abs(_pair_factor(geom, weights, lags.ravel())).reshape(lags.shape)
         peak = abs(np.sum(weights.tx)) * abs(np.sum(weights.rx))
-    elif kind == "flat":
+    else:  # flat
         order = 2 * min(geom.n_tx, geom.n_rx) - 1
         atoms = np.abs(dirichlet_kernel(lags, order))
         peak = 1.0
-    else:
-        raise ConfigError(f"unknown dictionary kind {kind!r}")
     norms = np.linalg.norm(atoms, axis=0)
     # a numerically-zero atom would normalize float fuzz into a fake unit atom
     if np.any(norms < 1e-9 * max(float(norms.max()), peak)):

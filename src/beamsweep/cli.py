@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -17,13 +18,12 @@ import typing
 
 import numpy as np
 
-from .beams import BeamformingWeights, build_dictionary
-from .detection import CfarConfig, extract_peaks
+from .beams import DICTIONARY_KINDS, build_dictionary
+from .detection import extract_peaks
 from .errors import ConfigError, ContractViolation
-from .geometry import ArrayGeometry, naf_resolution
+from .geometry import naf_resolution
 from .harness import EvalSettings, METHODS, run_comparison
-from .ofdm import RadioConfig
-from .omp import OmpConfig, omp
+from .omp import omp
 from .reconstruct import (
     AngularSweep,
     SweepPlan,
@@ -35,15 +35,6 @@ from .reconstruct import (
 from .scenarios import scenario_catalog
 
 SEED_ENV_VAR = "BEAMSWEEP_SEED"
-
-# top-level config scalars, each with the type EvalSettings takes
-_SCALARS = {
-    "naf_limit": float, "snr_db": float, "dwell_frames": int,
-    "ground_truth_frames": int, "oversampling_factor": int, "max_peaks": int,
-}
-_CONFIG_KEYS = {
-    *_SCALARS, "radio", "array", "cfar", "omp", "include_rear_wall", "dictionary", "seed",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,24 +58,6 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _reject_unknown(keys, known, where: str = "") -> None:
-    unknown = sorted(set(keys).difference(known))
-    if unknown:
-        raise ConfigError(f"unknown config keys {unknown}{where}; allowed: {sorted(known)}")
-
-
-def _number(kind, value, key: str):
-    """kind(value), or a ConfigError naming the key when that fails."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config key {key!r} must be a number, not {value!r}") from exc
-
-
-def _is_int(value) -> bool:
-    return type(value) is int  # a JSON integer; bool is not one
-
-
 def _is_finite(value) -> bool:
     try:
         return type(value) in (int, float) and math.isfinite(value)
@@ -92,80 +65,86 @@ def _is_finite(value) -> bool:
         return False
 
 
+# field annotation -> (check of the JSON value, its wording, the value's Python type);
+# a JSON bool is neither an int nor a number here
+_RULES = {
+    int: (lambda v: type(v) is int, "an integer", int),
+    float: (_is_finite, "a finite number", float),
+    typing.Optional[float]: (_is_finite, "a finite number", float),  # null stays rejected
+    bool: (lambda v: type(v) is bool, "true or false", bool),
+    str: (lambda v: type(v) is str, "a string", str),
+    typing.Tuple[float, float]: (
+        lambda v: type(v) is list and len(v) == 2 and all(map(_is_finite, v)),
+        "a list of 2 finite numbers",
+        tuple,
+    ),
+}
+
+
 @functools.cache
 def _schema(cls) -> dict:
-    """Field name -> (value check, its wording) for a config dataclass,
-    derived from the field annotations."""
-    schema = {}
-    for name, hint in typing.get_type_hints(cls).items():
-        if hint is int:
-            schema[name] = (_is_int, "an integer")
-        elif hint is float:
-            schema[name] = (_is_finite, "a finite number")
-        else:  # a fixed-length tuple of floats, as range_window_m
-            n = len(typing.get_args(hint))
-            schema[name] = (
-                lambda v, n=n: isinstance(v, list) and len(v) == n and all(map(_is_finite, v)),
-                f"a list of {n} finite numbers",
-            )
+    """Config key -> (field name, rule) for a config dataclass, derived from
+    its field annotations. A rule is a _RULES entry, a dataclass for a nested
+    section, or a dict for an object whose keys are fields of cls itself.
+
+    The file layout differs from EvalSettings in three keys: n_tx and n_rx
+    sit in an "array" object, dictionary_kind is written "dictionary", and
+    "seed" is the master seed, which run_comparison takes beside the settings.
+    """
+    schema = {
+        name: (name, hint if dataclasses.is_dataclass(hint) else _RULES[hint])
+        for name, hint in typing.get_type_hints(cls).items()
+    }
+    if cls is EvalSettings:
+        schema["array"] = (None, {key: schema.pop(key) for key in ("n_tx", "n_rx")})
+        schema["dictionary"] = schema.pop("dictionary_kind")
+        schema["seed"] = ("seed", _RULES[int])
     return schema
 
 
-def _object(cfg: dict, name: str) -> dict:
-    value = cfg.get(name, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    return value
-
-
-def _section(cfg: dict, name: str, cls):
-    """cls built from config section `name`, every value type-checked first."""
-    values = _object(cfg, name)
-    schema = _schema(cls)
-    _reject_unknown(values, schema, f" in {name!r}")
+def _checked(values, schema: dict, where: str = "") -> dict:
+    """Field name -> value for one config object, every value checked
+    against its rule; a ConfigError names the offending key."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"config section {where!r} must be an object")
+    unknown = sorted(set(values).difference(schema))
+    if unknown:
+        inside = f" in {where!r}" if where else ""
+        raise ConfigError(f"unknown config keys {unknown}{inside}; allowed: {sorted(schema)}")
+    fields = {}
     for key, value in values.items():
-        check, wording = schema[key]
-        if not check(value):
-            raise ConfigError(f"config key '{name}.{key}' must be {wording}, not {value!r}")
-    return cls(**values)
+        name, rule = schema[key]
+        path = f"{where}.{key}" if where else key
+        if isinstance(rule, dict):  # the array object
+            fields.update(_checked(value, rule, path))
+        elif dataclasses.is_dataclass(rule):  # a nested section
+            fields[name] = rule(**_checked(value, _schema(rule), path))
+        else:
+            check, wording, kind = rule
+            if not check(value):
+                raise ConfigError(f"{path!r} must be {wording}, not {json.dumps(value)}")
+            fields[name] = kind(value)
+    return fields
 
 
-def _build_settings(cfg: dict, args) -> EvalSettings:
-    _reject_unknown(cfg, _CONFIG_KEYS)
-    array = _object(cfg, "array")
-    _reject_unknown(array, {"n_tx", "n_rx"}, " in 'array'")
-    kwargs = dict(
-        radio=_section(cfg, "radio", RadioConfig),
-        n_tx=_number(int, array.get("n_tx", 8), "n_tx"),
-        n_rx=_number(int, array.get("n_rx", 8), "n_rx"),
-        cfar=_section(cfg, "cfar", CfarConfig),
-        omp=_section(cfg, "omp", OmpConfig),
-    )
-    for key, kind in _SCALARS.items():
-        if key in cfg:
-            kwargs[key] = _number(kind, cfg[key], key)
-    if "include_rear_wall" in cfg:
-        if not isinstance(cfg["include_rear_wall"], bool):
-            raise ConfigError("config key 'include_rear_wall' must be true or false")
-        kwargs["include_rear_wall"] = cfg["include_rear_wall"]
-    kwargs["dictionary_kind"] = getattr(args, "dictionary", None) or cfg.get(
-        "dictionary", "matched"
-    )
-    if getattr(args, "snr_db", None) is not None:
-        kwargs["snr_db"] = args.snr_db
-    return EvalSettings(**kwargs)
+def _build_settings(args) -> typing.Tuple[EvalSettings, int]:
+    """The settings and master seed of a config-reading command.
 
-
-def _master_seed(args, cfg: dict) -> int:
+    Precedence is BEAMSWEEP_SEED > flag > config file > default: the flags
+    and the variable overwrite config keys before the one check they all pass.
+    """
+    cfg = _load_config(args.config)
+    flags = {"seed": args.seed, "snr_db": args.snr_db, "dictionary": args.dictionary}
+    cfg.update((key, value) for key, value in flags.items() if value is not None)
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
-            return int(env)
+            cfg["seed"] = int(env)
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from exc
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return _number(int, cfg.get("seed", 1), "seed")
+    fields = _checked(cfg, _schema(EvalSettings))
+    seed = fields.pop("seed", 1)
+    return EvalSettings(**fields), seed
 
 
 def _pick_scenarios(names) -> list:
@@ -236,9 +215,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    settings = _build_settings(cfg, args)
-    seed = _master_seed(args, cfg)
+    settings, seed = _build_settings(args)
     scenarios = _pick_scenarios([args.scenario] if args.scenario else [])
     methods = args.methods.split(",") if args.methods else list(METHODS)
     report = run_comparison(scenarios, methods, [seed], settings, out_dir=args.out)
@@ -251,8 +228,7 @@ def cmd_simulate(args) -> int:
 def cmd_reconstruct(args) -> int:
     if args.factor < 1:
         raise ConfigError("--factor must be a positive integer")
-    cfg = _load_config(args.config)
-    settings = _build_settings(cfg, args)
+    settings, _ = _build_settings(args)
     naf, values = _read_two_column_csv(args.sweep, "value")
     plan = SweepPlan(naf, "minimal", dwell_frames=settings.dwell_frames)
     try:
@@ -270,26 +246,21 @@ def cmd_reconstruct(args) -> int:
         dense = dft_interpolate(sweep, grid)
     elif args.method == "spline":
         dense = spline_interpolate(sweep, grid)
-    elif args.method == "omp":
-        geom = ArrayGeometry.uniform_linear(settings.n_tx, settings.n_rx)
-        weights = BeamformingWeights.all_ones(geom)
+    else:  # omp, the last of the parser's choices
         dictionary = build_dictionary(
-            geom, weights, naf, grid, settings.dictionary_kind
+            settings.geometry(), settings.weights(), naf, grid, settings.dictionary_kind
         )
         estimate = omp(dictionary, values, settings.omp)
         dense = np.zeros(grid.size)
         for i, c in zip(estimate.support, estimate.coefficients):
             dense[i] = c
-    else:
-        raise ConfigError(f"unknown method {args.method!r}")
     _write_spectrum_csv(args.out, grid, np.real(dense))
     print(f"wrote {grid.size}-point {args.method} spectrum to {args.out}")
     return 0
 
 
 def cmd_detect(args) -> int:
-    cfg = _load_config(args.config)
-    settings = _build_settings(cfg, args)
+    settings, _ = _build_settings(args)
     naf, values = _read_two_column_csv(args.spectrum, "value")
     resolution = (
         args.resolution if args.resolution is not None else naf_resolution(settings.n_tx)
@@ -304,9 +275,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _load_config(args.config)
-    settings = _build_settings(cfg, args)
-    base = _master_seed(args, cfg)
+    settings, base = _build_settings(args)
     seeds = [base + i for i in range(args.seeds)]
     scenarios = _pick_scenarios(args.scenarios.split(",") if args.scenarios else [])
     methods = args.methods.split(",") if args.methods else list(METHODS)
@@ -337,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--seed", type=int, help="master seed")
     common.add_argument("--snr-db", type=float, dest="snr_db")
-    common.add_argument("--dictionary", choices=("matched", "flat"))
+    common.add_argument("--dictionary", choices=DICTIONARY_KINDS)
 
     p = sub.add_parser("simulate", parents=[common], help="simulate sweeps and dump maps")
     p.add_argument("--scenario", help="scenario name (default: all)")

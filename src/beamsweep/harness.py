@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .beams import BeamformingWeights, Dictionary, build_dictionary
+from .beams import DICTIONARY_KINDS, BeamformingWeights, Dictionary, build_dictionary
 from .detection import CfarConfig, PeakEstimate, ca_cfar, extract_peaks
 from .errors import ConfigError
 from .geometry import ArrayGeometry, naf_resolution
@@ -303,6 +303,19 @@ class EvalSettings:
     max_peaks: int = 2
     snr_db: Optional[float] = None  # overrides each scenario's own SNR
     include_rear_wall: bool = True
+
+    def __post_init__(self):
+        # what no later step refuses: methods average the first dwell frames
+        # of the truth acquisition, and the sweep order assumes a square array
+        if self.dwell_frames > self.ground_truth_frames:
+            raise ConfigError(
+                f"dwell_frames ({self.dwell_frames}) must not exceed "
+                f"ground_truth_frames ({self.ground_truth_frames})"
+            )
+        if self.n_tx != self.n_rx:
+            raise ConfigError(f"n_tx ({self.n_tx}) and n_rx ({self.n_rx}) must be equal")
+        if self.dictionary_kind not in DICTIONARY_KINDS:
+            raise ConfigError(f"unknown dictionary kind {self.dictionary_kind!r}")
 
     def geometry(self) -> ArrayGeometry:
         return ArrayGeometry.uniform_linear(self.n_tx, self.n_rx)

@@ -17,6 +17,7 @@ the per-entry noise variance for a requested reference SNR.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -116,7 +117,13 @@ def reference_noise_power(
 ) -> float:
     """Per-entry noise variance putting a 0 dB head-on target at snr_db."""
     gain = geom.n_tx * geom.n_rx
-    return config.n_subcarriers * config.n_symbols * gain**2 / 10 ** (snr_db / 10)
+    try:
+        noise = config.n_subcarriers * config.n_symbols * gain**2 / 10 ** (snr_db / 10)
+    except (OverflowError, ZeroDivisionError):  # 10 ** (snr_db / 10) beyond a float
+        noise = math.nan
+    if not 0 < noise < math.inf:  # NaN fails too
+        raise ConfigError(f"snr_db {snr_db!r} is out of range: no positive finite noise power")
+    return noise
 
 
 def build_scene(

@@ -8,6 +8,7 @@ import pytest
 from beamsweep import cli
 from beamsweep import (
     BeamformingWeights,
+    EvalSettings,
     build_dictionary,
     minimal_naf_grid,
 )
@@ -413,16 +414,93 @@ def test_config_include_rear_wall_must_be_boolean(tmp_path, capsys):
 
 
 def test_config_non_numeric_values_exit_one(tmp_path, capsys):
+    # top-level values, array, seed and dictionary are as strict as the
+    # sections: no cast turns 4.9, "4", 6.7, true or "0.3" into a setting
     base = ["evaluate", "--seeds", "1", "--scenarios", "octahedral_far",
             "--methods", "dft", "--out", str(tmp_path / "x")]
-    for cfg in ({"dwell_frames": "six"}, {"snr_db": None}, {"array": {"n_tx": "eight"}},
-                {"seed": "one"}, {"max_peaks": float("inf")}):
+    for cfg, key in (
+        ({"dwell_frames": "six"}, "'dwell_frames'"),
+        ({"snr_db": None}, "'snr_db'"),
+        ({"array": {"n_tx": "eight"}}, "'array.n_tx'"),
+        ({"seed": "one"}, "'seed'"),
+        ({"max_peaks": float("inf")}, "'max_peaks'"),
+        ({"array": {"n_tx": 4.9, "n_rx": "4"}}, "'array.n_tx'"),
+        ({"array": {"n_tx": 4, "n_rx": "4"}}, "'array.n_rx'"),
+        ({"dwell_frames": 6.7}, "'dwell_frames'"),
+        ({"snr_db": True}, "'snr_db'"),
+        ({"naf_limit": "0.3"}, "'naf_limit'"),
+        ({"seed": 1.9}, "'seed'"),
+        ({"seed": True}, "'seed'"),
+        ({"dictionary": 5}, "'dictionary'"),
+        ({"include_rear_wall": 0}, "'include_rear_wall'"),
+    ):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert cli.main(base + ["--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert "must be a number" in err and err.count("\n") == 1
+        assert key in err and err.count("\n") == 1
     assert not (tmp_path / "x").exists()
+
+
+def test_config_cross_field_rules_exit_one(tmp_path, capsys):
+    base = ["evaluate", "--seeds", "1", "--scenarios", "octahedral_far",
+            "--methods", "dft", "--out", str(tmp_path / "x")]
+    for cfg, message in (
+        ({"dwell_frames": 30}, "dwell_frames (30) must not exceed ground_truth_frames (24)"),
+        ({"array": {"n_tx": 8, "n_rx": 6}}, "n_tx (8) and n_rx (6) must be equal"),
+        ({"array": {"n_tx": 8, "n_rx": 4}}, "n_tx (8) and n_rx (4) must be equal"),
+        ({"dictionary": "bogus"}, "unknown dictionary kind 'bogus'"),
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(base + ["--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
+    sweep = tmp_path / "sweep.csv"
+    _write_sweep(sweep, minimal_naf_grid(8, 0.2723), np.ones(9))
+    path.write_text(json.dumps({"dictionary": "bogus"}))
+    dense = tmp_path / "dense.csv"
+    assert cli.main(["reconstruct", "--config", str(path), "--sweep", str(sweep),
+                     "--method", "dft", "--out", str(dense)]) == 1
+    assert "unknown dictionary kind 'bogus'" in capsys.readouterr().err
+    assert not dense.exists()
+
+
+def test_out_of_range_snr_exits_one(tmp_path, capsys):
+    # from the flag and from the config alike: no traceback, one line naming snr_db
+    base = ["evaluate", "--seeds", "1", "--scenarios", "octahedral_far",
+            "--methods", "dft", "--out", str(tmp_path / "x")]
+    path = tmp_path / "cfg.json"
+    for value in (1e308, -1e308, 4000.0, float("-inf"), float("nan")):
+        path.write_text(json.dumps({"snr_db": value}))
+        for extra in (["--snr-db=" + repr(value)], ["--config", str(path)]):
+            assert cli.main(base + extra) == 1
+            err = capsys.readouterr().err
+            assert "snr_db" in err and err.count("\n") == 1
+            assert "internal error" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_snr_flag_equals_config_and_overrides_it(tmp_path):
+    base = ["evaluate", "--seeds", "1", "--scenarios", "octahedral_far",
+            "--methods", "dft", "--out"]
+    twenty = tmp_path / "twenty.json"
+    twenty.write_text(json.dumps({"snr_db": 20.0}))
+    five = tmp_path / "five.json"
+    five.write_text(json.dumps({"snr_db": 5.0}))
+    runs = {
+        "flag": ["--snr-db", "20"],
+        "config": ["--config", str(twenty)],
+        "both": ["--config", str(five), "--snr-db", "20"],
+        "five": ["--config", str(five)],
+    }
+    reports = {}
+    for name, extra in runs.items():
+        assert cli.main(base + [str(tmp_path / name)] + extra) == 0
+        reports[name] = (tmp_path / name / "report.json").read_bytes()
+    assert reports["flag"] == reports["config"] == reports["both"] != reports["five"]
+    assert json.loads(reports["flag"])["metadata"]["reference_snr_db"] == 20.0
 
 
 def test_config_section_values_exit_one(tmp_path, capsys):
@@ -461,6 +539,8 @@ def test_readme_config_example_runs(tmp_path):
     assert rc == 0
     report = json.loads((out / "report.json").read_text())
     assert report["metadata"]["master_seeds"] == [json.loads(example)["seed"]]
+    # the example spells out every key the schema knows
+    assert set(json.loads(example)) == set(cli._schema(EvalSettings))
 
 
 def test_non_finite_csv_cells_rejected(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,28 @@ def test_eval_settings_defaults():
     assert s.naf_limit == pytest.approx(0.2723195175075136, rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        # the minimal sweep would average only the frames the truth drew
+        (dict(dwell_frames=30), "dwell_frames (30) must not exceed ground_truth_frames (24)"),
+        (dict(dwell_frames=7, ground_truth_frames=6), "dwell_frames (7)"),
+        # the sweep order 2*min(n)-1 holds only for a square array
+        (dict(n_tx=8, n_rx=6), "n_tx (8) and n_rx (6) must be equal"),
+        (dict(n_tx=4, n_rx=8), "n_tx (4) and n_rx (8) must be equal"),
+        (dict(dictionary_kind="bogus"), "unknown dictionary kind 'bogus'"),
+    ],
+)
+def test_eval_settings_rejects(kwargs, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        EvalSettings(**kwargs)
+
+
+def test_eval_settings_accepts_the_edges():
+    s = EvalSettings(dwell_frames=24, n_tx=4, n_rx=4, dictionary_kind="flat")
+    assert s.dwell_frames == s.ground_truth_frames
+
+
 def test_scenario_catalog_layout():
     catalog = scenario_catalog()
     assert [s.name for s in catalog] == [
@@ -141,6 +164,13 @@ def test_reference_noise_power_value(radio, geom8):
     assert reference_noise_power(radio, geom8, 25.0) == pytest.approx(
         143619.41891459885, rel=1e-14
     )
+
+
+@pytest.mark.parametrize("snr_db", [1e308, 4000.0, -1e308, -4000.0, math.inf, -math.inf, math.nan])
+def test_reference_noise_power_rejects_out_of_range_snr(radio, geom8, snr_db):
+    # 10 ** (snr_db / 10) overflows, underflows to 0 or is not a number
+    with pytest.raises(ConfigError, match="snr_db .* out of range"):
+        reference_noise_power(radio, geom8, snr_db)
 
 
 def test_build_scene_composition(radio, geom8):
