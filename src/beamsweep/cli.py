@@ -1,8 +1,11 @@
-"""Command-line front end: catalog, simulate, reconstruct, detect, evaluate.
+"""Command-line front end: catalog, reconstruct, detect, evaluate.
 
-Exit codes: 0 on success, 1 for configuration/input problems (including
-bad command lines), 2 for internal contract violations. The BEAMSWEEP_SEED
-environment variable overrides the master seed from any other source.
+Each command takes only the flags it reads: reconstruct, detect and evaluate
+take --config, evaluate also --seed and --snr-db, and reconstruct and
+evaluate --dictionary. Exit codes: 0 on success, 1 for configuration/input
+problems (including bad command lines), 2 for internal contract violations.
+The BEAMSWEEP_SEED environment variable overrides the master seed from any
+other source.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from .beams import DICTIONARY_KINDS, build_dictionary
 from .detection import extract_peaks
 from .errors import ConfigError, ContractViolation
 from .geometry import naf_resolution
-from .harness import EvalSettings, METHODS, run_comparison
+from .harness import EvalSettings, METHODS, _write_spectrum_csv, run_comparison
 from .omp import omp
 from .reconstruct import (
     AngularSweep,
@@ -134,7 +137,8 @@ def _build_settings(args) -> typing.Tuple[EvalSettings, int]:
     and the variable overwrite config keys before the one check they all pass.
     """
     cfg = _load_config(args.config)
-    flags = {"seed": args.seed, "snr_db": args.snr_db, "dictionary": args.dictionary}
+    # the flags of this command that shadow a config key
+    flags = {key: getattr(args, key, None) for key in ("seed", "snr_db", "dictionary")}
     cfg.update((key, value) for key, value in flags.items() if value is not None)
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
@@ -159,7 +163,7 @@ def _pick_scenarios(names) -> list:
     return [catalog[n] for n in names]
 
 
-def _read_two_column_csv(path, value_field: str):
+def _read_two_column_csv(path):
     try:
         with open(path) as fh:
             rows = list(csv.DictReader(fh))
@@ -169,22 +173,13 @@ def _read_two_column_csv(path, value_field: str):
         raise ConfigError(f"{path} holds no data rows")
     try:
         naf = np.array([float(r["naf"]) for r in rows])
-        val = np.array([float(r[value_field]) for r in rows])
+        val = np.array([float(r["value"]) for r in rows])
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"{path} must have 'naf' and '{value_field}' columns"
-        ) from exc
+        raise ConfigError(f"{path} must have 'naf' and 'value' columns") from exc
     bad = ~(np.isfinite(naf) & np.isfinite(val))
     if bad.any():
         raise ConfigError(f"{path} data row {int(np.argmax(bad)) + 1} is not finite")
     return naf, val
-
-
-def _write_spectrum_csv(path, grid, values) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("naf,value\n")
-        for g, v in zip(grid, values):
-            fh.write(f"{float(g)!r},{float(v)!r}\n")
 
 
 def cmd_catalog(args) -> int:
@@ -214,22 +209,11 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    settings, seed = _build_settings(args)
-    scenarios = _pick_scenarios([args.scenario] if args.scenario else [])
-    methods = args.methods.split(",") if args.methods else list(METHODS)
-    report = run_comparison(scenarios, methods, [seed], settings, out_dir=args.out)
-    print(f"wrote maps, sweeps and report for {len(scenarios)} scenario(s) to {args.out}")
-    for name in report.data["scenarios"]:
-        print(f"  {name}: ground truth {report.data['scenarios'][name]['mean_ground_truth']}")
-    return 0
-
-
 def cmd_reconstruct(args) -> int:
     if args.factor < 1:
         raise ConfigError("--factor must be a positive integer")
     settings, _ = _build_settings(args)
-    naf, values = _read_two_column_csv(args.sweep, "value")
+    naf, values = _read_two_column_csv(args.sweep)
     plan = SweepPlan(naf, "minimal", dwell_frames=settings.dwell_frames)
     try:
         order = _infer_order(plan.beam_grid)
@@ -261,7 +245,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_detect(args) -> int:
     settings, _ = _build_settings(args)
-    naf, values = _read_two_column_csv(args.spectrum, "value")
+    naf, values = _read_two_column_csv(args.spectrum)
     resolution = (
         args.resolution if args.resolution is not None else naf_resolution(settings.n_tx)
     )
@@ -302,33 +286,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_catalog)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
-    common.add_argument("--seed", type=int, help="master seed")
-    common.add_argument("--snr-db", type=float, dest="snr_db")
-    common.add_argument("--dictionary", choices=DICTIONARY_KINDS)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="JSON config file")
 
-    p = sub.add_parser("simulate", parents=[common], help="simulate sweeps and dump maps")
-    p.add_argument("--scenario", help="scenario name (default: all)")
-    p.add_argument("--methods", help="comma-separated subset of " + ",".join(METHODS))
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("reconstruct", parents=[common], help="densify a sweep CSV")
+    p = sub.add_parser("reconstruct", parents=[config], help="densify a sweep CSV")
     p.add_argument("--sweep", required=True, help="CSV with naf,value columns")
     p.add_argument("--method", required=True, choices=("dft", "spline", "omp"))
     p.add_argument("--factor", type=int, default=10, help="grid refinement factor")
+    p.add_argument("--dictionary", choices=DICTIONARY_KINDS)
     p.add_argument("--out", required=True, help="output spectrum CSV")
     p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser("detect", parents=[common], help="extract peaks from a spectrum CSV")
+    p = sub.add_parser("detect", parents=[config], help="extract peaks from a spectrum CSV")
     p.add_argument("--spectrum", required=True, help="CSV with naf,value columns")
     p.add_argument("--resolution", type=float, help="exclusion half-width (NAF)")
     p.add_argument("--max-peaks", type=int, default=2, dest="max_peaks")
     p.add_argument("--out", required=True, help="output peaks CSV")
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("evaluate", parents=[common], help="score methods over the catalog")
+    p = sub.add_parser("evaluate", parents=[config], help="score methods over the catalog")
+    p.add_argument("--seed", type=int, help="master seed")
+    p.add_argument("--snr-db", type=float, dest="snr_db")
+    p.add_argument("--dictionary", choices=DICTIONARY_KINDS)
     p.add_argument("--seeds", type=int, default=20, help="number of Monte-Carlo seeds")
     p.add_argument("--scenarios", help="comma-separated scenario names")
     p.add_argument("--methods", help="comma-separated subset of " + ",".join(METHODS))

@@ -14,6 +14,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -324,13 +325,14 @@ class EvalSettings:
         return BeamformingWeights.all_ones(self.geometry())
 
 
-@dataclass
+@dataclass(frozen=True)
 class _SeedOutcome:
+    seed: int
     ground_truth: Tuple[float, float]
     gt_counts: Tuple[int, int]
     peaks: Dict[str, List[PeakEstimate]]
     maps: Dict[str, RangeAngleMap]
-    sweep_values: np.ndarray  # minimal-sweep beam magnitudes
+    sweep_values: Optional[np.ndarray]  # minimal-sweep beam magnitudes
 
 
 @dataclass(frozen=True)
@@ -438,7 +440,7 @@ def _run_seed(
             detected=eligible, ranges_m=ranges,
         )
         maps[method] = RangeAngleMap(power_map.T, acq.range_centers_m, over_grid)
-    return _SeedOutcome(ground_truth, gt_counts, peaks_by_method, maps, values9)
+    return _SeedOutcome(master_seed, ground_truth, gt_counts, peaks_by_method, maps, values9)
 
 
 @dataclass(frozen=True)
@@ -474,11 +476,8 @@ class RmseReport:
         return self.data["groups"]["total"][method]["pooled_rmse"]
 
 
-def _pool_scores(per_run: List[Tuple[List[float], Tuple[float, float]]]) -> ScoreSummary:
-    return score_rmse([e for e, _ in per_run], [g for _, g in per_run])
-
-
-def _summary_dict(s: ScoreSummary) -> dict:
+def _summary(runs: Sequence[_SeedOutcome], method: str) -> dict:
+    s = score_rmse([[p.naf for p in r.peaks[method]] for r in runs], [r.ground_truth for r in runs])
     return {
         "rmse_per_target": list(s.rmse_per_target),
         "pooled_rmse": s.pooled_rmse,
@@ -489,97 +488,47 @@ def _summary_dict(s: ScoreSummary) -> dict:
     }
 
 
-def run_comparison(
-    scenarios: Sequence[Scenario],
-    methods: Sequence[str],
+def _run_scenario(
+    campaign: _Campaign,
+    scenario: Scenario,
+    stream_index: int,
     seeds: Sequence[int],
-    settings: EvalSettings = EvalSettings(),
-    out_dir=None,
+    methods: Sequence[str],
+) -> List[_SeedOutcome]:
+    """Every seed of one scenario, in seed order. Only the first seed keeps
+    its range-angle maps and sweep values: the output files show no other."""
+    settings = campaign.settings
+    simulated = (
+        scenario if settings.snr_db is None
+        else dataclasses.replace(scenario, snr_db=settings.snr_db)
+    )
+    scene = build_scene(simulated, settings.radio, campaign.geom, settings.include_rear_wall)
+    signal = _signal_window(
+        scene, campaign.geom, campaign.weights, settings.radio, campaign.over_plan
+    )
+    runs: List[_SeedOutcome] = []
+    for seed in seeds:
+        run = _run_seed(campaign, scenario, scene, signal, stream_index, methods, seed)
+        runs.append(dataclasses.replace(run, maps={}, sweep_values=None) if runs else run)
+    return runs
+
+
+_Outcomes = List[Tuple[Scenario, List[_SeedOutcome]]]
+
+
+def _build_report(
+    campaign: _Campaign, outcomes: _Outcomes, methods: List[str], seeds: List[int]
 ) -> RmseReport:
-    """Score every method on every scenario over the given seeds.
-
-    Returns the report; when out_dir is given, also writes report.json,
-    report.csv, per-scenario peak CSVs and first-seed map dumps there.
-    """
-    from pathlib import Path
-
-    from .ofdm import dump_csv, dump_ramp
-
-    scenarios = list(scenarios)
-    methods = list(methods)
-    seeds = [int(s) for s in seeds]
-    if not scenarios or not methods or not seeds:
-        raise ConfigError("scenarios, methods and seeds must all be non-empty")
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}")
-    if any(s < 0 for s in seeds):
-        raise ConfigError("master seeds must be non-negative")
-    campaign = _build_campaign(settings)
-
-    catalog_index = {s.name: i for i, s in enumerate(scenario_catalog())}
-    results: Dict[str, Dict[str, List[Tuple[List[float], Tuple[float, float]]]]] = {
-        m: {} for m in methods
-    }
-    gt_info: Dict[str, dict] = {}
-    peak_rows: List[str] = []
-    first_maps: Dict[Tuple[str, str], RangeAngleMap] = {}
-    first_sweeps: Dict[str, np.ndarray] = {}
-    for scenario in scenarios:
-        idx = catalog_index.get(scenario.name, len(catalog_index))
-        simulated = (
-            scenario if settings.snr_db is None
-            else dataclasses.replace(scenario, snr_db=settings.snr_db)
-        )
-        scene = build_scene(simulated, settings.radio, campaign.geom, settings.include_rear_wall)
-        signal = _signal_window(
-            scene, campaign.geom, campaign.weights, settings.radio, campaign.over_plan
-        )
-        truths = []
-        counts = []
-        for seed in seeds:
-            outcome = _run_seed(campaign, scenario, scene, signal, idx, methods, seed)
-            truths.append(outcome.ground_truth)
-            counts.append(outcome.gt_counts)
-            for m in methods:
-                results[m].setdefault(scenario.name, []).append(
-                    ([p.naf for p in outcome.peaks[m]], outcome.ground_truth)
-                )
-                for p in outcome.peaks[m]:
-                    peak_rows.append(
-                        f"{scenario.name},{m},{seed},{p.naf!r},{p.range_m!r},{p.power!r}"
-                    )
-            if seed == seeds[0]:
-                first_sweeps[scenario.name] = outcome.sweep_values
-                for m, map_ in outcome.maps.items():
-                    first_maps[(scenario.name, m)] = map_
-        gt_info[scenario.name] = {
-            "kind": scenario.kind,
-            "separation_naf": scenario.separation_naf,
-            "nominal_nafs": list(scenario.target_nafs),
-            "mean_ground_truth": [float(np.mean([t[i] for t in truths])) for i in (0, 1)],
-            "mean_assigned_frames": [float(np.mean([c[i] for c in counts])) for i in (0, 1)],
-        }
-
-    per_scenario = {
-        m: {name: _pool_scores(runs) for name, runs in results[m].items()}
-        for m in methods
-    }
-    groups: Dict[str, dict] = {"reflectors": {}, "walls": {}, "total": {}}
-    for m in methods:
-        for group, kinds in (
-            ("reflectors", ("octahedral",)),
-            ("walls", ("wall",)),
-            ("total", ("octahedral", "wall")),
-        ):
-            pool = [
-                run
-                for s in scenarios
-                if s.kind in kinds
-                for run in results[m][s.name]
-            ]
-            groups[group][m] = _summary_dict(_pool_scores(pool)) if pool else None
-
+    """Pool the per-seed outcomes, in scenario order, into the report."""
+    settings = campaign.settings
+    groups = {}
+    for group, kinds in (
+        ("reflectors", ("octahedral",)),
+        ("walls", ("wall",)),
+        ("total", ("octahedral", "wall")),
+    ):
+        pool = [run for scenario, runs in outcomes if scenario.kind in kinds for run in runs]
+        groups[group] = {m: _summary(pool, m) if pool else None for m in methods}
     snr_ref = settings.snr_db
     report = {
         "metadata": {
@@ -596,9 +545,22 @@ def run_comparison(
             "naf_resolution": campaign.resolution,
             "cross_track_m_per_001_naf_at_18m": naf_error_to_cross_track_m(0.01, 18.0),
         },
-        "scenarios": gt_info,
+        "scenarios": {
+            scenario.name: {
+                "kind": scenario.kind,
+                "separation_naf": scenario.separation_naf,
+                "nominal_nafs": list(scenario.target_nafs),
+                "mean_ground_truth": [
+                    float(np.mean([r.ground_truth[i] for r in runs])) for i in (0, 1)
+                ],
+                "mean_assigned_frames": [
+                    float(np.mean([r.gt_counts[i] for r in runs])) for i in (0, 1)
+                ],
+            }
+            for scenario, runs in outcomes
+        },
         "per_scenario": {
-            m: {name: _summary_dict(s) for name, s in per_scenario[m].items()}
+            m: {scenario.name: _summary(runs, m) for scenario, runs in outcomes}
             for m in methods
         },
         "groups": groups,
@@ -608,23 +570,78 @@ def run_comparison(
         key=lambda m: groups["total"][m]["pooled_rmse"],
     )
     report["ordering"] = {"total_pooled_rmse_ascending": ranking}
-    result = RmseReport(report)
+    return RmseReport(report)
 
+
+def _write_spectrum_csv(path, grid, values) -> None:
+    """A naf,value CSV, the format that reconstruct and detect read."""
+    with open(path, "w", newline="") as fh:
+        fh.write("naf,value\n")
+        for g, v in zip(grid, values):
+            fh.write(f"{float(g)!r},{float(v)!r}\n")
+
+
+def _write_outputs(
+    out: Path, report: RmseReport, outcomes: _Outcomes, minimal_grid: np.ndarray
+) -> None:
+    """report.json, report.csv, peaks.csv and each scenario's first-seed
+    maps and minimal sweep."""
+    from .ofdm import dump_csv, dump_ramp
+
+    out.mkdir(parents=True, exist_ok=True)
+    report.write_json(out / "report.json")
+    report.write_csv(out / "report.csv")
+    with open(out / "peaks.csv", "w") as fh:
+        fh.write("scenario,method,seed,naf,range_m,power\n")
+        for scenario, runs in outcomes:
+            for run in runs:
+                for m, peaks in run.peaks.items():
+                    for p in peaks:
+                        fh.write(
+                            f"{scenario.name},{m},{run.seed},{p.naf!r},{p.range_m!r},{p.power!r}\n"
+                        )
+    for scenario, runs in outcomes:
+        first = runs[0]
+        for m, map_ in first.maps.items():
+            dump_ramp(map_, out / f"{scenario.name}_{m}.ramp")
+            dump_csv(map_, out / f"{scenario.name}_{m}.csv")
+        _write_spectrum_csv(out / f"{scenario.name}_sweep.csv", minimal_grid, first.sweep_values)
+
+
+def run_comparison(
+    scenarios: Sequence[Scenario],
+    methods: Sequence[str],
+    seeds: Sequence[int],
+    settings: EvalSettings = EvalSettings(),
+    out_dir=None,
+) -> RmseReport:
+    """Score every method on every scenario over the given seeds.
+
+    Returns the report; when out_dir is given, also writes report.json,
+    report.csv, per-scenario peak CSVs and first-seed map dumps there.
+    Catalog scenarios draw from their catalog index's noise stream; the
+    j-th other scenario draws from stream len(catalog) + j.
+    """
+    scenarios = list(scenarios)
+    methods = list(methods)
+    seeds = [int(s) for s in seeds]
+    if not scenarios or not methods or not seeds:
+        raise ConfigError("scenarios, methods and seeds must all be non-empty")
+    for m in methods:
+        if m not in METHODS:
+            raise ConfigError(f"unknown method {m!r}")
+    if any(s < 0 for s in seeds):
+        raise ConfigError("master seeds must be non-negative")
+    names = [s.name for s in scenarios]
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ConfigError(f"scenario names must be unique; repeated: {repeated}")
+    campaign = _build_campaign(settings)
+    stream = {s.name: i for i, s in enumerate(scenario_catalog())}
+    for name in names:
+        stream.setdefault(name, len(stream))
+    outcomes = [(s, _run_scenario(campaign, s, stream[s.name], seeds, methods)) for s in scenarios]
+    report = _build_report(campaign, outcomes, methods, seeds)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        result.write_json(out / "report.json")
-        result.write_csv(out / "report.csv")
-        with open(out / "peaks.csv", "w") as fh:
-            fh.write("scenario,method,seed,naf,range_m,power\n")
-            for row in peak_rows:
-                fh.write(row + "\n")
-        for (name, m), map_ in first_maps.items():
-            dump_ramp(map_, out / f"{name}_{m}.ramp")
-            dump_csv(map_, out / f"{name}_{m}.csv")
-        for name, values in first_sweeps.items():
-            with open(out / f"{name}_sweep.csv", "w") as fh:
-                fh.write("naf,value\n")
-                for g, v in zip(campaign.minimal_plan.beam_grid, values):
-                    fh.write(f"{float(g)!r},{float(v)!r}\n")
-    return result
+        _write_outputs(Path(out_dir), report, outcomes, campaign.minimal_plan.beam_grid)
+    return report

@@ -257,15 +257,17 @@ def test_reconstruct_rejects_non_positive_factor(tmp_path, capsys):
     assert not dst.exists()
 
 
-def test_simulate_writes_outputs(tmp_path, capsys):
-    out = tmp_path / "sim"
+def test_evaluate_writes_outputs(tmp_path, capsys):
+    out = tmp_path / "eval"
     rc = cli.main(
         [
-            "simulate",
-            "--scenario",
+            "evaluate",
+            "--scenarios",
             "octahedral_far",
             "--methods",
             "dft",
+            "--seeds",
+            "1",
             "--out",
             str(out),
         ]
@@ -277,7 +279,25 @@ def test_simulate_writes_outputs(tmp_path, capsys):
     assert (out / "octahedral_far_dft.ramp").exists()
     assert (out / "octahedral_far_sweep.csv").exists()
     stdout = capsys.readouterr().out
-    assert "octahedral_far" in stdout and "ground truth" in stdout
+    assert stdout.startswith(f"report written to {out}/report.json\n")
+    assert "  dft " in stdout
+
+
+def test_simulate_command_is_gone(tmp_path, capsys):
+    assert cli.main(["simulate", "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert "invalid choice: 'simulate'" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
+
+
+def test_repeated_scenario_exits_one(tmp_path, capsys):
+    rc = cli.main(["evaluate", "--scenarios", "octahedral_far,octahedral_far", "--seeds", "1",
+                   "--methods", "dft", "--out", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: scenario names must be unique; repeated: ['octahedral_far']\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_evaluate_single_seed(tmp_path, capsys):
@@ -627,10 +647,17 @@ def test_good_call_after_a_bad_command_line(tmp_path, capsys):
     expected = out.read_bytes()
     out.unlink()
     capsys.readouterr()
+    # detect reads neither a seed, an SNR nor a dictionary, so it takes no flag for them
     for bad in (good + ["--max-peaks", "two"], ["detect", "--spectrum", str(src)],
-                good + ["--method", "dft"], ["reconstruct", "--method", "svd"]):
+                good + ["--method", "dft"], ["reconstruct", "--method", "svd"],
+                good + ["--seed", "3"], good + ["--snr-db", "20"], good + ["--dictionary", "flat"],
+                ["reconstruct", "--sweep", str(src), "--method", "dft", "--out", str(out),
+                 "--snr-db", "20"],
+                ["reconstruct", "--sweep", str(src), "--method", "dft", "--out", str(out),
+                 "--seed", "3"]):
         assert cli.main(bad) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
     assert cli.main(good) == 0
     assert out.read_bytes() == expected

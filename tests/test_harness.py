@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -438,3 +439,22 @@ def test_run_comparison_validation():
         run_comparison([scenario], ["dft"], [])
     with pytest.raises(ConfigError):
         run_comparison([scenario], ["music"], [1])
+
+
+def test_repeated_scenario_names_rejected():
+    far = scenario_catalog()[0]
+    renamed = dataclasses.replace(scenario_catalog()[1], name=far.name)
+    for scenarios in ([far, far], [far, renamed]):
+        with pytest.raises(ConfigError, match=r"repeated: \['octahedral_far'\]"):
+            run_comparison(scenarios, ["dft"], [1])
+
+
+def test_uncatalogued_scenarios_draw_their_own_streams():
+    far = scenario_catalog()[0]
+    first, second = (dataclasses.replace(far, name=n) for n in ("copy_a", "copy_b"))
+    both = run_comparison([far, first, second], ["dft"], [3]).data["scenarios"]
+    alone = run_comparison([second], ["dft"], [3]).data["scenarios"]
+    truth = {name: both[name]["mean_ground_truth"] for name in both}
+    # the first uncatalogued scenario keeps stream len(catalog), as when it runs alone
+    assert truth["copy_a"] == alone["copy_b"]["mean_ground_truth"]
+    assert len({tuple(t) for t in truth.values()}) == 3
