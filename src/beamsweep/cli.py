@@ -43,6 +43,11 @@ SEED_ENV_VAR = "BEAMSWEEP_SEED"
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # route usage problems to exit code 1 instead of argparse's 2
+        if message.endswith("expected one argument"):
+            # before Python 3.13 argparse takes a negative number in exponent
+            # form, such as "--snr-db -1e308", for an option, not a value
+            flag = message.split(":")[0].split()[-1]
+            message += f" (give a value starting with '-' as {flag}=VALUE)"
         raise ConfigError(message)
 
 
@@ -214,7 +219,7 @@ def cmd_reconstruct(args) -> int:
         raise ConfigError("--factor must be a positive integer")
     settings, _ = _build_settings(args)
     naf, values = _read_two_column_csv(args.sweep)
-    plan = SweepPlan(naf, "minimal", dwell_frames=settings.dwell_frames)
+    plan = SweepPlan(naf, "minimal")
     try:
         order = _infer_order(plan.beam_grid)
     except ContractViolation as exc:

@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import ConfigError
 
@@ -107,8 +108,7 @@ def _parabolic_offset(y_left: float, y_mid: float, y_right: float) -> float:
     denom = y_left - 2.0 * y_mid + y_right
     if denom == 0.0:
         return 0.0
-    offset = 0.5 * (y_left - y_right) / denom
-    return float(np.clip(offset, -0.5, 0.5))
+    return min(max(0.5 * (y_left - y_right) / denom, -0.5), 0.5)
 
 
 def extract_peaks(
@@ -116,9 +116,9 @@ def extract_peaks(
     naf_axis,
     resolution: float,
     max_peaks: int = 2,
-    detected: Optional[Sequence[bool]] = None,
-    ranges_m: Optional[Sequence[float]] = None,
-) -> list[PeakEstimate]:
+    detected: Optional[ArrayLike] = None,
+    ranges_m: Optional[ArrayLike] = None,
+) -> list:
     """Iteratively pick angular peaks, excluding +/- resolution around each.
 
     Only bins flagged in `detected` (all, when omitted) are eligible. Each
@@ -128,42 +128,60 @@ def extract_peaks(
     it. Peaks come back in detection order, which is descending power.
 
     The spectrum is read as magnitude; reported peak power is its square.
+
+    spectrum is (..., n_bins) over the (n_bins,) naf_axis; `detected` and
+    `ranges_m`, when given, have the spectrum's shape. Leading axes index
+    independent spectra (frames, methods): a 1-D spectrum gives one list of
+    PeakEstimate, and an N-D one a list of such lists, one per row of
+    spectrum.reshape(-1, n_bins). Every row's peaks equal, bit for bit,
+    those of a 1-D call on that row: each round is one masked argmax over
+    all rows, followed by the same scalar refinement and exclusion per row.
     """
     spectrum = np.asarray(spectrum, dtype=float)
     naf_axis = np.asarray(naf_axis, dtype=float)
-    if spectrum.size == 0 or spectrum.shape != naf_axis.shape:
+    if spectrum.size == 0 or naf_axis.ndim != 1 or spectrum.shape[-1:] != naf_axis.shape:
         raise ConfigError("spectrum and NAF axis must be equal-length and non-empty")
     if not resolution > 0:
         raise ConfigError("resolution must be positive")
     if max_peaks < 1:
         raise ConfigError("max_peaks must be at least 1")
     eligible = (
-        np.ones(spectrum.size, dtype=bool)
+        np.ones(spectrum.shape, dtype=bool)
         if detected is None
         else np.array(detected, dtype=bool)
     )
     if eligible.shape != spectrum.shape:
         raise ConfigError("detection mask must match the spectrum length")
     ranges = None if ranges_m is None else np.asarray(ranges_m, dtype=float)
+    if ranges is not None and ranges.shape != spectrum.shape:
+        raise ConfigError("ranges must match the spectrum length")
 
-    peaks: list[PeakEstimate] = []
+    n = naf_axis.size
+    rows = spectrum.reshape(-1, n)
+    eligible = eligible.reshape(rows.shape)
+    if ranges is not None:
+        ranges = ranges.reshape(rows.shape)
+    peaks: list = [[] for _ in range(len(rows))]
     for _ in range(max_peaks):
-        if not np.any(eligible):
+        masked = np.where(eligible, rows, -np.inf)
+        # a row that picks nothing keeps nan, which closes its whole mask
+        nafs = np.full(len(rows), np.nan)
+        for r, i in enumerate(masked.argmax(axis=-1).tolist()):
+            value = masked[r, i]
+            if not value > 0:  # no eligible bin left, or none positive
+                continue
+            naf = float(naf_axis[i])
+            if 0 < i < n - 1:
+                step = 0.5 * (naf_axis[i + 1] - naf_axis[i - 1])
+                naf += float(_parabolic_offset(rows[r, i - 1], value, rows[r, i + 1]) * step)
+            range_m = float(ranges[r, i]) if ranges is not None else math.nan
+            peaks[r].append(PeakEstimate(naf, range_m, float(value) ** 2))
+            nafs[r] = naf
+            # the interval is centred on the refined NAF, so a resolution
+            # below the parabolic shift would leave the picked bin itself
+            # eligible
+            eligible[r, i] = False
+        if np.isnan(nafs).all():
             break
-        masked = np.where(eligible, spectrum, -np.inf)
-        i = int(np.argmax(masked))
-        value = spectrum[i]
-        if not value > 0:
-            break
-        naf = float(naf_axis[i])
-        if 0 < i < spectrum.size - 1:
-            step = 0.5 * (naf_axis[i + 1] - naf_axis[i - 1])
-            naf += _parabolic_offset(spectrum[i - 1], value, spectrum[i + 1]) * step
-        range_m = float(ranges[i]) if ranges is not None else math.nan
-        # refinement promotes naf to a numpy scalar, whose repr is unprintable
-        peaks.append(PeakEstimate(float(naf), range_m, float(value) ** 2))
-        eligible &= np.abs(naf_axis - naf) > resolution
-        # the interval is centred on the refined NAF, so a resolution below
-        # the parabolic shift would leave the picked bin itself eligible
-        eligible[i] = False
-    return peaks
+        eligible &= np.abs(naf_axis - nafs[:, None]) > resolution
+    return peaks if spectrum.ndim > 1 else peaks[0]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .beams import DICTIONARY_KINDS, BeamformingWeights, Dictionary, build_dictionary
 from .detection import CfarConfig, PeakEstimate, ca_cfar, extract_peaks
-from .errors import ConfigError
+from .errors import ConfigError, ContractViolation
 from .geometry import ArrayGeometry, naf_resolution
 from .ofdm import (
     RadioConfig,
@@ -132,21 +132,37 @@ def _draw_acquisition(
     radio: RadioConfig,
     n_frames: int,
     seed_prefix: Sequence[int],
+    scratch: Optional[np.ndarray] = None,
 ) -> Acquisition:
-    """The seeded step of simulate_acquisition, from its signal window on."""
+    """The seeded step of simulate_acquisition, from its signal window on.
+
+    scratch, when given, is a complex (2, n_beams, n_frames, n_window)
+    workspace for the noise and its window bins, overwritten by every call.
+    A caller that draws many acquisitions passes one, so each draw reuses
+    its pages instead of faulting in megabytes of fresh memory.
+    """
     if n_frames < 1:
         raise ConfigError("n_frames must be at least 1")
     basis = _window_basis(radio)
     n_beams, n_window = signal.shape
+    shape = (2, n_beams, n_frames, n_window)
+    if scratch is None:
+        scratch = np.empty(shape, dtype=complex)
+    elif scratch.shape != shape or scratch.dtype != complex:
+        raise ContractViolation(f"draw scratch must be complex with shape {shape}")
+    noise, bins = scratch
     rng = np.random.default_rng(tuple(int(s) for s in seed_prefix))
-    noise = rng.standard_normal((n_beams, n_frames, 2 * n_window)).view(complex)
+    # the stream of a fresh (n_beams, n_frames, 2 * n_window) normal draw
+    rng.standard_normal(out=noise.view(float))
     noise *= np.sqrt(radio.n_symbols * noise_power / 2)
     # R^H R = W^H W: white noise times R has the covariance of white noise
     # seen through W. The product stays per beam: as one 2-D product it is
     # bitwise equal for n_frames > 1 only, because numpy sends 1-row
     # products through gemv.
-    bins = noise @ basis.r_factor + signal[:, None, :]
-    profiles = np.abs(bins) ** 2
+    np.matmul(noise, basis.r_factor, out=bins)
+    bins += signal[:, None, :]
+    profiles = np.abs(bins)
+    profiles **= 2
     magnitudes = np.sqrt(profiles[..., basis.keep].max(axis=-1))
     return Acquisition(magnitudes, profiles, basis.centers, basis.keep)
 
@@ -210,16 +226,14 @@ def estimate_ground_truth(
     target that never received an estimate falls back to its nominal NAF;
     the returned counts let reports surface that.
     """
-    buckets: Tuple[List[float], List[float]] = ([], [])
-    for peaks in frame_peak_nafs:
-        for naf in peaks:
-            t = int(np.argmin([abs(naf - g) for g in nominal_nafs]))
-            buckets[t].append(naf)
+    nafs = np.array([naf for peaks in frame_peak_nafs for naf in peaks], dtype=float)
+    nearest = np.argmin(np.abs(nafs[:, None] - np.asarray(nominal_nafs, dtype=float)), axis=1)
+    buckets = [nafs[nearest == t] for t in range(len(nominal_nafs))]
     truth = tuple(
-        float(np.median(b)) if b else float(nominal_nafs[t])
+        float(np.median(b)) if b.size else float(nominal_nafs[t])
         for t, b in enumerate(buckets)
     )
-    return truth, (len(buckets[0]), len(buckets[1]))
+    return truth, (buckets[0].size, buckets[1].size)
 
 
 def naf_error_to_cross_track_m(naf_error: float, range_m: float) -> float:
@@ -384,13 +398,14 @@ def _run_seed(
     scenario_index: int,
     methods: Sequence[str],
     master_seed: int,
+    scratch: np.ndarray,
 ) -> _SeedOutcome:
     settings = campaign.settings
     minimal_plan = campaign.minimal_plan
     resolution = campaign.resolution
     acq = _draw_acquisition(
         signal, scene.noise_power, settings.radio,
-        settings.ground_truth_frames, (master_seed, scenario_index),
+        settings.ground_truth_frames, (master_seed, scenario_index), scratch,
     )
     over_grid = campaign.over_plan.beam_grid
 
@@ -398,48 +413,56 @@ def _run_seed(
     frame_eligible, frame_ranges = _eligibility(
         acq.profiles.swapaxes(0, 1), acq.gate_keep, acq.range_centers_m, settings.cfar
     )
-    frame_peaks = []
-    for f in range(acq.n_frames):
-        peaks = extract_peaks(
-            acq.magnitudes[:, f], over_grid, resolution, settings.max_peaks,
-            detected=frame_eligible[f], ranges_m=frame_ranges[f],
-        )
-        frame_peaks.append([p.naf for p in peaks])
-    ground_truth, gt_counts = estimate_ground_truth(frame_peaks, scenario.target_nafs)
+    frame_peaks = extract_peaks(
+        acq.magnitudes.T, over_grid, resolution, settings.max_peaks,
+        detected=frame_eligible, ranges_m=frame_ranges,
+    )
+    ground_truth, gt_counts = estimate_ground_truth(
+        [[p.naf for p in peaks] for peaks in frame_peaks], scenario.target_nafs
+    )
 
     dwell = settings.dwell_frames
     avg_profiles = acq.mean_profiles(dwell)
     beam_values = acq.beam_values(dwell)
     values9 = beam_values[campaign.min_idx]
     profiles9 = avg_profiles[campaign.min_idx]
-    sweep9 = AngularSweep(minimal_plan, values9)
+    # the beam values and the windowed profiles as magnitudes per range bin,
+    # one sweep column each: an interpolator treats every column on its own
+    sweep9 = AngularSweep(minimal_plan, np.column_stack((values9, np.sqrt(profiles9))))
+
+    # each mapped method's spectrum and power map over the oversampled grid
+    mapped: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+    for method in methods:  # run_comparison has checked every name
+        if method == "oversampled":
+            mapped[method] = beam_values, avg_profiles
+        elif method != "omp":
+            interpolate = dft_interpolate if method == "dft" else spline_interpolate
+            dense = interpolate(sweep9, over_grid)
+            mapped[method] = dense[:, 0], np.maximum(dense[:, 1:], 0.0) ** 2
 
     peaks_by_method: Dict[str, List[PeakEstimate]] = {}
-    maps: Dict[str, RangeAngleMap] = {}
-    for method in methods:  # run_comparison has checked every name
-        if method == "omp":
-            estimate = omp(campaign.dictionary, values9, settings.omp)
-            strongest = int(np.argmax(values9))
-            gated = profiles9[strongest][acq.gate_keep]
-            range_m = float(acq.range_centers_m[acq.gate_keep][np.argmax(gated)])
-            peaks_by_method[method] = sparse_to_peaks(estimate, over_grid, range_m)
-            continue
-        if method == "oversampled":
-            spectrum, power_map = beam_values, avg_profiles
-        else:
-            interpolate = dft_interpolate if method == "dft" else spline_interpolate
-            spectrum = interpolate(sweep9, over_grid)
-            # the windowed profiles, interpolated as magnitudes per range bin
-            profile_sweep = AngularSweep(minimal_plan, np.sqrt(profiles9))
-            power_map = np.maximum(interpolate(profile_sweep, over_grid), 0.0) ** 2
+    if mapped:
+        spectra, power_maps = (np.stack(arrays) for arrays in zip(*mapped.values()))
         eligible, ranges = _eligibility(
-            power_map, acq.gate_keep, acq.range_centers_m, settings.cfar
+            power_maps, acq.gate_keep, acq.range_centers_m, settings.cfar
         )
-        peaks_by_method[method] = extract_peaks(
-            spectrum, over_grid, resolution, settings.max_peaks,
+        found = extract_peaks(
+            spectra, over_grid, resolution, settings.max_peaks,
             detected=eligible, ranges_m=ranges,
         )
-        maps[method] = RangeAngleMap(power_map.T, acq.range_centers_m, over_grid)
+        peaks_by_method = dict(zip(mapped, found))
+    if "omp" in methods:
+        estimate = omp(campaign.dictionary, values9, settings.omp)
+        strongest = int(np.argmax(values9))
+        gated = profiles9[strongest][acq.gate_keep]
+        range_m = float(acq.range_centers_m[acq.gate_keep][np.argmax(gated)])
+        peaks_by_method["omp"] = sparse_to_peaks(estimate, over_grid, range_m)
+    # in the caller's method order, which peaks.csv follows
+    peaks_by_method = {m: peaks_by_method[m] for m in methods}
+    maps = {
+        m: RangeAngleMap(power_map.T, acq.range_centers_m, over_grid)
+        for m, (_, power_map) in mapped.items()
+    }
     return _SeedOutcome(master_seed, ground_truth, gt_counts, peaks_by_method, maps, values9)
 
 
@@ -506,9 +529,12 @@ def _run_scenario(
     signal = _signal_window(
         scene, campaign.geom, campaign.weights, settings.radio, campaign.over_plan
     )
+    # one draw workspace for every seed (see _draw_acquisition)
+    n_beams, n_window = signal.shape
+    scratch = np.empty((2, n_beams, settings.ground_truth_frames, n_window), dtype=complex)
     runs: List[_SeedOutcome] = []
     for seed in seeds:
-        run = _run_seed(campaign, scenario, scene, signal, stream_index, methods, seed)
+        run = _run_seed(campaign, scenario, scene, signal, stream_index, methods, seed, scratch)
         runs.append(dataclasses.replace(run, maps={}, sweep_values=None) if runs else run)
     return runs
 

@@ -502,6 +502,25 @@ def test_out_of_range_snr_exits_one(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_negative_snr_spellings(tmp_path, capsys):
+    base = ["evaluate", "--seeds", "1", "--scenarios", "octahedral_far",
+            "--methods", "dft", "--out"]
+    out_of_range = "snr_db -1e+308 is out of range"
+    # argparse before Python 3.13 takes "-1e308" after a space for an option;
+    # the one line then names the joined spelling, which parses everywhere
+    assert cli.main(base + [str(tmp_path / "x"), "--snr-db", "-1e308"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "--snr-db=VALUE" in err or out_of_range in err
+    assert cli.main(base + [str(tmp_path / "x"), "--snr-db=-1e308"]) == 1
+    err = capsys.readouterr().err
+    assert out_of_range in err and err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
+    assert cli.main(base + [str(tmp_path / "y"), "--snr-db", "-3"]) == 0
+    report = json.loads((tmp_path / "y" / "report.json").read_text())
+    assert report["metadata"]["reference_snr_db"] == -3.0
+
+
 def test_snr_flag_equals_config_and_overrides_it(tmp_path):
     base = ["evaluate", "--seeds", "1", "--scenarios", "octahedral_far",
             "--methods", "dft", "--out"]

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from beamsweep import (
     CfarConfig,
@@ -247,3 +251,93 @@ def test_extract_peaks_validation():
         extract_peaks(spectrum, axis, 0.01, max_peaks=0)
     with pytest.raises(ConfigError):
         extract_peaks(spectrum, axis, 0.01, detected=[True] * 8)
+    with pytest.raises(ConfigError):
+        extract_peaks(spectrum, axis, 0.01, ranges_m=[1.0] * 8)
+    with pytest.raises(ConfigError):
+        extract_peaks(np.ones((2, 9)), np.ones((2, 9)), 0.01)
+    with pytest.raises(ConfigError):
+        extract_peaks(np.ones((2, 9)), axis, 0.01, detected=[True] * 9)
+
+
+def _loop_peaks(spectrum, axis, resolution, max_peaks, detected, ranges):
+    """The one-spectrum loop that the batched extract_peaks replaced, kept as
+    the reference: same argmax, refinement and exclusion, in numpy scalars."""
+    eligible = np.ones(spectrum.size, dtype=bool) if detected is None else detected.copy()
+    peaks = []
+    for _ in range(max_peaks):
+        if not np.any(eligible):
+            break
+        i = int(np.argmax(np.where(eligible, spectrum, -np.inf)))
+        value = spectrum[i]
+        if not value > 0:
+            break
+        naf = float(axis[i])
+        if 0 < i < spectrum.size - 1:
+            y_left, y_right = spectrum[i - 1], spectrum[i + 1]
+            denom = y_left - 2.0 * value + y_right
+            offset = 0.0 if denom == 0.0 else np.clip(0.5 * (y_left - y_right) / denom, -0.5, 0.5)
+            naf += offset * (0.5 * (axis[i + 1] - axis[i - 1]))
+        range_m = math.nan if ranges is None else float(ranges[i])
+        peaks.append(PeakEstimate(float(naf), range_m, float(value) ** 2))
+        eligible &= np.abs(axis - naf) > resolution
+        eligible[i] = False
+    return peaks
+
+
+def _bits(peaks):
+    return np.array([(p.naf, p.range_m, p.power) for p in peaks], dtype=float).tobytes()
+
+
+def _outcome(find, *args):
+    """The raw bytes of one call's peaks, or the ConfigError it raised."""
+    try:
+        return _bits(find(*args))
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+@st.composite
+def _peak_batches(draw):
+    n_rows, n_bins = draw(st.integers(1, 6)), draw(st.integers(1, 24))
+    # a few repeated levels make flat tops (a zero parabola denominator) and
+    # ties common; small bin counts make edge picks common
+    levels = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(-1.0, 4.0)
+    spectrum = draw(arrays(float, (n_rows, n_bins), elements=levels))
+    spectrum[draw(arrays(bool, n_rows))] = 0.0
+    detected = draw(st.none() | arrays(bool, (n_rows, n_bins)))
+    if detected is not None:
+        detected[draw(arrays(bool, n_rows))] = False
+    ranges = draw(st.none() | arrays(float, (n_rows, n_bins), elements=st.floats(0.0, 30.0)))
+    # 1e-9 is below any parabolic shift on these grids
+    resolution = draw(st.sampled_from([1e-9, 0.01, 0.1, 0.6]))
+    return spectrum, detected, ranges, resolution, draw(st.integers(1, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_peak_batches())
+def test_batched_peaks_equal_row_by_row_calls(batch):
+    spectrum, detected, ranges, resolution, max_peaks = batch
+    axis = np.linspace(-0.5, 0.5, spectrum.shape[1])
+
+    def row(r):
+        return (
+            spectrum[r], axis, resolution, max_peaks,
+            None if detected is None else detected[r], None if ranges is None else ranges[r],
+        )
+
+    want = [_outcome(_loop_peaks, *row(r)) for r in range(len(spectrum))]
+    assert [_outcome(extract_peaks, *row(r)) for r in range(len(spectrum))] == want
+    try:
+        batched = extract_peaks(spectrum, axis, resolution, max_peaks, detected, ranges)
+    except ConfigError:  # a positive peak whose square underflows to zero
+        assert any(isinstance(w, str) for w in want)
+        return
+    assert [_bits(peaks) for peaks in batched] == want
+    # further leading axes are flattened into the same rows
+    stacked = extract_peaks(
+        spectrum[:, None], axis, resolution, max_peaks,
+        None if detected is None else detected[:, None],
+        None if ranges is None else ranges[:, None],
+    )
+    assert [_bits(peaks) for peaks in stacked] == want
+

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import math
@@ -8,8 +9,10 @@ import pytest
 from scipy.stats import ks_2samp
 
 from beamsweep import (
+    AngularSweep,
     CfarConfig,
     ConfigError,
+    ContractViolation,
     EvalSettings,
     RadioConfig,
     RearWall,
@@ -17,7 +20,9 @@ from beamsweep import (
     Scenario,
     Scene,
     build_scene,
+    dft_interpolate,
     estimate_ground_truth,
+    extract_peaks,
     minimal_sweep_plan,
     naf_error_to_cross_track_m,
     reference_noise_power,
@@ -25,7 +30,9 @@ from beamsweep import (
     scenario_catalog,
     score_rmse,
     simulate_acquisition,
+    spline_interpolate,
 )
+from beamsweep import harness
 from beamsweep.harness import _eligibility, _window_basis
 from beamsweep.ofdm import range_doppler_periodogram, synthesize_csi
 from beamsweep.reconstruct import SweepPlan
@@ -284,6 +291,90 @@ def test_eligibility_over_frames_equals_per_frame_calls(small_acquisition):
         )
         np.testing.assert_array_equal(eligible[f], want_eligible)
         np.testing.assert_array_equal(ranges[f], want_ranges)
+
+
+
+def _peak_bytes(peaks):
+    return np.array([(p.naf, p.range_m, p.power) for p in peaks], dtype=float).tobytes()
+
+
+def test_run_seed_equals_per_frame_and_per_method_calls(monkeypatch):
+    settings = EvalSettings(ground_truth_frames=4, dwell_frames=2)
+    campaign = harness._build_campaign(settings)
+    scenario = scenario_catalog()[0]
+    scene = build_scene(scenario, settings.radio, campaign.geom)
+    signal = harness._signal_window(
+        scene, campaign.geom, campaign.weights, settings.radio, campaign.over_plan
+    )
+    methods = ["spline", "omp", "oversampled", "dft"]
+    calls = collections.Counter()
+    for name in ("extract_peaks", "_eligibility", "dft_interpolate", "spline_interpolate"):
+        def counted(*args, _real=getattr(harness, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(harness, name, counted)
+    scratch = np.full((2, 81, 4, 42), np.nan, dtype=complex)
+    run = harness._run_seed(campaign, scenario, scene, signal, 0, methods, 5, scratch)
+    monkeypatch.undo()
+    # one pass over all frames and one over all mapped methods
+    assert calls == {
+        "extract_peaks": 2, "_eligibility": 2, "dft_interpolate": 1, "spline_interpolate": 1,
+    }
+    assert list(run.peaks) == methods
+    assert list(run.maps) == ["spline", "oversampled", "dft"]
+
+    # the reference: one frame, one method and one range bin at a time,
+    # through the public 1-D calls
+    acq = harness._draw_acquisition(signal, scene.noise_power, settings.radio, 4, (5, 0))
+    grid, plan = campaign.over_plan.beam_grid, campaign.minimal_plan
+    keep, centers, cfar = acq.gate_keep, acq.range_centers_m, settings.cfar
+
+    def peaks(spectrum, power_map):
+        eligible, ranges = _eligibility(power_map, keep, centers, cfar)
+        return extract_peaks(
+            spectrum, grid, campaign.resolution, settings.max_peaks,
+            detected=eligible, ranges_m=ranges,
+        )
+
+    frame_nafs = [
+        [p.naf for p in peaks(acq.magnitudes[:, f], acq.profiles[:, f])] for f in range(4)
+    ]
+    assert sum(map(len, frame_nafs)) > 0
+    assert (run.ground_truth, run.gt_counts) == estimate_ground_truth(
+        frame_nafs, scenario.target_nafs
+    )
+    values9 = acq.beam_values(2)[campaign.min_idx]
+    profiles9 = acq.mean_profiles(2)[campaign.min_idx]
+    for method, interpolate in (("dft", dft_interpolate), ("spline", spline_interpolate)):
+        spectrum = interpolate(AngularSweep(plan, values9), grid)
+        columns = [interpolate(AngularSweep(plan, np.sqrt(p)), grid) for p in profiles9.T]
+        power_map = np.maximum(np.column_stack(columns), 0.0) ** 2
+        want = peaks(spectrum, power_map)
+        assert want and _peak_bytes(run.peaks[method]) == _peak_bytes(want)
+        assert run.maps[method].power.tobytes() == power_map.T.tobytes()
+    want = peaks(acq.beam_values(2), acq.mean_profiles(2))
+    assert want and _peak_bytes(run.peaks["oversampled"]) == _peak_bytes(want)
+    assert run.maps["oversampled"].power.tobytes() == acq.mean_profiles(2).T.tobytes()
+
+
+
+def test_draw_workspace_reuse_equals_fresh_draws(small_acquisition):
+    radio, geom, weights, scene, plan, _ = small_acquisition
+    signal = harness._signal_window(scene, geom, weights, radio, plan)
+    for n_frames in (1, 3):
+        scratch = np.full((2, plan.n_beams, n_frames, 42), np.nan, dtype=complex)
+        for seed in (1, 2):
+            reused = harness._draw_acquisition(
+                signal, scene.noise_power, radio, n_frames, (seed, 0), scratch
+            )
+            fresh = simulate_acquisition(scene, geom, weights, radio, plan, n_frames, (seed, 0))
+            assert reused.profiles.tobytes() == fresh.profiles.tobytes()
+            assert reused.magnitudes.tobytes() == fresh.magnitudes.tobytes()
+            # the next draw overwrites the workspace, never the result
+            assert not np.shares_memory(reused.profiles, scratch)
+            assert not np.shares_memory(reused.magnitudes, scratch)
+    with pytest.raises(ContractViolation):
+        harness._draw_acquisition(signal, scene.noise_power, radio, 2, (1, 0), scratch)
 
 
 def _oracle_window_power(radio, geom, weights, scene, steer, n_frames, seed):
