@@ -72,9 +72,11 @@ def ca_cfar(profile, config: CfarConfig, cells=None) -> np.ndarray:
         idx = np.asarray(cells)
         if idx.dtype.kind not in "iu" or np.any((idx < 0) | (idx >= n)):
             raise ConfigError(f"cells must be integer indices in [0, {n})")
-    cs = np.concatenate(
-        (np.zeros(profile.shape[:-1] + (1,)), np.cumsum(profile, axis=-1)), axis=-1
-    )
+    # prefix sums, one cell at a time: the same sequential additions as
+    # np.cumsum, without its per-row cost over many short profiles
+    cs = np.zeros(profile.shape[:-1] + (n + 1,))
+    for j in range(n):
+        np.add(cs[..., j], profile[..., j], out=cs[..., j + 1])
 
     def at(j):
         return np.take_along_axis(cs, j, axis=-1)
@@ -109,6 +111,17 @@ def _parabolic_offset(y_left: float, y_mid: float, y_right: float) -> float:
     if denom == 0.0:
         return 0.0
     return min(max(0.5 * (y_left - y_right) / denom, -0.5), 0.5)
+
+
+def _peak_power(magnitude: float) -> float:
+    """The power of a picked magnitude, refused when it leaves the float range."""
+    try:
+        power = magnitude ** 2
+    except OverflowError:
+        raise ConfigError(f"peak magnitude {magnitude!r} is too large: its power overflows") from None
+    if power == 0.0:
+        raise ConfigError(f"peak magnitude {magnitude!r} is too small: its power underflows to 0")
+    return power
 
 
 def extract_peaks(
@@ -175,7 +188,7 @@ def extract_peaks(
                 step = 0.5 * (naf_axis[i + 1] - naf_axis[i - 1])
                 naf += float(_parabolic_offset(rows[r, i - 1], value, rows[r, i + 1]) * step)
             range_m = float(ranges[r, i]) if ranges is not None else math.nan
-            peaks[r].append(PeakEstimate(naf, range_m, float(value) ** 2))
+            peaks[r].append(PeakEstimate(naf, range_m, _peak_power(float(value))))
             nafs[r] = naf
             # the interval is centred on the refined NAF, so a resolution
             # below the parabolic shift would leave the picked bin itself

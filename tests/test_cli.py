@@ -582,6 +582,21 @@ def test_readme_config_example_runs(tmp_path):
     assert set(json.loads(example)) == set(cli._schema(EvalSettings))
 
 
+@pytest.mark.parametrize(
+    "peak, cause",
+    [(1e200, "is too large: its power overflows"), (1e-200, "is too small: its power underflows to 0")],
+)
+def test_detect_peak_power_outside_float_range_exits_one(tmp_path, capsys, peak, cause):
+    # the spectrum is read as magnitude; its square leaves the float range
+    src = tmp_path / "spectrum.csv"
+    _write_sweep(src, [-0.1, 0.0, 0.1], [0.0, peak, 0.0])
+    out = tmp_path / "peaks.csv"
+    assert cli.main(["detect", "--spectrum", str(src), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: peak magnitude {peak!r} {cause}\n"
+    assert not out.exists()
+
+
 def test_non_finite_csv_cells_rejected(tmp_path, capsys):
     axis = (np.arange(91) - 45) / 150.0
     spectrum = np.zeros(91)

@@ -112,6 +112,24 @@ def test_cfar_scale_invariant(rng):
     np.testing.assert_array_equal(base, scaled)
 
 
+# zeros and normal magnitudes only: scaling a subnormal by 2**k drops bits
+_cfar_cells = st.just(0.0) | st.floats(1e-100, 1e100)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    profiles=st.tuples(st.integers(1, 3), st.integers(21, 48)).flatmap(
+        lambda shape: arrays(float, shape, elements=_cfar_cells)
+    ),
+    exponent=st.integers(-64, 64),
+    config=st.sampled_from([CfarConfig(), CfarConfig(8, 1, 0.3), CfarConfig(2, 0, 0.5)]),
+)
+def test_cfar_scale_invariant_bit_for_bit(profiles, exponent, config):
+    # a power-of-two factor scales every prefix sum and threshold exactly
+    scaled = ca_cfar(2.0**exponent * profiles, config)
+    np.testing.assert_array_equal(scaled, ca_cfar(profiles, config))
+
+
 def test_cfar_false_alarm_rate_on_noise():
     rng = np.random.default_rng(6)
     profile = rng.exponential(1.0, size=65536)
@@ -261,7 +279,9 @@ def test_extract_peaks_validation():
 
 def _loop_peaks(spectrum, axis, resolution, max_peaks, detected, ranges):
     """The one-spectrum loop that the batched extract_peaks replaced, kept as
-    the reference: same argmax, refinement and exclusion, in numpy scalars."""
+    the reference: same argmax, refinement and exclusion, in numpy scalars.
+    A positive peak whose square underflows is refused with the message
+    extract_peaks gives (these spectra stay far below an overflow)."""
     eligible = np.ones(spectrum.size, dtype=bool) if detected is None else detected.copy()
     peaks = []
     for _ in range(max_peaks):
@@ -278,7 +298,12 @@ def _loop_peaks(spectrum, axis, resolution, max_peaks, detected, ranges):
             offset = 0.0 if denom == 0.0 else np.clip(0.5 * (y_left - y_right) / denom, -0.5, 0.5)
             naf += offset * (0.5 * (axis[i + 1] - axis[i - 1]))
         range_m = math.nan if ranges is None else float(ranges[i])
-        peaks.append(PeakEstimate(float(naf), range_m, float(value) ** 2))
+        power = float(value) ** 2
+        if power == 0.0:
+            raise ConfigError(
+                f"peak magnitude {float(value)!r} is too small: its power underflows to 0"
+            )
+        peaks.append(PeakEstimate(float(naf), range_m, power))
         eligible &= np.abs(axis - naf) > resolution
         eligible[i] = False
     return peaks

@@ -3,6 +3,8 @@ import dataclasses
 import json
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from beamsweep import (
     AngularSweep,
     CfarConfig,
     ConfigError,
-    ContractViolation,
     EvalSettings,
     RadioConfig,
     RearWall,
@@ -313,8 +314,7 @@ def test_run_seed_equals_per_frame_and_per_method_calls(monkeypatch):
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(harness, name, counted)
-    scratch = np.full((2, 81, 4, 42), np.nan, dtype=complex)
-    run = harness._run_seed(campaign, scenario, scene, signal, 0, methods, 5, scratch)
+    run = harness._run_seed(campaign, scenario, scene, signal, 0, methods, 5)
     monkeypatch.undo()
     # one pass over all frames and one over all mapped methods
     assert calls == {
@@ -358,23 +358,39 @@ def test_run_seed_equals_per_frame_and_per_method_calls(monkeypatch):
 
 
 
-def test_draw_workspace_reuse_equals_fresh_draws(small_acquisition):
-    radio, geom, weights, scene, plan, _ = small_acquisition
-    signal = harness._signal_window(scene, geom, weights, radio, plan)
-    for n_frames in (1, 3):
-        scratch = np.full((2, plan.n_beams, n_frames, 42), np.nan, dtype=complex)
-        for seed in (1, 2):
-            reused = harness._draw_acquisition(
-                signal, scene.noise_power, radio, n_frames, (seed, 0), scratch
+def _one_shot_draw(signal, noise_power, radio, n_frames, seed_prefix):
+    """The draw as one whole-acquisition call, as _draw_acquisition made it
+    before it drew in beam chunks: the reference for the chunked draw."""
+    basis = _window_basis(radio)
+    n_beams, n_window = signal.shape
+    noise, bins = np.empty((2, n_beams, n_frames, n_window), dtype=complex)
+    rng = np.random.default_rng(tuple(int(s) for s in seed_prefix))
+    rng.standard_normal(out=noise.view(float))
+    noise *= np.sqrt(radio.n_symbols * noise_power / 2)
+    np.matmul(noise, basis.r_factor, out=bins)
+    bins += signal[:, None, :]
+    profiles = np.abs(bins)
+    profiles **= 2
+    magnitudes = np.sqrt(profiles[..., basis.keep].max(axis=-1))
+    return profiles, magnitudes
+
+
+def test_chunked_draw_equals_one_shot_draw():
+    settings = EvalSettings()
+    campaign = harness._build_campaign(settings)
+    scene, signal81 = harness._scenario_signal(campaign, scenario_catalog()[4])
+    radio = settings.radio
+    # below, at and across the chunk of 27 beams; one frame takes the gemv path
+    for n_beams in (1, 26, 27, 28, 81):
+        signal = signal81[:n_beams]
+        for n_frames in (1, 6, 24):
+            acq = harness._draw_acquisition(signal, scene.noise_power, radio, n_frames, (9, n_beams))
+            profiles, magnitudes = _one_shot_draw(
+                signal, scene.noise_power, radio, n_frames, (9, n_beams)
             )
-            fresh = simulate_acquisition(scene, geom, weights, radio, plan, n_frames, (seed, 0))
-            assert reused.profiles.tobytes() == fresh.profiles.tobytes()
-            assert reused.magnitudes.tobytes() == fresh.magnitudes.tobytes()
-            # the next draw overwrites the workspace, never the result
-            assert not np.shares_memory(reused.profiles, scratch)
-            assert not np.shares_memory(reused.magnitudes, scratch)
-    with pytest.raises(ContractViolation):
-        harness._draw_acquisition(signal, scene.noise_power, radio, 2, (1, 0), scratch)
+            assert acq.profiles.shape == (n_beams, n_frames, 42)
+            assert acq.profiles.tobytes() == profiles.tobytes()
+            assert acq.magnitudes.tobytes() == magnitudes.tobytes()
 
 
 def _oracle_window_power(radio, geom, weights, scene, steer, n_frames, seed):
@@ -549,3 +565,76 @@ def test_uncatalogued_scenarios_draw_their_own_streams():
     # the first uncatalogued scenario keeps stream len(catalog), as when it runs alone
     assert truth["copy_a"] == alone["copy_b"]["mean_ground_truth"]
     assert len({tuple(t) for t in truth.values()}) == 3
+
+
+def _serial_comparison(scenarios, methods, seeds, out):
+    """run_comparison's steps in the calling thread, one scenario after
+    another: the reference that the thread pool must reproduce."""
+    campaign = harness._build_campaign(EvalSettings())
+    stream = {s.name: i for i, s in enumerate(scenario_catalog())}
+    outcomes = []
+    out.mkdir()
+    for scenario in scenarios:
+        stream.setdefault(scenario.name, len(stream))
+        scene, signal = harness._scenario_signal(campaign, scenario)
+        runs = harness._run_scenario(
+            campaign, scenario, scene, signal, stream[scenario.name], seeds, methods
+        )
+        harness._write_scenario_files(out, scenario, runs[0], campaign.minimal_plan.beam_grid)
+        outcomes.append((scenario, runs))
+    report = harness._build_report(campaign, outcomes, methods, seeds)
+    harness._write_outputs(out, report, outcomes)
+    return report
+
+
+def _tree_bytes(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("case", ["catalog", "one", "catalog_and_custom"])
+def test_threaded_comparison_equals_serial_reference(tmp_path, monkeypatch, case, cpus):
+    catalog = scenario_catalog()
+    custom = dataclasses.replace(catalog[5], name="custom_wall", separation_naf=0.15)
+    scenarios = {
+        "catalog": catalog, "one": catalog[6:7], "catalog_and_custom": [catalog[2], custom],
+    }[case]
+    methods, seeds = list(harness.METHODS), [4, 5]
+    want = _serial_comparison(scenarios, methods, seeds, tmp_path / "serial")
+    # the pool size follows the usable CPUs; three workers interleave even
+    # on a machine with one or two CPUs
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    workers = []
+    real_pool = harness.ThreadPoolExecutor
+
+    def pool(max_workers):
+        workers.append(max_workers)
+        return real_pool(max_workers)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", pool)
+    # switch threads often, so the scenarios' steps interleave finely
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = run_comparison(scenarios, methods, seeds, out_dir=tmp_path / "threaded")
+    finally:
+        sys.setswitchinterval(interval)
+    assert workers == [min(cpus, len(scenarios))]
+    assert got.to_json_bytes() == want.to_json_bytes()
+    files = _tree_bytes(tmp_path / "threaded")
+    assert files == _tree_bytes(tmp_path / "serial")
+    assert len(files) == 3 + 7 * len(scenarios)
+
+
+def test_unsimulable_scenario_fails_before_any_thread_or_file(tmp_path, monkeypatch):
+    catalog = scenario_catalog()
+    scenarios = [catalog[0], catalog[1], dataclasses.replace(catalog[2], snr_db=4000.0)]
+    started = []
+    monkeypatch.setattr(harness, "_run_scenario", lambda *args: started.append(args))
+    out = tmp_path / "out"
+    before = threading.active_count()
+    with pytest.raises(ConfigError, match="snr_db .* out of range"):
+        run_comparison(scenarios, ["dft"], [1], out_dir=out)
+    assert not out.exists()
+    assert not started
+    assert threading.active_count() == before

@@ -3,6 +3,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from beamsweep import (
     C0,
@@ -149,6 +151,30 @@ def test_ramp_roundtrip(tmp_path, rng):
     np.testing.assert_array_equal(back.power, power)  # float64 bytes survive
     np.testing.assert_allclose(back.range_axis, m.range_axis, rtol=1e-15)
     np.testing.assert_allclose(back.naf_axis, m.naf_axis, rtol=1e-15)
+
+
+@st.composite
+def _maps(draw):
+    n_range, n_angle = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    power = draw(arrays(float, (n_range, n_angle), elements=st.floats(0.0, 1e300)))
+
+    def axis(n):
+        start = draw(st.floats(-1e3, 1e3))
+        step = draw(st.floats(1e-3, 10.0))
+        return start + step * np.arange(n)
+
+    return RangeAngleMap(power, axis(n_range), axis(n_angle))
+
+
+@settings(max_examples=60, deadline=None)
+@given(map_=_maps())
+def test_ramp_dump_load_dump_is_byte_stable(tmp_path_factory, map_):
+    first, second = (tmp_path_factory.mktemp("ramp") / "map.ramp" for _ in range(2))
+    dump_ramp(map_, first)
+    back = load_ramp(first)
+    dump_ramp(back, second)
+    assert second.read_bytes() == first.read_bytes()
+    assert back.power.tobytes() == map_.power.tobytes()
 
 
 def test_ramp_rejects_garbage(tmp_path):
