@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import ArrayGeometry, NafAngle
+from .geometry import ArrayGeometry, NafAngle, _ContentEq
 
 __all__ = [
     "BeamformingWeights",
@@ -30,8 +30,8 @@ __all__ = [
 DICTIONARY_KINDS = ("matched", "flat")  # see build_dictionary
 
 
-@dataclass(frozen=True)
-class BeamformingWeights:
+@dataclass(frozen=True, eq=False)
+class BeamformingWeights(_ContentEq):
     """Per-element complex weights, applied identically at every steer."""
 
     tx: np.ndarray

@@ -40,6 +40,12 @@ class CfarConfig:
         if not 0 < self.p_fa < 1:
             raise ConfigError("p_fa must be in (0, 1)")
 
+    def check_profile_cells(self, n: int) -> None:
+        """Refuse profiles of n cells unless longer than the full window."""
+        window = self.n_training + 2 * self.n_guard + 1
+        if n < window:
+            raise ConfigError(f"profile of {n} cells is too short for a {window}-cell window")
+
 
 def ca_cfar(profile, config: CfarConfig, cells=None) -> np.ndarray:
     """Detection mask over power profiles along the last axis.
@@ -62,10 +68,7 @@ def ca_cfar(profile, config: CfarConfig, cells=None) -> np.ndarray:
     t_side = config.n_training // 2
     g = config.n_guard
     n = profile.shape[-1]
-    if n <= 2 * (t_side + g):
-        raise ConfigError(
-            f"profile of {n} cells is too short for a {2 * (t_side + g) + 1}-cell window"
-        )
+    config.check_profile_cells(n)
     if cells is None:
         idx = np.broadcast_to(np.arange(n), profile.shape)
     else:

@@ -10,6 +10,7 @@ cos(elevation); with half-wavelength spacing it lives in [-0.5, 0.5].
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,31 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class ArrayGeometry:
+class _ContentEq:
+    """== and hash over the content of every dataclass field: an array by
+    its dtype, shape and bytes, anything else by value. Equal objects hash
+    equally, so separately built configs can key a cache; an array entry of
+    -0.0 differs from 0.0, as its bytes do. Subclasses are frozen
+    dataclasses declared with eq=False, whose arrays are read-only.
+    """
+
+    def _content(self) -> tuple:
+        return tuple(
+            (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+            for v in (getattr(self, f.name) for f in dataclasses.fields(self))
+        )
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._content() == other._content()
+
+    def __hash__(self):
+        return hash(self._content())
+
+
+@dataclass(frozen=True, eq=False)
+class ArrayGeometry(_ContentEq):
     """TX/RX element layouts in array-length units (multiples of spacing)."""
 
     tx_positions: np.ndarray  # (n_tx, 2)

@@ -16,6 +16,7 @@ from scipy.interpolate import CubicSpline
 
 from .beams import dirichlet_kernel
 from .errors import ConfigError, ContractViolation
+from .geometry import _ContentEq
 
 __all__ = [
     "SweepPlan",
@@ -50,8 +51,8 @@ def minimal_naf_grid(n_1d: int, naf_limit: float) -> np.ndarray:
     return _lattice(n_1d, naf_limit, 1)
 
 
-@dataclass(frozen=True)
-class SweepPlan:
+@dataclass(frozen=True, eq=False)
+class SweepPlan(_ContentEq):
     """Dwell schedule over a strictly increasing beam grid."""
 
     beam_grid: np.ndarray
@@ -188,13 +189,17 @@ def dft_interpolate(sweep: AngularSweep, target_grid) -> np.ndarray:
     return dirichlet_resample(sweep.plan.beam_grid, sweep.values, target_grid, order)
 
 
+def _check_spline_samples(n_beams: int) -> None:
+    if n_beams < 4:
+        raise ConfigError("spline interpolation needs at least 4 samples")
+
+
 def spline_interpolate(sweep: AngularSweep, target_grid) -> np.ndarray:
     """Natural cubic spline through the sample magnitudes, clamped at 0."""
     target_grid = np.asarray(target_grid, dtype=float)
     if target_grid.size == 0:
         raise ConfigError("target grid must be non-empty")
-    if sweep.plan.n_beams < 4:
-        raise ConfigError("spline interpolation needs at least 4 samples")
+    _check_spline_samples(sweep.plan.n_beams)
     mags = np.abs(sweep.values).astype(float)
     spline = CubicSpline(sweep.plan.beam_grid, mags, bc_type="natural")
     return np.maximum(spline(target_grid), 0.0)

@@ -108,6 +108,9 @@ class Scene:
     noise_power: float
 
     def __post_init__(self):
+        # a tuple keeps the scatterers hashable, so they can key the cached
+        # signal window
+        object.__setattr__(self, "scatterers", tuple(self.scatterers))
         if self.noise_power < 0:
             raise ConfigError("noise power must be non-negative")
 

@@ -1,9 +1,14 @@
+import contextlib
 import csv
+import dataclasses
+import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beamsweep import cli
 from beamsweep import (
@@ -564,6 +569,63 @@ def test_config_section_values_exit_one(tmp_path, capsys):
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
     assert not (tmp_path / "x").exists()
+
+
+def _scalar_keys(schema, where=""):
+    """(key path, value kind) of every value that a config file can set."""
+    for key, (_, rule) in schema.items():
+        path = f"{where}.{key}" if where else key
+        if isinstance(rule, dict):
+            yield from _scalar_keys(rule, path)
+        elif dataclasses.is_dataclass(rule):
+            yield from _scalar_keys(cli._schema(rule), path)
+        else:
+            yield path, rule[2]
+
+
+_CONFIG_KEYS = dict(_scalar_keys(cli._schema(EvalSettings)))
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+# JSON values of another kind than each of cli._RULES's value kinds takes
+_WRONG_KIND = {
+    int: st.one_of(st.booleans(), st.text(max_size=3), st.none(), st.floats(),
+                   st.lists(st.integers(), max_size=2)),
+    float: st.one_of(st.booleans(), st.text(max_size=3), st.none(), _NON_FINITE,
+                     st.integers(2**1024, 2**1100), st.lists(st.floats(0, 1), max_size=2)),
+    bool: st.one_of(st.integers(), st.text(max_size=3), st.none(), st.floats()),
+    str: st.one_of(st.integers(), st.booleans(), st.none(), st.floats()),
+    tuple: st.one_of(
+        st.text(max_size=3), st.none(), st.booleans(), st.floats(),
+        st.lists(st.floats(0, 25), max_size=4).filter(lambda v: len(v) != 2),
+        st.tuples(st.floats(0, 25), st.one_of(_NON_FINITE, st.booleans(), st.none())).map(list),
+    ),
+}
+
+
+def test_config_keys_cover_every_rule():
+    assert {kind for _, _, kind in cli._RULES.values()} == set(_WRONG_KIND)
+    assert set(_CONFIG_KEYS.values()) == set(_WRONG_KIND)
+    assert {"seed", "array.n_tx", "radio.range_window_m", "cfar.p_fa", "snr_db"} <= set(_CONFIG_KEYS)
+
+
+@pytest.mark.parametrize("path", sorted(_CONFIG_KEYS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_config_value_of_wrong_kind_exits_one(tmp_path_factory, path, data):
+    value = data.draw(_WRONG_KIND[_CONFIG_KEYS[path]], label="value")
+    cfg = value
+    for key in reversed(path.split(".")):
+        cfg = {key: cfg}
+    work = tmp_path_factory.mktemp("cfg")
+    (work / "cfg.json").write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["evaluate", "--config", str(work / "cfg.json"), "--out", str(work / "x")])
+    assert code == 1
+    assert err.getvalue().startswith(f"error: {path!r} must be ")
+    assert err.getvalue().count("\n") == 1
+    assert not (work / "x").exists()
 
 
 def test_readme_config_example_runs(tmp_path):

@@ -60,8 +60,11 @@ def test_cfar_edge_spike_uses_one_sided_window():
 def test_cfar_minimum_profile_length():
     cfg = CfarConfig()  # window is 2 * (8 + 2) + 1 = 21 cells
     ca_cfar(np.ones(21), cfg)
+    cfg.check_profile_cells(21)
     with pytest.raises(ConfigError):
         ca_cfar(np.ones(20), cfg)
+    with pytest.raises(ConfigError, match="profile of 20 cells is too short for a 21-cell window"):
+        cfg.check_profile_cells(20)
 
 
 def test_cfar_input_validation():

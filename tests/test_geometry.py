@@ -4,7 +4,9 @@ import pytest
 
 from beamsweep import (
     ArrayGeometry,
+    BeamformingWeights,
     ConfigError,
+    SweepPlan,
     naf_resolution,
     sum_coarray,
 )
@@ -62,3 +64,55 @@ def test_naf_resolution():
         naf_resolution(0)
     with pytest.raises(ConfigError):
         naf_resolution(2.5)
+
+
+_GRID = np.arange(-4, 5) / 15
+
+# per config type: a function building one content, and other contents of that type;
+# the last of each differs from the built one only by the sign of a zero
+_CONTENTS = {
+    "geometry": (
+        lambda: ArrayGeometry([[-0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0]]),
+        lambda: [
+            ArrayGeometry([[-0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0]], 0.25),
+            ArrayGeometry([[-0.0, 0.0], [2.0, 0.0]], [[0.0, 0.0]]),
+            ArrayGeometry([[-0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]),
+            ArrayGeometry([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0]]),
+        ],
+    ),
+    "weights": (
+        lambda: BeamformingWeights(np.ones(4), [1, 1, 1, -0.0]),
+        lambda: [
+            BeamformingWeights(np.ones(4), [1, 1, 1]),
+            BeamformingWeights(np.ones(4), [1, 1, 1, 1j]),
+            BeamformingWeights([1, 1, 1, -0.0], np.ones(4)),
+            BeamformingWeights(np.ones(4), [1, 1, 1, 0.0]),
+        ],
+    ),
+    "plan": (
+        lambda: SweepPlan(np.r_[_GRID[:4], -0.0, _GRID[5:]], "minimal"),
+        lambda: [
+            SweepPlan(np.r_[_GRID[:4], -0.0, _GRID[5:]], "oversampled"),
+            SweepPlan(np.r_[_GRID[:4], -0.0, _GRID[5:]], "minimal", dwell_frames=3),
+            SweepPlan(_GRID[1:], "minimal"),
+            SweepPlan(_GRID, "minimal"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CONTENTS))
+def test_configs_compare_and_hash_by_content(kind):
+    build, others = _CONTENTS[kind]
+    a, b = build(), build()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    for other in others():
+        assert a != other and other != a
+        assert len({a, other}) == 2
+    for other_kind, (build_other, _) in _CONTENTS.items():
+        if other_kind != kind:
+            assert a != build_other()
+    assert a != a._content()

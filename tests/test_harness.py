@@ -12,6 +12,8 @@ from scipy.stats import ks_2samp
 
 from beamsweep import (
     AngularSweep,
+    ArrayGeometry,
+    BeamformingWeights,
     CfarConfig,
     ConfigError,
     EvalSettings,
@@ -36,7 +38,7 @@ from beamsweep import (
 from beamsweep import harness
 from beamsweep.harness import _eligibility, _window_basis
 from beamsweep.ofdm import range_doppler_periodogram, synthesize_csi
-from beamsweep.reconstruct import SweepPlan
+from beamsweep.reconstruct import SweepPlan, oversampled_sweep_plan
 
 
 def test_cross_track_conversion():
@@ -305,7 +307,7 @@ def test_run_seed_equals_per_frame_and_per_method_calls(monkeypatch):
     scenario = scenario_catalog()[0]
     scene = build_scene(scenario, settings.radio, campaign.geom)
     signal = harness._signal_window(
-        scene, campaign.geom, campaign.weights, settings.radio, campaign.over_plan
+        scene.scatterers, campaign.geom, campaign.weights, settings.radio, campaign.over_plan
     )
     methods = ["spline", "omp", "oversampled", "dft"]
     calls = collections.Counter()
@@ -638,3 +640,78 @@ def test_unsimulable_scenario_fails_before_any_thread_or_file(tmp_path, monkeypa
     assert not out.exists()
     assert not started
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("settings, methods, message", [
+    (EvalSettings(cfar=CfarConfig(n_training=40)), ["dft"],
+     "profile of 36 cells is too short for a 45-cell window"),
+    (EvalSettings(n_tx=2, n_rx=2), ["dft", "spline"],
+     "spline interpolation needs at least 4 samples"),
+    (EvalSettings(max_peaks=0), ["oversampled"], "max_peaks must be at least 1"),
+], ids=["cfar_window", "spline_samples", "max_peaks"])
+def test_unrunnable_settings_fail_before_any_file(tmp_path, monkeypatch, settings, methods, message):
+    # each would be refused by every seed of every scenario, inside the workers
+    started = []
+    monkeypatch.setattr(harness, "_run_scenario", lambda *args: started.append(args))
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run_comparison(scenario_catalog()[:2], methods, [1], settings, out_dir=out)
+    assert not out.exists()
+    assert not started
+
+
+def test_two_element_array_runs_without_spline():
+    # the spline check follows the methods: the 1-beam minimal sweep suits the rest
+    report = run_comparison(
+        scenario_catalog()[:1], ["oversampled", "dft", "omp"], [1], EvalSettings(n_tx=2, n_rx=2)
+    )
+    assert report.data["per_scenario"]["dft"]["octahedral_far"]["n_runs"] == 1
+
+
+def _window_args(factor=10, radio=RadioConfig(), tx=np.ones(8), amplitude_db=0.0):
+    """_signal_window's arguments for the first catalog scene, every one built afresh."""
+    geom = ArrayGeometry.uniform_linear(8, 8)
+    scenario = dataclasses.replace(scenario_catalog()[0], target_amplitude_db=amplitude_db)
+    scene = build_scene(scenario, radio, geom)
+    plan = oversampled_sweep_plan(8, harness.DEFAULT_NAF_LIMIT, factor)
+    return scene.scatterers, geom, BeamformingWeights(tx, np.ones(8)), radio, plan
+
+
+def test_signal_window_cached_on_content():
+    harness._signal_window.cache_clear()
+    first = harness._signal_window(*_window_args())
+    again = harness._signal_window(*_window_args())
+    info = harness._signal_window.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert again is first
+    want = harness._signal_window.__wrapped__(*_window_args())
+    assert first.shape == want.shape == (81, 42)
+    assert first.tobytes() == want.tobytes()
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 0
+
+    # every seed of a scene, at any SNR, reuses the entry: the noise is all
+    # that a seed or an SNR changes
+    scatterers, geom, weights, radio, plan = _window_args()
+    for snr_db, seed in ((25.0, 1), (25.0, 2), (20.0, 3)):
+        scenario = dataclasses.replace(scenario_catalog()[0], snr_db=snr_db)
+        scene = build_scene(scenario, radio, geom)
+        simulate_acquisition(scene, geom, weights, radio, plan, 2, (seed, 0))
+    info = harness._signal_window.cache_info()
+    assert (info.hits, info.misses) == (4, 1)
+
+
+@pytest.mark.parametrize("change", [
+    {"tx": np.r_[np.ones(7), 1j]},
+    {"factor": 5},
+    {"radio": RadioConfig(n_symbols=7)},
+    {"amplitude_db": 3.0},
+], ids=["weights", "beam_grid", "radio", "scatterer"])
+def test_signal_window_misses_on_other_content(change):
+    harness._signal_window.cache_clear()
+    base = harness._signal_window(*_window_args())
+    other = harness._signal_window(*_window_args(**change))
+    info = harness._signal_window.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+    assert other.shape != base.shape or np.any(other != base)

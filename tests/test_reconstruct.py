@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beamsweep import (
     AngularSweep,
@@ -92,6 +93,29 @@ def test_ideal_full_period_reconstruction(geom8, ones8, rng):
     recon = dft_interpolate(sweep, dense)
     direct = np.array([beamformed_response(geom8, ones8, scene, t) for t in dense])
     assert np.abs(recon - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    scene=st.lists(
+        st.tuples(st.floats(-0.5, 0.5), st.floats(0.5, 2.0), st.floats(0.0, 1.0)),
+        min_size=1, max_size=4,
+    ),
+)
+def test_ideal_dft_reconstruction_exact_for_every_square_array(n, scene):
+    # criterion 4's setup on each square array EvalSettings accepts: the full
+    # period of the order-(2n-1) lattice determines the two-way response
+    geom = ArrayGeometry.uniform_linear(n, n)
+    ones = BeamformingWeights.all_ones(geom)
+    scatterers = [Scatterer(naf, 18.0, amp * np.exp(2j * np.pi * turn)) for naf, amp, turn in scene]
+    sweep = ideal_sweep(geom, ones, scatterers, SweepPlan(minimal_naf_grid(n, 0.5), "minimal"))
+    dense = (np.arange(150) - 75) / 150
+    recon = dft_interpolate(sweep, dense)
+    direct = np.array([beamformed_response(geom, ones, scatterers, t) for t in dense])
+    # relative to the scene's largest possible response: scatterers may cancel
+    bound = n * n * sum(amp for _, amp, _ in scene)
+    assert np.abs(recon - direct).max() <= 1e-12 * bound
 
 
 def test_truncated_grid_leakage_bound(geom8, ones8, rng):
