@@ -145,18 +145,22 @@ def extract_peaks(
 
     The spectrum is read as magnitude; reported peak power is its square.
 
-    spectrum is (..., n_bins) over the (n_bins,) naf_axis; `detected` and
-    `ranges_m`, when given, have the spectrum's shape. Leading axes index
-    independent spectra (frames, methods): a 1-D spectrum gives one list of
-    PeakEstimate, and an N-D one a list of such lists, one per row of
-    spectrum.reshape(-1, n_bins). Every row's peaks equal, bit for bit,
-    those of a 1-D call on that row: each round is one masked argmax over
-    all rows, followed by the same scalar refinement and exclusion per row.
+    spectrum is (..., n_bins) over the strictly increasing (n_bins,)
+    naf_axis; `detected` and `ranges_m`, when given, have the spectrum's
+    shape. Leading axes index independent spectra (frames, methods): a 1-D
+    spectrum gives one list of PeakEstimate, and an N-D one a list of such
+    lists, one per row of spectrum.reshape(-1, n_bins). Every row's peaks
+    equal, bit for bit, those of a 1-D call on that row: each round is one
+    masked argmax over all rows, followed by the same scalar refinement and
+    exclusion per row.
     """
     spectrum = np.asarray(spectrum, dtype=float)
     naf_axis = np.asarray(naf_axis, dtype=float)
     if spectrum.size == 0 or naf_axis.ndim != 1 or spectrum.shape[-1:] != naf_axis.shape:
         raise ConfigError("spectrum and NAF axis must be equal-length and non-empty")
+    # the parabolic refinement reads a bin's neighbours on the axis
+    if not np.all(np.diff(naf_axis) > 0):
+        raise ConfigError("NAF axis must be strictly increasing")
     if not resolution > 0:
         raise ConfigError("resolution must be positive")
     if max_peaks < 1:

@@ -74,10 +74,6 @@ class Acquisition:
     range_centers_m: np.ndarray  # windowed display bin centers
     gate_keep: np.ndarray  # bool per display bin, False inside the exclusion
 
-    @property
-    def n_frames(self) -> int:
-        return self.magnitudes.shape[1]
-
     def beam_values(self, n_frames: Optional[int] = None) -> np.ndarray:
         """Per-beam mean magnitude over the first n_frames dwell frames."""
         n = self.magnitudes.shape[1] if n_frames is None else n_frames
@@ -149,46 +145,6 @@ def _signal_window(
 _DRAW_CHUNK_BEAMS = 27
 
 
-def _draw_acquisition(
-    signal: np.ndarray,
-    noise_power: float,
-    radio: RadioConfig,
-    n_frames: int,
-    seed_prefix: Sequence[int],
-) -> Acquisition:
-    """The seeded step of simulate_acquisition, from its signal window on.
-
-    The noise is drawn and shaped a chunk of beams at a time, in beam
-    order, from one stream: standard_normal fills its output sequentially,
-    so the chunks hold the same numbers as one whole-acquisition draw.
-    """
-    if n_frames < 1:
-        raise ConfigError("n_frames must be at least 1")
-    basis = _window_basis(radio)
-    n_beams, n_window = signal.shape
-    rng = np.random.default_rng(tuple(int(s) for s in seed_prefix))
-    scale = np.sqrt(radio.n_symbols * noise_power / 2)
-    chunk = min(n_beams, _DRAW_CHUNK_BEAMS)
-    noise_ws, bins_ws = np.empty((2, chunk, n_frames, n_window), dtype=complex)
-    profiles = np.empty((n_beams, n_frames, n_window))
-    for lo in range(0, n_beams, chunk):
-        hi = min(lo + chunk, n_beams)
-        noise, bins = noise_ws[: hi - lo], bins_ws[: hi - lo]
-        # the stream of a fresh (n_beams, n_frames, 2 * n_window) normal draw
-        rng.standard_normal(out=noise.view(float))
-        noise *= scale
-        # R^H R = W^H W: white noise times R has the covariance of white
-        # noise seen through W. The product stays per beam: as one 2-D
-        # product it is bitwise equal for n_frames > 1 only, because numpy
-        # sends 1-row products through gemv.
-        np.matmul(noise, basis.r_factor, out=bins)
-        bins += signal[lo:hi, None, :]
-        power = np.abs(bins, out=profiles[lo:hi])
-        power **= 2
-    magnitudes = np.sqrt(profiles[..., basis.keep].max(axis=-1))
-    return Acquisition(magnitudes, profiles, basis.centers, basis.keep)
-
-
 def simulate_acquisition(
     scene: Scene,
     geom: ArrayGeometry,
@@ -208,11 +164,12 @@ def simulate_acquisition(
     are drawn directly, as white window-sized samples per (beam, frame)
     times the QR factor R of W, which gives them the same covariance.
     One default_rng(seed_prefix) stream draws the noise of every beam and
-    frame, in beam order. The explicit per-symbol path (synthesize_csi,
+    frame, in beam order, a chunk of beams at a time: standard_normal fills
+    its output sequentially, so the chunks hold the same numbers as one
+    whole-acquisition draw. The explicit per-symbol path (synthesize_csi,
     then the zero-Doppler column of range_doppler_periodogram) is the
-    reference;
-    the two agree exactly without noise and in distribution, inter-bin
-    correlation included, with it. W and R depend on the radio
+    reference; the two agree exactly without noise and in distribution,
+    inter-bin correlation included, with it. W and R depend on the radio
     config alone and are built once per config; the noise-free bins are
     built once per (scatterers, geometry, weights, radio, plan) and reused
     by every seed.
@@ -223,8 +180,32 @@ def simulate_acquisition(
     """
     if mode != "poc":
         raise ConfigError(f"unknown acquisition mode {mode!r}")
+    if n_frames < 1:
+        raise ConfigError("n_frames must be at least 1")
     signal = _signal_window(scene.scatterers, geom, weights, radio, plan)
-    return _draw_acquisition(signal, scene.noise_power, radio, n_frames, seed_prefix)
+    basis = _window_basis(radio)
+    n_beams, n_window = signal.shape
+    rng = np.random.default_rng(tuple(int(s) for s in seed_prefix))
+    scale = np.sqrt(radio.n_symbols * scene.noise_power / 2)
+    chunk = min(n_beams, _DRAW_CHUNK_BEAMS)
+    noise_ws, bins_ws = np.empty((2, chunk, n_frames, n_window), dtype=complex)
+    profiles = np.empty((n_beams, n_frames, n_window))
+    for lo in range(0, n_beams, chunk):
+        hi = min(lo + chunk, n_beams)
+        noise, bins = noise_ws[: hi - lo], bins_ws[: hi - lo]
+        # the stream of a fresh (n_beams, n_frames, 2 * n_window) normal draw
+        rng.standard_normal(out=noise.view(float))
+        noise *= scale
+        # R^H R = W^H W: white noise times R has the covariance of white
+        # noise seen through W. The product stays per beam: as one 2-D
+        # product it is bitwise equal for n_frames > 1 only, because numpy
+        # sends 1-row products through gemv.
+        np.matmul(noise, basis.r_factor, out=bins)
+        bins += signal[lo:hi, None, :]
+        power = np.abs(bins, out=profiles[lo:hi])
+        power **= 2
+    magnitudes = np.sqrt(profiles[..., basis.keep].max(axis=-1))
+    return Acquisition(magnitudes, profiles, basis.centers, basis.keep)
 
 
 def _eligibility(
@@ -419,7 +400,6 @@ def _run_seed(
     campaign: _Campaign,
     scenario: Scenario,
     scene: Scene,
-    signal: np.ndarray,
     scenario_index: int,
     methods: Sequence[str],
     master_seed: int,
@@ -427,8 +407,8 @@ def _run_seed(
     settings = campaign.settings
     minimal_plan = campaign.minimal_plan
     resolution = campaign.resolution
-    acq = _draw_acquisition(
-        signal, scene.noise_power, settings.radio,
+    acq = simulate_acquisition(
+        scene, campaign.geom, campaign.weights, settings.radio, campaign.over_plan,
         settings.ground_truth_frames, (master_seed, scenario_index),
     )
     over_grid = campaign.over_plan.beam_grid
@@ -535,27 +515,10 @@ def _summary(runs: Sequence[_SeedOutcome], method: str) -> dict:
     }
 
 
-def _scenario_signal(campaign: _Campaign, scenario: Scenario) -> Tuple[Scene, np.ndarray]:
-    """The scene that one scenario simulates and its noise-free window bins.
-
-    Raises ConfigError for a scenario the settings cannot simulate."""
-    settings = campaign.settings
-    simulated = (
-        scenario if settings.snr_db is None
-        else dataclasses.replace(scenario, snr_db=settings.snr_db)
-    )
-    scene = build_scene(simulated, settings.radio, campaign.geom, settings.include_rear_wall)
-    signal = _signal_window(
-        scene.scatterers, campaign.geom, campaign.weights, settings.radio, campaign.over_plan
-    )
-    return scene, signal
-
-
 def _run_scenario(
     campaign: _Campaign,
     scenario: Scenario,
     scene: Scene,
-    signal: np.ndarray,
     stream_index: int,
     seeds: Sequence[int],
     methods: Sequence[str],
@@ -564,7 +527,7 @@ def _run_scenario(
     its range-angle maps and sweep values: the output files show no other."""
     runs: List[_SeedOutcome] = []
     for seed in seeds:
-        run = _run_seed(campaign, scenario, scene, signal, stream_index, methods, seed)
+        run = _run_seed(campaign, scenario, scene, stream_index, methods, seed)
         runs.append(dataclasses.replace(run, maps={}, sweep_values=None) if runs else run)
     return runs
 
@@ -706,9 +669,10 @@ def run_comparison(
     if any(s < 0 for s in seeds):
         raise ConfigError("master seeds must be non-negative")
     names = [s.name for s in scenarios]
-    repeated = sorted({n for n in names if names.count(n) > 1})
-    if repeated:
-        raise ConfigError(f"scenario names must be unique; repeated: {repeated}")
+    for kind, given in (("scenario", names), ("method", methods)):
+        repeated = sorted({n for n in given if given.count(n) > 1})
+        if repeated:
+            raise ConfigError(f"{kind} names must be unique; repeated: {repeated}")
     campaign = _build_campaign(settings)
     # what every seed of every scenario would refuse, refused before out_dir exists
     settings.cfar.check_profile_cells(int(np.count_nonzero(_window_basis(settings.radio).keep)))
@@ -719,22 +683,28 @@ def run_comparison(
     stream = {s.name: i for i, s in enumerate(scenario_catalog())}
     for name in names:
         stream.setdefault(name, len(stream))
-    # every scene is built, and so checked, before any thread or file exists
-    signals = [_scenario_signal(campaign, s) for s in scenarios]
+    # every scene is built, and so checked, before any thread or file exists;
+    # its window bins cannot fail once the window basis is, so the first
+    # seed that needs them builds them, in its worker
+    scenes = [
+        build_scene(
+            s if settings.snr_db is None else dataclasses.replace(s, snr_db=settings.snr_db),
+            settings.radio, campaign.geom, settings.include_rear_wall,
+        )
+        for s in scenarios
+    ]
     out = None if out_dir is None else Path(out_dir)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
-    def run(scenario: Scenario, scene_signal: Tuple[Scene, np.ndarray]) -> List[_SeedOutcome]:
-        runs = _run_scenario(
-            campaign, scenario, *scene_signal, stream[scenario.name], seeds, methods
-        )
+    def run(scenario: Scenario, scene: Scene) -> List[_SeedOutcome]:
+        runs = _run_scenario(campaign, scenario, scene, stream[scenario.name], seeds, methods)
         if out is not None:
             _write_scenario_files(out, scenario, runs[0], campaign.minimal_plan.beam_grid)
         return runs
 
     with ThreadPoolExecutor(min(_usable_cpus(), len(scenarios))) as pool:
-        outcomes = list(zip(scenarios, pool.map(run, scenarios, signals)))
+        outcomes = list(zip(scenarios, pool.map(run, scenarios, scenes)))
     report = _build_report(campaign, outcomes, methods, seeds)
     if out is not None:
         _write_outputs(out, report, outcomes)

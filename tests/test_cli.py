@@ -121,6 +121,20 @@ def test_detect_rejects_non_positive_resolution(tmp_path, capsys):
         assert not dst.exists()
 
 
+def test_detect_rejects_unordered_axis(tmp_path, capsys):
+    axis = (np.arange(91) - 45) / 150.0
+    spectrum = np.zeros(91)
+    spectrum[30] = 2.0
+    spectrum[60] = 1.5
+    for name, order in (("reversed", slice(None, None, -1)), ("swapped", np.r_[1, 0, 2:91])):
+        src = tmp_path / f"{name}.csv"
+        dst = tmp_path / f"{name}_peaks.csv"
+        _write_sweep(src, axis[order], spectrum[order])
+        assert cli.main(["detect", "--spectrum", str(src), "--out", str(dst)]) == 1
+        assert capsys.readouterr().err == "error: NAF axis must be strictly increasing\n"
+        assert not dst.exists()
+
+
 def test_detect_max_peaks_flag(tmp_path):
     axis = (np.arange(91) - 45) / 150.0
     spectrum = np.zeros(91)
@@ -302,6 +316,15 @@ def test_repeated_scenario_exits_one(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err == "error: scenario names must be unique; repeated: ['octahedral_far']\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_repeated_method_exits_one(tmp_path, capsys):
+    rc = cli.main(["evaluate", "--scenarios", "octahedral_far", "--methods", "dft,dft",
+                   "--seeds", "1", "--out", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: method names must be unique; repeated: ['dft']\n"
     assert not (tmp_path / "x").exists()
 
 

@@ -278,6 +278,11 @@ def test_extract_peaks_validation():
         extract_peaks(np.ones((2, 9)), np.ones((2, 9)), 0.01)
     with pytest.raises(ConfigError):
         extract_peaks(np.ones((2, 9)), axis, 0.01, detected=[True] * 9)
+    # the parabolic refinement needs the axis in order: shuffled, descending
+    # or repeated bins are no neighbours
+    for bad in (axis[[0, 2, 1, 3, 4, 5, 6, 7, 8]], axis[::-1], np.r_[axis[:8], axis[7]]):
+        with pytest.raises(ConfigError, match="NAF axis must be strictly increasing"):
+            extract_peaks(spectrum, bad, 0.01)
 
 
 def _loop_peaks(spectrum, axis, resolution, max_peaks, detected, ranges):

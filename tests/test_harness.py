@@ -221,7 +221,6 @@ def test_acquisition_shapes(small_acquisition):
     assert acq.profiles.shape == (9, 2, 42)
     assert acq.range_centers_m.shape == (42,)
     assert acq.gate_keep.sum() == 36
-    assert acq.n_frames == 2
 
 
 def test_acquisition_is_deterministic(small_acquisition):
@@ -306,9 +305,6 @@ def test_run_seed_equals_per_frame_and_per_method_calls(monkeypatch):
     campaign = harness._build_campaign(settings)
     scenario = scenario_catalog()[0]
     scene = build_scene(scenario, settings.radio, campaign.geom)
-    signal = harness._signal_window(
-        scene.scatterers, campaign.geom, campaign.weights, settings.radio, campaign.over_plan
-    )
     methods = ["spline", "omp", "oversampled", "dft"]
     calls = collections.Counter()
     for name in ("extract_peaks", "_eligibility", "dft_interpolate", "spline_interpolate"):
@@ -316,7 +312,7 @@ def test_run_seed_equals_per_frame_and_per_method_calls(monkeypatch):
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(harness, name, counted)
-    run = harness._run_seed(campaign, scenario, scene, signal, 0, methods, 5)
+    run = harness._run_seed(campaign, scenario, scene, 0, methods, 5)
     monkeypatch.undo()
     # one pass over all frames and one over all mapped methods
     assert calls == {
@@ -327,7 +323,9 @@ def test_run_seed_equals_per_frame_and_per_method_calls(monkeypatch):
 
     # the reference: one frame, one method and one range bin at a time,
     # through the public 1-D calls
-    acq = harness._draw_acquisition(signal, scene.noise_power, settings.radio, 4, (5, 0))
+    acq = simulate_acquisition(
+        scene, campaign.geom, campaign.weights, settings.radio, campaign.over_plan, 4, (5, 0)
+    )
     grid, plan = campaign.over_plan.beam_grid, campaign.minimal_plan
     keep, centers, cfar = acq.gate_keep, acq.range_centers_m, settings.cfar
 
@@ -361,8 +359,8 @@ def test_run_seed_equals_per_frame_and_per_method_calls(monkeypatch):
 
 
 def _one_shot_draw(signal, noise_power, radio, n_frames, seed_prefix):
-    """The draw as one whole-acquisition call, as _draw_acquisition made it
-    before it drew in beam chunks: the reference for the chunked draw."""
+    """The draw as one whole-acquisition call, as simulate_acquisition made
+    it before it drew in beam chunks: the reference for the chunked draw."""
     basis = _window_basis(radio)
     n_beams, n_window = signal.shape
     noise, bins = np.empty((2, n_beams, n_frames, n_window), dtype=complex)
@@ -380,13 +378,16 @@ def _one_shot_draw(signal, noise_power, radio, n_frames, seed_prefix):
 def test_chunked_draw_equals_one_shot_draw():
     settings = EvalSettings()
     campaign = harness._build_campaign(settings)
-    scene, signal81 = harness._scenario_signal(campaign, scenario_catalog()[4])
-    radio = settings.radio
+    radio, geom, weights = settings.radio, campaign.geom, campaign.weights
+    scene = build_scene(scenario_catalog()[4], radio, geom)
     # below, at and across the chunk of 27 beams; one frame takes the gemv path
     for n_beams in (1, 26, 27, 28, 81):
-        signal = signal81[:n_beams]
+        plan = dataclasses.replace(
+            campaign.over_plan, beam_grid=campaign.over_plan.beam_grid[:n_beams]
+        )
+        signal = harness._signal_window(scene.scatterers, geom, weights, radio, plan)
         for n_frames in (1, 6, 24):
-            acq = harness._draw_acquisition(signal, scene.noise_power, radio, n_frames, (9, n_beams))
+            acq = simulate_acquisition(scene, geom, weights, radio, plan, n_frames, (9, n_beams))
             profiles, magnitudes = _one_shot_draw(
                 signal, scene.noise_power, radio, n_frames, (9, n_beams)
             )
@@ -558,6 +559,13 @@ def test_repeated_scenario_names_rejected():
             run_comparison(scenarios, ["dft"], [1])
 
 
+def test_repeated_method_names_rejected(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=re.escape("method names must be unique; repeated: ['dft']")):
+        run_comparison(scenario_catalog()[:1], ["dft", "omp", "dft"], [1], out_dir=out)
+    assert not out.exists()
+
+
 def test_uncatalogued_scenarios_draw_their_own_streams():
     far = scenario_catalog()[0]
     first, second = (dataclasses.replace(far, name=n) for n in ("copy_a", "copy_b"))
@@ -578,9 +586,9 @@ def _serial_comparison(scenarios, methods, seeds, out):
     out.mkdir()
     for scenario in scenarios:
         stream.setdefault(scenario.name, len(stream))
-        scene, signal = harness._scenario_signal(campaign, scenario)
+        scene = build_scene(scenario, campaign.settings.radio, campaign.geom)
         runs = harness._run_scenario(
-            campaign, scenario, scene, signal, stream[scenario.name], seeds, methods
+            campaign, scenario, scene, stream[scenario.name], seeds, methods
         )
         harness._write_scenario_files(out, scenario, runs[0], campaign.minimal_plan.beam_grid)
         outcomes.append((scenario, runs))
@@ -715,3 +723,24 @@ def test_signal_window_misses_on_other_content(change):
     info = harness._signal_window.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
     assert other.shape != base.shape or np.any(other != base)
+
+
+def test_campaign_draws_through_simulate_acquisition(tmp_path, monkeypatch):
+    # each (scenario, seed) is one simulate_acquisition call, and each
+    # scene's window bins are built by its first seed only
+    scenarios, methods, seeds = scenario_catalog()[:2], ["dft", "omp"], [1, 2, 3]
+    want = run_comparison(scenarios, methods, seeds, out_dir=tmp_path / "plain")
+    calls = []
+
+    def counted(*args, _real=harness.simulate_acquisition):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(harness, "simulate_acquisition", counted)
+    harness._signal_window.cache_clear()
+    got = run_comparison(scenarios, methods, seeds, out_dir=tmp_path / "counted")
+    assert len(calls) == len(scenarios) * len(seeds)
+    info = harness._signal_window.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
+    assert got.to_json_bytes() == want.to_json_bytes()
+    assert _tree_bytes(tmp_path / "counted") == _tree_bytes(tmp_path / "plain")
