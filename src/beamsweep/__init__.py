@@ -44,15 +44,10 @@ from .harness import (
 )
 from .ofdm import (
     C0,
-    FrameCsi,
-    Periodogram,
     RadioConfig,
     RangeAngleMap,
-    dump_csv,
     dump_ramp,
     load_ramp,
-    range_doppler_periodogram,
-    synthesize_csi,
 )
 from .omp import OmpConfig, SparseEstimate, omp, sparse_to_peaks
 from .reconstruct import (

@@ -3,7 +3,8 @@
 Each command takes only the flags it reads: reconstruct, detect and evaluate
 take --config, evaluate also --seed and --snr-db, and reconstruct and
 evaluate --dictionary. Exit codes: 0 on success, 1 for configuration/input
-problems (including bad command lines), 2 for internal contract violations.
+problems (including bad command lines and output paths that cannot be
+written), 2 for internal contract violations.
 The BEAMSWEEP_SEED environment variable overrides the master seed from any
 other source.
 """
@@ -266,8 +267,9 @@ def cmd_detect(args) -> int:
 def cmd_evaluate(args) -> int:
     settings, base = _build_settings(args)
     seeds = [base + i for i in range(args.seeds)]
-    scenarios = _pick_scenarios(args.scenarios.split(",") if args.scenarios else [])
-    methods = args.methods.split(",") if args.methods else list(METHODS)
+    # an empty list value names one empty name, which is refused, not "all"
+    scenarios = _pick_scenarios(args.scenarios.split(",") if args.scenarios is not None else [])
+    methods = args.methods.split(",") if args.methods is not None else list(METHODS)
     report = run_comparison(scenarios, methods, seeds, settings, out_dir=args.out)
     ranking = report.data["ordering"]["total_pooled_rmse_ascending"]
     print(f"report written to {args.out}/report.json")
@@ -328,6 +330,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an output path that cannot be written
+        where = "" if exc.filename is None else f": {exc.filename}"
+        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
         return 1
     except ContractViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)

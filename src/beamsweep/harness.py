@@ -166,13 +166,13 @@ def simulate_acquisition(
     One default_rng(seed_prefix) stream draws the noise of every beam and
     frame, in beam order, a chunk of beams at a time: standard_normal fills
     its output sequentially, so the chunks hold the same numbers as one
-    whole-acquisition draw. The explicit per-symbol path (synthesize_csi,
-    then the zero-Doppler column of range_doppler_periodogram) is the
-    reference; the two agree exactly without noise and in distribution,
-    inter-bin correlation included, with it. W and R depend on the radio
-    config alone and are built once per config; the noise-free bins are
-    built once per (scatterers, geometry, weights, radio, plan) and reused
-    by every seed.
+    whole-acquisition draw. The explicit per-symbol path in
+    tests/csi_oracle.py (the full CSI grid, then the zero-Doppler column of
+    its range-Doppler transform) is the reference; the two agree exactly
+    without noise and in distribution, inter-bin correlation included,
+    with it. W and R depend on the radio config alone and are built once
+    per config; the noise-free bins are built once per (scatterers,
+    geometry, weights, radio, plan) and reused by every seed.
 
     mode must be "poc". Frames are combined only after |.|^2, so a
     per-frame phase, such as the free-running phase of the hardware, would
@@ -603,12 +603,11 @@ def _write_spectrum_csv(path, grid, values) -> None:
 def _write_scenario_files(
     out: Path, scenario: Scenario, first: _SeedOutcome, minimal_grid: np.ndarray
 ) -> None:
-    """One scenario's first-seed maps (.ramp and .csv) and minimal sweep."""
-    from .ofdm import dump_csv, dump_ramp
+    """One scenario's first-seed maps (.ramp) and minimal sweep."""
+    from .ofdm import dump_ramp
 
     for m, map_ in first.maps.items():
         dump_ramp(map_, out / f"{scenario.name}_{m}.ramp")
-        dump_csv(map_, out / f"{scenario.name}_{m}.csv")
     _write_spectrum_csv(out / f"{scenario.name}_sweep.csv", minimal_grid, first.sweep_values)
 
 
@@ -645,7 +644,8 @@ def run_comparison(
     """Score every method on every scenario over the given seeds.
 
     Returns the report; when out_dir is given, also writes report.json,
-    report.csv, per-scenario peak CSVs and first-seed map dumps there.
+    report.csv and peaks.csv there, and per scenario its first-seed
+    {scenario}_{method}.ramp maps and {scenario}_sweep.csv minimal sweep.
     Catalog scenarios draw from their catalog index's noise stream; the
     j-th other scenario draws from stream len(catalog) + j.
 

@@ -1,11 +1,10 @@
-"""OFDM channel-state synthesis, range processing, and range-angle maps.
+"""OFDM radio numerology, the scene's subcarrier response, and range-angle maps.
 
-A static scene produces, per subcarrier n and symbol m, the sum over
-scatterers of their beamformed complex gain times exp(-2j*pi*n*df*2r/c),
-plus circular complex Gaussian noise. Range is recovered by an IDFT across
-subcarriers (zero-padded so the display window tiles into the configured
-bin count), Doppler by a DFT across symbols; the scene being static, all
-signal energy sits in the zero-Doppler slice.
+A static scene produces, per subcarrier n, the sum over scatterers of their
+beamformed complex gain times exp(-2j*pi*n*df*2r/c), the same on every
+symbol. Range is recovered by an IDFT across subcarriers, zero-padded so the
+display window tiles into the configured bin count. Maps are stored in the
+RAMP binary layout.
 """
 from __future__ import annotations
 
@@ -87,21 +86,6 @@ class RadioConfig:
         return np.arange(start, start + self.n_range_bins)
 
 
-@dataclass(frozen=True)
-class FrameCsi:
-    """One frame of channel state: (n_subcarriers, n_symbols) complex entries."""
-
-    entries: np.ndarray
-    config: RadioConfig
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=complex)
-        if e.shape != (self.config.n_subcarriers, self.config.n_symbols):
-            raise ConfigError("CSI shape must match (n_subcarriers, n_symbols)")
-        e.flags.writeable = False
-        object.__setattr__(self, "entries", e)
-
-
 def scene_subcarrier_profile(
     config: RadioConfig,
     scatterers: Sequence[Scatterer],
@@ -127,84 +111,6 @@ def scene_subcarrier_profile(
     n = np.arange(config.n_subcarriers)
     phases = np.exp(-2j * np.pi * config.subcarrier_spacing_hz * np.outer(delays, n))
     return gains @ phases
-
-
-def noisy_csi_from_profile(
-    profile: np.ndarray, config: RadioConfig, noise_power: float, rng
-) -> np.ndarray:
-    """Tile a per-subcarrier profile across symbols and add seeded noise.
-
-    Used by synthesize_csi, the explicit per-symbol reference path. The
-    sweep simulator draws the symbol-summed noise directly instead, so its
-    streams differ from this one while its distribution is the same.
-    """
-    if noise_power < 0:
-        raise ConfigError("noise power must be non-negative")
-    shape = (config.n_subcarriers, config.n_symbols)
-    entries = np.empty(shape, dtype=complex)
-    if noise_power > 0:
-        rng.standard_normal(out=entries.view(np.float64))
-        entries *= np.sqrt(noise_power / 2)
-        entries += np.asarray(profile, dtype=complex)[:, None]
-    else:
-        entries[:] = np.asarray(profile, dtype=complex)[:, None]
-    return entries
-
-
-def synthesize_csi(
-    config: RadioConfig,
-    scatterers: Sequence[Scatterer],
-    geom: ArrayGeometry,
-    weights: BeamformingWeights,
-    steer: NafAngle,
-    noise_power: float,
-    rng_seed,
-) -> FrameCsi:
-    """Synthesize one frame of CSI for a static scene at one steering NAF.
-
-    Parameters
-    ----------
-    noise_power : float
-        Per-entry variance of the circular complex Gaussian noise.
-    rng_seed : int, sequence of ints, or numpy Generator
-        Stream for the noise draw; identical seeds give bit-identical frames.
-    """
-    rng = (
-        rng_seed
-        if isinstance(rng_seed, np.random.Generator)
-        else np.random.default_rng(rng_seed)
-    )
-    base = scene_subcarrier_profile(config, scatterers, geom, weights, steer)
-    return FrameCsi(noisy_csi_from_profile(base, config, noise_power, rng), config)
-
-
-@dataclass(frozen=True)
-class Periodogram:
-    """Squared-magnitude range-Doppler transform of one CSI frame."""
-
-    power: np.ndarray  # (range_fft_size, n_symbols)
-    config: RadioConfig
-
-    def __post_init__(self):
-        p = np.asarray(self.power, dtype=float)
-        p.flags.writeable = False
-        object.__setattr__(self, "power", p)
-
-    @property
-    def zero_doppler(self) -> np.ndarray:
-        return self.power[:, 0]
-
-
-def range_doppler_periodogram(csi: FrameCsi) -> Periodogram:
-    """IDFT across subcarriers (zero-padded), DFT across symbols, |.|^2.
-
-    Total output power equals the CSI energy times n_symbols / range_fft_size
-    (Parseval with this normalization).
-    """
-    cfg = csi.config
-    ranged = np.fft.ifft(csi.entries, n=cfg.range_fft_size, axis=0)
-    moved = np.fft.fft(ranged, axis=1)
-    return Periodogram(np.abs(moved) ** 2, cfg)
 
 
 @dataclass(frozen=True)
@@ -267,18 +173,3 @@ def load_ramp(path) -> RangeAngleMap:
     range_axis = np.linspace(r0, r1, n_range) if n_range > 1 else np.array([r0])
     naf_axis = np.linspace(a0, a1, n_angle) if n_angle > 1 else np.array([a0])
     return RangeAngleMap(power, range_axis, naf_axis)
-
-
-def dump_csv(map_: RangeAngleMap, path) -> None:
-    """CSV mirror of the RAMP grid: header row of NAFs, rows led by range.
-
-    Cells are repr(float) and lines end in CRLF, byte for byte as
-    csv.writer writes them.
-    """
-    header = ",".join(["range_m"] + [repr(v) for v in map_.naf_axis.tolist()])
-    rows = np.column_stack((map_.range_axis, map_.power)).tolist()
-    # str() of a list of floats joins their repr()s with ", "; no float repr
-    # holds a comma, quote or space, so csv.writer would quote no cell
-    lines = [header] + [str(row)[1:-1].replace(", ", ",") for row in rows]
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")

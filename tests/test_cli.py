@@ -296,6 +296,7 @@ def test_evaluate_writes_outputs(tmp_path, capsys):
     assert (out / "report.csv").exists()
     assert (out / "peaks.csv").exists()
     assert (out / "octahedral_far_dft.ramp").exists()
+    assert not (out / "octahedral_far_dft.csv").exists()  # the .ramp is the only map file
     assert (out / "octahedral_far_sweep.csv").exists()
     stdout = capsys.readouterr().out
     assert stdout.startswith(f"report written to {out}/report.json\n")
@@ -408,6 +409,36 @@ def test_unknown_scenario_rejected(tmp_path, capsys):
     )
     assert rc == 1
     assert "unknown scenarios" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, bad", [("--scenarios", "unknown scenarios ['']"),
+                                       ("--methods", "unknown method ''")])
+def test_empty_list_value_exits_one(tmp_path, capsys, flag, bad):
+    # an empty list names one empty name; it does not stand for "all"
+    rc = cli.main(["evaluate", "--seeds", "1", flag, "", "--out", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}") and err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "detect", "evaluate"])
+def test_unwritable_output_exits_one(tmp_path, capsys, command):
+    sweep = tmp_path / "sweep.csv"
+    _write_sweep(sweep, minimal_naf_grid(8, 0.5 * np.sin(np.radians(33.0))), np.ones(9))
+    missing = tmp_path / "missing" / "out.csv"
+    argv, path = {
+        "reconstruct": (["--sweep", str(sweep), "--method", "dft", "--out", str(missing)], missing),
+        "detect": (["--spectrum", str(sweep), "--out", str(missing)], missing),
+        # an output directory that is an existing file
+        "evaluate": (["--scenarios", "octahedral_far", "--seeds", "1", "--out", str(sweep)], sweep),
+    }[command]
+    assert cli.main([command] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error: ") and err.endswith(f": {path}\n") and err.count("\n") == 1
+    assert not missing.parent.exists()
 
 
 def test_config_file_errors(tmp_path, capsys):

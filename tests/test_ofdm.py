@@ -1,6 +1,4 @@
 """CSI synthesis, range processing, map containers and file formats."""
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,17 +7,19 @@ from hypothesis.extra.numpy import arrays
 from beamsweep import (
     C0,
     ConfigError,
-    FrameCsi,
     RadioConfig,
     RangeAngleMap,
     Scatterer,
-    dump_csv,
     dump_ramp,
     load_ramp,
+)
+from beamsweep.ofdm import scene_subcarrier_profile
+from csi_oracle import (
+    FrameCsi,
+    noisy_csi_from_profile,
     range_doppler_periodogram,
     synthesize_csi,
 )
-from beamsweep.ofdm import noisy_csi_from_profile, scene_subcarrier_profile
 
 
 def test_radio_derived_values(radio):
@@ -202,32 +202,3 @@ def test_ramp_version_check(tmp_path, rng):
     path.write_bytes(bytes(raw))
     with pytest.raises(ConfigError):
         load_ramp(path)
-
-
-def test_dump_csv_mirrors_grid(tmp_path):
-    m = RangeAngleMap(
-        np.array([[1.5, 0.25], [0.0, 3.0]]), np.array([0.0, 0.6]), np.array([-0.1, 0.1]))
-    path = tmp_path / "map.csv"
-    dump_csv(m, path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["range_m", "-0.1", "0.1"]
-    assert [float(v) for v in rows[1]] == [0.0, 1.5, 0.25]
-    assert [float(v) for v in rows[2]] == [0.6, 0.0, 3.0]
-    # byte for byte what csv.writer makes of repr(float) cells, also on
-    # the values with unusual reprs (a one-column map may have a NaN NAF)
-    odd = RangeAngleMap(
-        np.array([[5e-324], [1e22], [-0.0], [1 / 3]]),
-        np.array([-np.inf, -0.0, 1 / 3, np.inf]),
-        np.array([np.nan]),
-    )
-    for case in (m, odd):
-        ref = tmp_path / "ref.csv"
-        with open(ref, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["range_m"] + [repr(float(v)) for v in case.naf_axis])
-            for r, row in zip(case.range_axis, case.power):
-                writer.writerow([repr(float(r))] + [repr(float(v)) for v in row])
-        dump_csv(case, path)
-        assert path.read_bytes() == ref.read_bytes()
-    assert b"nan" in path.read_bytes() and b"-inf" in path.read_bytes()
