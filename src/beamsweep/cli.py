@@ -5,8 +5,8 @@ take --config, evaluate also --seed and --snr-db, and reconstruct and
 evaluate --dictionary. Exit codes: 0 on success, 1 for configuration/input
 problems (including bad command lines and output paths that cannot be
 written), 2 for internal contract violations.
-The BEAMSWEEP_SEED environment variable overrides the master seed from any
-other source.
+The BEAMSWEEP_SEED environment variable overrides evaluate's master seed
+from any other source; the other commands take no seed and ignore it.
 """
 from __future__ import annotations
 
@@ -141,12 +141,13 @@ def _build_settings(args) -> typing.Tuple[EvalSettings, int]:
 
     Precedence is BEAMSWEEP_SEED > flag > config file > default: the flags
     and the variable overwrite config keys before the one check they all pass.
+    Only a command with a --seed flag reads the variable.
     """
     cfg = _load_config(args.config)
     # the flags of this command that shadow a config key
     flags = {key: getattr(args, key, None) for key in ("seed", "snr_db", "dictionary")}
     cfg.update((key, value) for key, value in flags.items() if value is not None)
-    env = os.environ.get(SEED_ENV_VAR)
+    env = os.environ.get(SEED_ENV_VAR) if hasattr(args, "seed") else None
     if env is not None:
         try:
             cfg["seed"] = int(env)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .beams import dirichlet_kernel
 from .errors import ConfigError, ContractViolation
@@ -200,6 +199,10 @@ def spline_interpolate(sweep: AngularSweep, target_grid) -> np.ndarray:
     if target_grid.size == 0:
         raise ConfigError("target grid must be non-empty")
     _check_spline_samples(sweep.plan.n_beams)
+    # scipy.interpolate costs about half a second to import; load it only
+    # when a spline is actually fitted
+    from scipy.interpolate import CubicSpline
+
     mags = np.abs(sweep.values).astype(float)
     spline = CubicSpline(sweep.plan.beam_grid, mags, bc_type="natural")
     return np.maximum(spline(target_grid), 0.0)

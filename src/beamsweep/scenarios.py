@@ -124,7 +124,9 @@ def reference_noise_power(
         noise = config.n_subcarriers * config.n_symbols * gain**2 / 10 ** (snr_db / 10)
     except (OverflowError, ZeroDivisionError):  # 10 ** (snr_db / 10) beyond a float
         noise = math.nan
-    if not 0 < noise < math.inf:  # NaN fails too
+    # the acquisition draws symbol-summed noise of variance n_symbols * noise,
+    # which must stay finite too; NaN fails both tests
+    if not (0 < noise and config.n_symbols * noise < math.inf):
         raise ConfigError(f"snr_db {snr_db!r} is out of range: no positive finite noise power")
     return noise
 

@@ -384,6 +384,18 @@ def test_seed_env_var_must_be_integer(tmp_path, monkeypatch, capsys):
     assert cli.SEED_ENV_VAR in capsys.readouterr().err
 
 
+def test_seed_env_var_is_ignored_by_commands_without_a_seed(tmp_path, monkeypatch):
+    # only evaluate takes a master seed; detect and reconstruct never parse the variable
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "tuesday")
+    mg = minimal_naf_grid(8, 0.5 * np.sin(np.radians(33.0)))
+    sweep, dense, peaks = (tmp_path / n for n in ("sweep.csv", "dense.csv", "peaks.csv"))
+    _write_sweep(sweep, mg, 1.0 / (1.0 + mg**2))
+    assert cli.main(
+        ["reconstruct", "--sweep", str(sweep), "--method", "dft", "--out", str(dense)]
+    ) == 0
+    assert cli.main(["detect", "--spectrum", str(dense), "--out", str(peaks)]) == 0
+
+
 def test_negative_master_seed_rejected(tmp_path, monkeypatch, capsys):
     base = ["evaluate", "--seeds", "1", "--scenarios", "octahedral_far",
             "--methods", "dft", "--out", str(tmp_path / "x")]
@@ -551,7 +563,8 @@ def test_out_of_range_snr_exits_one(tmp_path, capsys):
     base = ["evaluate", "--seeds", "1", "--scenarios", "octahedral_far",
             "--methods", "dft", "--out", str(tmp_path / "x")]
     path = tmp_path / "cfg.json"
-    for value in (1e308, -1e308, 4000.0, float("-inf"), float("nan")):
+    # at -3000 dB the noise power is finite but its sum over the symbols is not
+    for value in (1e308, -1e308, 4000.0, -3000.0, float("-inf"), float("nan")):
         path.write_text(json.dumps({"snr_db": value}))
         for extra in (["--snr-db=" + repr(value)], ["--config", str(path)]):
             assert cli.main(base + extra) == 1
