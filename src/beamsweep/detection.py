@@ -40,12 +40,6 @@ class CfarConfig:
         if not 0 < self.p_fa < 1:
             raise ConfigError("p_fa must be in (0, 1)")
 
-    def check_profile_cells(self, n: int) -> None:
-        """Refuse profiles of n cells unless longer than the full window."""
-        window = self.n_training + 2 * self.n_guard + 1
-        if n < window:
-            raise ConfigError(f"profile of {n} cells is too short for a {window}-cell window")
-
 
 def ca_cfar(profile, config: CfarConfig, cells=None) -> np.ndarray:
     """Detection mask over power profiles along the last axis.
@@ -68,7 +62,9 @@ def ca_cfar(profile, config: CfarConfig, cells=None) -> np.ndarray:
     t_side = config.n_training // 2
     g = config.n_guard
     n = profile.shape[-1]
-    config.check_profile_cells(n)
+    window = 2 * (t_side + g) + 1
+    if n < window:
+        raise ConfigError(f"profile of {n} cells is too short for a {window}-cell window")
     if cells is None:
         idx = np.broadcast_to(np.arange(n), profile.shape)
     else:

@@ -6,7 +6,7 @@ arrays are centered on the origin so that pairwise TX+RX position sums land
 on the integer lattice and symmetric two-way responses come out real.
 
 The NAF of a far-field direction is (d / lambda) * sin(azimuth) *
-cos(elevation); with half-wavelength spacing it lives in [-0.5, 0.5].
+cos(elevation); d is always half a wavelength, so it lives in [-0.5, 0.5].
 """
 from __future__ import annotations
 
@@ -56,7 +56,6 @@ class ArrayGeometry(_ContentEq):
 
     tx_positions: np.ndarray  # (n_tx, 2)
     rx_positions: np.ndarray  # (n_rx, 2)
-    spacing_wavelengths: float = 0.5
 
     def __post_init__(self):
         for name in ("tx_positions", "rx_positions"):
@@ -64,19 +63,15 @@ class ArrayGeometry(_ContentEq):
             if p.ndim != 2 or p.shape[1] != 2 or p.shape[0] < 1:
                 raise ConfigError(f"{name} must be a non-empty (n, 2) array")
             object.__setattr__(self, name, _readonly(p))
-        if self.spacing_wavelengths <= 0:
-            raise ConfigError("spacing_wavelengths must be positive")
 
     @classmethod
-    def uniform_linear(
-        cls, n_tx: int, n_rx: int, spacing_wavelengths: float = 0.5
-    ) -> "ArrayGeometry":
+    def uniform_linear(cls, n_tx: int, n_rx: int) -> "ArrayGeometry":
         """Centered horizontal ULAs with n_tx TX and n_rx RX elements."""
         if n_tx < 1 or n_rx < 1:
             raise ConfigError("element counts must be at least 1")
         tx = np.stack([np.arange(n_tx) - (n_tx - 1) / 2, np.zeros(n_tx)], axis=1)
         rx = np.stack([np.arange(n_rx) - (n_rx - 1) / 2, np.zeros(n_rx)], axis=1)
-        return cls(tx, rx, spacing_wavelengths)
+        return cls(tx, rx)
 
     @property
     def n_tx(self) -> int:

@@ -40,7 +40,6 @@ from .omp import OmpConfig, omp, sparse_to_peaks
 from .reconstruct import (
     AngularSweep,
     SweepPlan,
-    _check_spline_samples,
     dft_interpolate,
     minimal_sweep_plan,
     oversampled_sweep_plan,
@@ -203,7 +202,11 @@ def simulate_acquisition(
         np.matmul(noise, basis.r_factor, out=bins)
         bins += signal[lo:hi, None, :]
         power = np.abs(bins, out=profiles[lo:hi])
-        power **= 2
+        try:
+            with np.errstate(over="raise"):
+                power **= 2
+        except FloatingPointError:
+            raise ConfigError("window-bin power overflows the float range") from None
     magnitudes = np.sqrt(profiles[..., basis.keep].max(axis=-1))
     return Acquisition(magnitudes, profiles, basis.centers, basis.keep)
 
@@ -600,19 +603,14 @@ def _write_spectrum_csv(path, grid, values) -> None:
             fh.write(f"{float(g)!r},{float(v)!r}\n")
 
 
-def _write_scenario_files(
-    out: Path, scenario: Scenario, first: _SeedOutcome, minimal_grid: np.ndarray
+def _write_outputs(
+    out: Path, report: RmseReport, outcomes: _Outcomes, minimal_grid: np.ndarray
 ) -> None:
-    """One scenario's first-seed maps (.ramp) and minimal sweep."""
+    """Create out, then write report.json, report.csv, peaks.csv and, per
+    scenario, its first-seed maps (.ramp) and minimal sweep."""
     from .ofdm import dump_ramp
 
-    for m, map_ in first.maps.items():
-        dump_ramp(map_, out / f"{scenario.name}_{m}.ramp")
-    _write_spectrum_csv(out / f"{scenario.name}_sweep.csv", minimal_grid, first.sweep_values)
-
-
-def _write_outputs(out: Path, report: RmseReport, outcomes: _Outcomes) -> None:
-    """report.json, report.csv and peaks.csv."""
+    out.mkdir(parents=True, exist_ok=True)
     report.write_json(out / "report.json")
     report.write_csv(out / "report.csv")
     with open(out / "peaks.csv", "w") as fh:
@@ -624,6 +622,11 @@ def _write_outputs(out: Path, report: RmseReport, outcomes: _Outcomes) -> None:
                         fh.write(
                             f"{scenario.name},{m},{run.seed},{p.naf!r},{p.range_m!r},{p.power!r}\n"
                         )
+    for scenario, runs in outcomes:
+        first = runs[0]
+        for m, map_ in first.maps.items():
+            dump_ramp(map_, out / f"{scenario.name}_{m}.ramp")
+        _write_spectrum_csv(out / f"{scenario.name}_sweep.csv", minimal_grid, first.sweep_values)
 
 
 def _usable_cpus() -> int:
@@ -650,13 +653,10 @@ def run_comparison(
     j-th other scenario draws from stream len(catalog) + j.
 
     Scenarios run on a pool of min(usable CPUs, scenarios) threads; the
-    noise draw and the BLAS products release the GIL. Each scenario's
-    first-seed files are written by its thread, the report files after the
-    results are reduced in scenario order, so no output byte depends on the
-    number of threads. Every scene is built, and every per-seed step's
-    refusal of the settings (CFAR window, spline samples, peak count) made,
-    before the pool starts, so a run that cannot complete fails before any
-    file is written.
+    noise draw and the BLAS products release the GIL. out_dir is created,
+    and every file written, in the calling thread once every scenario has
+    returned, so no output byte depends on the number of threads and a
+    run that fails anywhere leaves no out_dir.
     """
     scenarios = list(scenarios)
     methods = list(methods)
@@ -674,18 +674,11 @@ def run_comparison(
         if repeated:
             raise ConfigError(f"{kind} names must be unique; repeated: {repeated}")
     campaign = _build_campaign(settings)
-    # what every seed of every scenario would refuse, refused before out_dir exists
-    settings.cfar.check_profile_cells(int(np.count_nonzero(_window_basis(settings.radio).keep)))
-    if "spline" in methods:
-        _check_spline_samples(campaign.minimal_plan.n_beams)
-    if settings.max_peaks < 1:
-        raise ConfigError("max_peaks must be at least 1")
     stream = {s.name: i for i, s in enumerate(scenario_catalog())}
     for name in names:
         stream.setdefault(name, len(stream))
-    # every scene is built, and so checked, before any thread or file exists;
-    # its window bins cannot fail once the window basis is, so the first
-    # seed that needs them builds them, in its worker
+    # every scene is built, and so checked, before any thread starts; the
+    # first seed that needs a scene's window bins builds them, in its worker
     scenes = [
         build_scene(
             s if settings.snr_db is None else dataclasses.replace(s, snr_db=settings.snr_db),
@@ -693,19 +686,11 @@ def run_comparison(
         )
         for s in scenarios
     ]
-    out = None if out_dir is None else Path(out_dir)
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-
-    def run(scenario: Scenario, scene: Scene) -> List[_SeedOutcome]:
-        runs = _run_scenario(campaign, scenario, scene, stream[scenario.name], seeds, methods)
-        if out is not None:
-            _write_scenario_files(out, scenario, runs[0], campaign.minimal_plan.beam_grid)
-        return runs
-
+    run = functools.partial(_run_scenario, campaign, seeds=seeds, methods=methods)
     with ThreadPoolExecutor(min(_usable_cpus(), len(scenarios))) as pool:
-        outcomes = list(zip(scenarios, pool.map(run, scenarios, scenes)))
+        runs = pool.map(run, scenarios, scenes, [stream[n] for n in names])
+        outcomes = list(zip(scenarios, runs))
     report = _build_report(campaign, outcomes, methods, seeds)
-    if out is not None:
-        _write_outputs(out, report, outcomes)
+    if out_dir is not None:
+        _write_outputs(Path(out_dir), report, outcomes, campaign.minimal_plan.beam_grid)
     return report

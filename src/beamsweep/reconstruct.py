@@ -188,17 +188,13 @@ def dft_interpolate(sweep: AngularSweep, target_grid) -> np.ndarray:
     return dirichlet_resample(sweep.plan.beam_grid, sweep.values, target_grid, order)
 
 
-def _check_spline_samples(n_beams: int) -> None:
-    if n_beams < 4:
-        raise ConfigError("spline interpolation needs at least 4 samples")
-
-
 def spline_interpolate(sweep: AngularSweep, target_grid) -> np.ndarray:
     """Natural cubic spline through the sample magnitudes, clamped at 0."""
     target_grid = np.asarray(target_grid, dtype=float)
     if target_grid.size == 0:
         raise ConfigError("target grid must be non-empty")
-    _check_spline_samples(sweep.plan.n_beams)
+    if sweep.plan.n_beams < 4:
+        raise ConfigError("spline interpolation needs at least 4 samples")
     # scipy.interpolate costs about half a second to import; load it only
     # when a spline is actually fitted
     from scipy.interpolate import CubicSpline

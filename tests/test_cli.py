@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -572,6 +573,21 @@ def test_out_of_range_snr_exits_one(tmp_path, capsys):
             assert "snr_db" in err and err.count("\n") == 1
             assert "internal error" not in err
     assert not (tmp_path / "x").exists()
+
+
+def test_window_power_overflow_exits_one(tmp_path, capsys):
+    # 10**200 symbols at 3000 dB: the noise power passes its check, but the
+    # signal's window-bin power overflows; one line, no numpy warning
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"radio": {"n_symbols": 10**200}}))
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["evaluate", "--config", str(path), "--snr-db=3000",
+                         "--seeds", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: window-bin power overflows the float range\n"
+    assert not out.exists()
 
 
 def test_negative_snr_spellings(tmp_path, capsys):

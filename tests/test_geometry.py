@@ -26,8 +26,6 @@ def test_geometry_validation():
         ArrayGeometry.uniform_linear(0, 8)
     with pytest.raises(ConfigError):
         ArrayGeometry(np.zeros((2, 3)), np.zeros((2, 2)))
-    with pytest.raises(ConfigError):
-        ArrayGeometry(np.zeros((2, 2)), np.zeros((2, 2)), spacing_wavelengths=-0.5)
 
 
 def test_sum_coarray_8x8(geom8):
@@ -74,7 +72,7 @@ _CONTENTS = {
     "geometry": (
         lambda: ArrayGeometry([[-0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0]]),
         lambda: [
-            ArrayGeometry([[-0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0]], 0.25),
+            ArrayGeometry([[-0.0, 0.0], [1.0, 0.5]], [[0.0, 0.0]]),
             ArrayGeometry([[-0.0, 0.0], [2.0, 0.0]], [[0.0, 0.0]]),
             ArrayGeometry([[-0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]),
             ArrayGeometry([[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0]]),

@@ -578,21 +578,20 @@ def test_uncatalogued_scenarios_draw_their_own_streams():
 
 def _serial_comparison(scenarios, methods, seeds, out):
     """run_comparison's steps in the calling thread, one scenario after
-    another: the reference that the thread pool must reproduce."""
+    another, then every file: the reference that the thread pool must
+    reproduce."""
     campaign = harness._build_campaign(EvalSettings())
     stream = {s.name: i for i, s in enumerate(scenario_catalog())}
     outcomes = []
-    out.mkdir()
     for scenario in scenarios:
         stream.setdefault(scenario.name, len(stream))
         scene = build_scene(scenario, campaign.settings.radio, campaign.geom)
         runs = harness._run_scenario(
             campaign, scenario, scene, stream[scenario.name], seeds, methods
         )
-        harness._write_scenario_files(out, scenario, runs[0], campaign.minimal_plan.beam_grid)
         outcomes.append((scenario, runs))
     report = harness._build_report(campaign, outcomes, methods, seeds)
-    harness._write_outputs(out, report, outcomes)
+    harness._write_outputs(out, report, outcomes, campaign.minimal_plan.beam_grid)
     return report
 
 
@@ -657,15 +656,37 @@ def test_unsimulable_scenario_fails_before_any_thread_or_file(tmp_path, monkeypa
      "spline interpolation needs at least 4 samples"),
     (EvalSettings(max_peaks=0), ["oversampled"], "max_peaks must be at least 1"),
 ], ids=["cfar_window", "spline_samples", "max_peaks"])
-def test_unrunnable_settings_fail_before_any_file(tmp_path, monkeypatch, settings, methods, message):
-    # each would be refused by every seed of every scenario, inside the workers
-    started = []
-    monkeypatch.setattr(harness, "_run_scenario", lambda *args: started.append(args))
+def test_unrunnable_settings_fail_before_any_file(tmp_path, settings, methods, message):
+    # each is refused by every seed of every scenario, inside the workers
     out = tmp_path / "out"
     with pytest.raises(ConfigError, match=re.escape(message)):
         run_comparison(scenario_catalog()[:2], methods, [1], settings, out_dir=out)
     assert not out.exists()
-    assert not started
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_later_scenario_failure_leaves_no_out_dir(tmp_path, monkeypatch, cpus):
+    # the first scenario completes; the second is refused after it
+    catalog = scenario_catalog()
+    real = harness._run_scenario
+    first_done = threading.Event()
+
+    def run(campaign, scenario, *args, **kwargs):
+        if scenario is catalog[1]:
+            assert first_done.wait(timeout=60)
+            raise ConfigError("refused by the second scenario")
+        runs = real(campaign, scenario, *args, **kwargs)
+        if scenario is catalog[0]:
+            first_done.set()
+        return runs
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(harness, "_run_scenario", run)
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="refused by the second scenario"):
+        run_comparison(catalog[:3], ["dft"], [1], out_dir=out)
+    assert first_done.is_set()
+    assert not out.exists()
 
 
 def test_two_element_array_runs_without_spline():
