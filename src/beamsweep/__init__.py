@@ -35,7 +35,6 @@ from .harness import (
     EvalSettings,
     METHODS,
     RmseReport,
-    ScoreSummary,
     estimate_ground_truth,
     naf_error_to_cross_track_m,
     run_comparison,

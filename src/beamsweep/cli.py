@@ -56,12 +56,16 @@ def _load_config(path) -> dict:
     if path is None:
         return {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config file {path} nests too deeply") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
     return cfg
@@ -172,17 +176,26 @@ def _pick_scenarios(names) -> list:
 
 def _read_two_column_csv(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text") from exc
+    except csv.Error as exc:
+        raise ConfigError(f"{path} is not a valid CSV: {exc}") from exc
     if not rows:
         raise ConfigError(f"{path} holds no data rows")
-    try:
-        naf = np.array([float(r["naf"]) for r in rows])
-        val = np.array([float(r["value"]) for r in rows])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path} must have 'naf' and 'value' columns") from exc
+    if not {"naf", "value"} <= rows[0].keys():
+        raise ConfigError(f"{path} must have 'naf' and 'value' columns")
+    naf, val = [], []
+    for i, row in enumerate(rows, 1):
+        try:  # a missing cell reads as None
+            naf.append(float(row["naf"]))
+            val.append(float(row["value"]))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path} data row {i} is not a number") from exc
+    naf, val = np.array(naf), np.array(val)
     bad = ~(np.isfinite(naf) & np.isfinite(val))
     if bad.any():
         raise ConfigError(f"{path} data row {int(np.argmax(bad)) + 1} is not finite")

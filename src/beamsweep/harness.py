@@ -226,8 +226,8 @@ def _eligibility(
 
 def estimate_ground_truth(
     frame_peak_nafs: Sequence[Sequence[float]],
-    nominal_nafs: Tuple[float, float],
-) -> Tuple[Tuple[float, float], Tuple[int, int]]:
+    nominal_nafs: Sequence[float],
+) -> Tuple[Tuple[float, ...], Tuple[int, ...]]:
     """Per-target median of single-frame estimates.
 
     Every peak of every frame is assigned to the nearest nominal target;
@@ -242,41 +242,28 @@ def estimate_ground_truth(
         float(np.median(b)) if b.size else float(nominal_nafs[t])
         for t, b in enumerate(buckets)
     )
-    return truth, (buckets[0].size, buckets[1].size)
+    return truth, tuple(b.size for b in buckets)
 
 
 def naf_error_to_cross_track_m(naf_error: float, range_m: float) -> float:
     """Cross-track displacement of a NAF error at the given range."""
+    if not (math.isfinite(naf_error) and math.isfinite(range_m)):
+        raise ConfigError("NAF error and range must be finite")
     if range_m <= 0:
         raise ConfigError("range must be positive")
     return range_m * math.asin(max(-1.0, min(1.0, naf_error)))
 
 
-@dataclass(frozen=True)
-class ScoreSummary:
-    """Nearest-estimate error statistics for one (scenario, method) group."""
-
-    rmse_per_target: Tuple[float, ...]
-    pooled_rmse: float
-    pooled_variance: float
-    n_runs: int
-    n_missed: int
-    errors_per_target: Tuple[Tuple[float, ...], ...] = field(repr=False)
-
-    @property
-    def detection_rate(self) -> float:
-        return 1.0 - self.n_missed / self.n_runs if self.n_runs else 0.0
-
-
 def score_rmse(
     estimates: Sequence[Sequence[float]],
     ground_truths: Sequence[Sequence[float]],
-) -> ScoreSummary:
+) -> dict:
     """Score per-run estimate lists against per-run ground-truth tuples.
 
     Each ground-truth target is matched to its nearest estimate (estimates
     may be reused, so the result is independent of estimate order). Runs
     with no estimates at all count as misses and contribute no errors.
+    Returns the report's summary entry for one (scenario group, method).
     """
     if len(estimates) != len(ground_truths):
         raise ConfigError("one estimate list per ground-truth tuple required")
@@ -296,18 +283,17 @@ def score_rmse(
             nearest = arr[np.argmin(np.abs(arr - g))]
             per_target[t].append(float(nearest - g))
     pooled = np.array([e for bucket in per_target for e in bucket])
-    rmse = tuple(
-        float(np.sqrt(np.mean(np.square(bucket)))) if bucket else math.nan
-        for bucket in per_target
-    )
-    return ScoreSummary(
-        rmse_per_target=rmse,
-        pooled_rmse=float(np.sqrt(np.mean(pooled**2))) if pooled.size else math.nan,
-        pooled_variance=float(np.var(pooled)) if pooled.size else math.nan,
-        n_runs=len(estimates),
-        n_missed=missed,
-        errors_per_target=tuple(tuple(b) for b in per_target),
-    )
+    return {
+        "rmse_per_target": [
+            float(np.sqrt(np.mean(np.square(bucket)))) if bucket else math.nan
+            for bucket in per_target
+        ],
+        "pooled_rmse": float(np.sqrt(np.mean(pooled**2))) if pooled.size else math.nan,
+        "pooled_variance": float(np.var(pooled)) if pooled.size else math.nan,
+        "n_runs": len(estimates),
+        "n_missed": missed,
+        "detection_rate": 1.0 - missed / len(estimates),
+    }
 
 
 @dataclass(frozen=True)
@@ -507,15 +493,9 @@ class RmseReport:
 
 
 def _summary(runs: Sequence[_SeedOutcome], method: str) -> dict:
-    s = score_rmse([[p.naf for p in r.peaks[method]] for r in runs], [r.ground_truth for r in runs])
-    return {
-        "rmse_per_target": list(s.rmse_per_target),
-        "pooled_rmse": s.pooled_rmse,
-        "pooled_variance": s.pooled_variance,
-        "n_runs": s.n_runs,
-        "n_missed": s.n_missed,
-        "detection_rate": s.detection_rate,
-    }
+    return score_rmse(
+        [[p.naf for p in r.peaks[method]] for r in runs], [r.ground_truth for r in runs]
+    )
 
 
 def _run_scenario(
@@ -587,10 +567,7 @@ def _build_report(
         },
         "groups": groups,
     }
-    ranking = sorted(
-        (m for m in methods if groups["total"][m] is not None),
-        key=lambda m: groups["total"][m]["pooled_rmse"],
-    )
+    ranking = sorted(methods, key=lambda m: groups["total"][m]["pooled_rmse"])
     report["ordering"] = {"total_pooled_rmse_ascending": ranking}
     return RmseReport(report)
 

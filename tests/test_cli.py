@@ -470,6 +470,13 @@ def test_config_file_errors(tmp_path, capsys):
     listy.write_text("[1, 2]")
     assert cli.main(base + ["--config", str(listy)]) == 1
 
+    # nesting beyond the interpreter's recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    capsys.readouterr()
+    assert cli.main(base + ["--config", str(deep)]) == 1
+    assert capsys.readouterr().err == f"error: config file {deep} nests too deeply\n"
+
     badkey = tmp_path / "badkey.json"
     badkey.write_text(json.dumps({"radio": {"carrier_frequency_thz": 1}}))
     assert cli.main(base + ["--config", str(badkey)]) == 1
@@ -765,7 +772,36 @@ def test_non_finite_csv_cells_rejected(tmp_path, capsys):
     assert not out.exists() and not dense.exists()
 
 
-def test_sweep_file_errors(tmp_path):
+@pytest.mark.parametrize("flag", ["--spectrum", "--sweep", "--config"])
+def test_undecodable_input_file_exits_one(tmp_path, capsys, flag):
+    good = tmp_path / "good.csv"
+    _write_sweep(good, [0.0], [1.0])
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"naf,value\n0.0,1.0\xff\n")
+    out = tmp_path / "o.csv"
+    argv = {
+        "--spectrum": ["detect", "--spectrum", str(bad)],
+        "--sweep": ["reconstruct", "--sweep", str(bad), "--method", "dft"],
+        "--config": ["detect", "--spectrum", str(good), "--config", str(bad)],
+    }[flag]
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f"{bad} is not UTF-8 text\n") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row", ["0.1,abc", "0.1"])
+def test_non_numeric_or_missing_csv_cell_names_its_row(tmp_path, capsys, row):
+    src = tmp_path / "spectrum.csv"
+    src.write_text(f"naf,value\n0.0,1.0\n{row}\n")
+    out = tmp_path / "peaks.csv"
+    assert cli.main(["detect", "--spectrum", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {src} data row 2 is not a number\n"
+    assert not out.exists()
+
+
+def test_sweep_file_errors(tmp_path, capsys):
     out = str(tmp_path / "o.csv")
     rc = cli.main(
         ["reconstruct", "--sweep", str(tmp_path / "none.csv"), "--method", "dft", "--out", out]
@@ -781,6 +817,15 @@ def test_sweep_file_errors(tmp_path):
     badcols.write_text("angle,power\n0.0,1.0\n")
     rc = cli.main(["reconstruct", "--sweep", str(badcols), "--method", "dft", "--out", out])
     assert rc == 1
+    assert capsys.readouterr().err.endswith("must have 'naf' and 'value' columns\n")
+
+    # a cell beyond the csv module's field size limit
+    huge = tmp_path / "huge.csv"
+    huge.write_text("naf,value\n0.0," + "1" * 200_000 + "\n")
+    rc = cli.main(["reconstruct", "--sweep", str(huge), "--method", "dft", "--out", out])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {huge} is not a valid CSV: ") and err.count("\n") == 1
 
 
 def test_usage_errors_exit_one(capsys):

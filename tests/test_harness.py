@@ -51,6 +51,11 @@ def test_cross_track_conversion():
     assert naf_error_to_cross_track_m(-2.0, 1.0) == pytest.approx(-math.pi / 2)
     with pytest.raises(ConfigError):
         naf_error_to_cross_track_m(0.01, 0.0)
+    # min(1.0, nan) is 1.0, so a non-finite error would otherwise saturate
+    for args in ((math.nan, 18.0), (math.inf, 18.0), (-math.inf, 18.0),
+                 (0.01, math.nan), (0.01, math.inf)):
+        with pytest.raises(ConfigError, match="must be finite"):
+            naf_error_to_cross_track_m(*args)
 
 
 def test_ground_truth_buckets_by_nearest_nominal():
@@ -59,6 +64,10 @@ def test_ground_truth_buckets_by_nearest_nominal():
     assert truth[0] == pytest.approx(np.median([-0.11, -0.09, -0.10]))
     assert truth[1] == pytest.approx(np.median([0.09, 0.11]))
     assert counts == (3, 2)
+    # one count per nominal target, however many there are
+    truth, counts = estimate_ground_truth([[0.1, 0.2]], (-0.1, 0.0, 0.1))
+    assert truth == (-0.1, 0.0, pytest.approx(0.15))
+    assert counts == (0, 0, 2)
 
 
 def test_ground_truth_falls_back_to_nominal():
@@ -72,25 +81,24 @@ def test_ground_truth_falls_back_to_nominal():
 
 def test_score_rmse_hand_example():
     s = score_rmse([[-0.1, 0.12]], [(-0.1, 0.1)])
-    assert s.rmse_per_target[0] == pytest.approx(0.0)
-    assert s.rmse_per_target[1] == pytest.approx(0.02)
-    assert s.pooled_rmse == pytest.approx(np.sqrt(0.02**2 / 2))
-    assert s.n_runs == 1
-    assert s.n_missed == 0
-    assert s.detection_rate == 1.0
+    assert s["rmse_per_target"][0] == pytest.approx(0.0)
+    assert s["rmse_per_target"][1] == pytest.approx(0.02)
+    assert s["pooled_rmse"] == pytest.approx(np.sqrt(0.02**2 / 2))
+    assert s["n_runs"] == 1
+    assert s["n_missed"] == 0
+    assert s["detection_rate"] == 1.0
 
 
 def test_score_rmse_counts_empty_runs_as_misses():
     s = score_rmse([[], [-0.1, 0.1]], [(-0.1, 0.1), (-0.1, 0.1)])
-    assert s.n_missed == 1
-    assert s.detection_rate == 0.5
-    assert s.rmse_per_target == (0.0, 0.0)
+    assert s["n_missed"] == 1
+    assert s["detection_rate"] == 0.5
+    assert s["rmse_per_target"] == [0.0, 0.0]
 
 
 def test_score_rmse_reuses_nearest_estimate():
     s = score_rmse([[0.05]], [(-0.1, 0.1)])
-    assert s.errors_per_target[0] == (pytest.approx(0.15),)
-    assert s.errors_per_target[1] == (pytest.approx(-0.05),)
+    assert s["rmse_per_target"] == [pytest.approx(0.15), pytest.approx(0.05)]
 
 
 def test_score_rmse_validation():
@@ -502,6 +510,17 @@ def test_report_structure(far_report):
     gt = data["scenarios"]["octahedral_far"]
     assert gt["kind"] == "octahedral"
     assert gt["nominal_nafs"] == [-0.1045, 0.1045]
+
+
+def test_score_rmse_returns_the_report_entry(far_report):
+    _, _, report = far_report
+    keys = score_rmse([[0.1]], [(0.1,)]).keys()
+    assert keys == {"rmse_per_target", "pooled_rmse", "pooled_variance",
+                    "n_runs", "n_missed", "detection_rate"}
+    data = report.data
+    entries = [e for per in data["per_scenario"].values() for e in per.values()]
+    entries += [e for group in data["groups"].values() for e in group.values() if e is not None]
+    assert entries and all(e.keys() == keys for e in entries)
 
 
 def test_report_files_written(far_report):
