@@ -9,7 +9,9 @@ lattice points contribute zero.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -30,6 +32,7 @@ __all__ = [
 ]
 
 _LATTICE_TOL = 1e-9
+_MAX_LATTICE_POINTS = 1_000_000
 
 
 def _lattice(n_1d: int, naf_limit: float, factor: int) -> np.ndarray:
@@ -40,8 +43,14 @@ def _lattice(n_1d: int, naf_limit: float, factor: int) -> np.ndarray:
         raise ConfigError("n_1d must be a positive integer")
     if not 0 < naf_limit <= 0.5:
         raise ConfigError("naf_limit must be in (0, 0.5]")
-    step_den = (2 * n_1d - 1) * factor
-    k_max = int(np.floor(naf_limit * step_den + _LATTICE_TOL))
+    step_den = (2 * int(n_1d) - 1) * int(factor)
+    # in exact rationals, so a factor past the float range is still counted
+    k_max = math.floor(Fraction(float(naf_limit)) * step_den + Fraction(_LATTICE_TOL))
+    if 2 * k_max + 1 > _MAX_LATTICE_POINTS:
+        raise ConfigError(
+            f"factor {factor} gives a grid of {2 * k_max + 1} points, "
+            f"more than the {_MAX_LATTICE_POINTS} allowed"
+        )
     return np.arange(-k_max, k_max + 1) / step_den
 
 
@@ -189,16 +198,41 @@ def dft_interpolate(sweep: AngularSweep, target_grid) -> np.ndarray:
 
 
 def spline_interpolate(sweep: AngularSweep, target_grid) -> np.ndarray:
-    """Natural cubic spline through the sample magnitudes, clamped at 0."""
+    """Natural cubic spline through the sample magnitudes, clamped at 0.
+
+    The knot second derivatives m solve the tridiagonal system
+    h[i-1] m[i-1] + 2 (h[i-1] + h[i]) m[i] + h[i] m[i+1] = 6 (s[i] - s[i-1])
+    with m = 0 at both ends (h the knot gaps, s the chord slopes), one
+    elimination sweep for every trailing column at once. Each target takes
+    the cubic of the interval it falls in; targets outside the knots take
+    the end pieces. Every step is elementwise across columns, so an (n, k)
+    sweep gives k one-column sweeps bit for bit.
+    """
     target_grid = np.asarray(target_grid, dtype=float)
     if target_grid.size == 0:
         raise ConfigError("target grid must be non-empty")
     if sweep.plan.n_beams < 4:
         raise ConfigError("spline interpolation needs at least 4 samples")
-    # scipy.interpolate costs about half a second to import; load it only
-    # when a spline is actually fitted
-    from scipy.interpolate import CubicSpline
-
+    x = sweep.plan.beam_grid
     mags = np.abs(sweep.values).astype(float)
-    spline = CubicSpline(sweep.plan.beam_grid, mags, bc_type="natural")
-    return np.maximum(spline(target_grid), 0.0)
+    y = mags.reshape(x.size, -1)
+    h = np.diff(x)[:, None]
+    slope = np.diff(y, axis=0) / h
+    diag = 2.0 * (h[:-1] + h[1:])
+    rhs = 6.0 * np.diff(slope, axis=0)
+    for i in range(1, rhs.shape[0]):
+        w = h[i] / diag[i - 1]
+        diag[i] -= w * h[i]
+        rhs[i] -= w * rhs[i - 1]
+    m = np.zeros_like(y)
+    m[-2] = rhs[-1] / diag[-1]
+    for i in range(rhs.shape[0] - 2, -1, -1):
+        m[i + 1] = (rhs[i] - h[i + 1] * m[i + 2]) / diag[i]
+    b = slope - h * (2.0 * m[:-1] + m[1:]) / 6.0
+    c = m[:-1] / 2.0
+    d = np.diff(m, axis=0) / (6.0 * h)
+    t = target_grid.ravel()
+    j = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
+    dt = (t - x[j])[:, None]
+    out = y[j] + dt * (b[j] + dt * (c[j] + dt * d[j]))
+    return np.maximum(out, 0.0).reshape(target_grid.shape + mags.shape[1:])

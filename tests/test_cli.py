@@ -277,6 +277,34 @@ def test_reconstruct_rejects_non_positive_factor(tmp_path, capsys):
     assert not dst.exists()
 
 
+def test_factor_past_the_grid_limit_exits_one(tmp_path, capsys):
+    # refused before any grid is allocated: one line naming the factor and
+    # the point count, no traceback, no output
+    mg = minimal_naf_grid(8, 0.5 * np.sin(np.radians(33.0)))
+    src = tmp_path / "sweep.csv"
+    dst = tmp_path / "dense.csv"
+    _write_sweep(src, mg, np.ones(mg.size))
+    for factor in (10**12, 10**20, 10**400):
+        rc = cli.main(
+            ["reconstruct", "--sweep", str(src), "--method", "spline",
+             "--factor", str(factor), "--out", str(dst)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: factor {factor} gives a grid of ")
+        assert err.endswith(" points, more than the 1000000 allowed\n")
+        assert err.count("\n") == 1
+    assert not dst.exists()
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "eval"
+    cfg.write_text(json.dumps({"oversampling_factor": 10**12}))
+    assert cli.main(["evaluate", "--config", str(cfg), "--seeds", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: factor 1000000000000 gives a grid of ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_evaluate_writes_outputs(tmp_path, capsys):
     out = tmp_path / "eval"
     rc = cli.main(

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline  # the reference spline, for tests only
 
 from beamsweep import (
     AngularSweep,
@@ -52,6 +53,16 @@ def test_oversampled_grid_contains_minimal():
     np.testing.assert_array_equal(over.beam_grid[::10], mini.beam_grid)
     same = oversampled_sweep_plan(8, LIMIT, 1)
     np.testing.assert_array_equal(same.beam_grid, mini.beam_grid)
+
+
+def test_oversampled_grid_point_limit():
+    # the largest accepted grid, and the first refused, counted exactly
+    assert oversampled_sweep_plan(1, 0.5, 999_999).n_beams == 999_999
+    with pytest.raises(ConfigError, match=r"^factor 1000001 gives a grid of 1000001 points"):
+        oversampled_sweep_plan(1, 0.5, 1_000_001)
+    for factor in (10**12, 10**20, 10**400, np.int64(2**62)):
+        with pytest.raises(ConfigError, match=f"^factor {factor} gives a grid of "):
+            oversampled_sweep_plan(8, LIMIT, factor)
 
 
 def test_sweep_plan_validation():
@@ -256,3 +267,45 @@ def test_spline_needs_four_samples():
     plan = SweepPlan(np.array([-1.0 / 15, 0.0, 1.0 / 15]), "minimal")
     with pytest.raises(ConfigError):
         spline_interpolate(AngularSweep(plan, np.ones(3), "magnitude"), np.array([0.0]))
+
+
+@st.composite
+def spline_cases(draw):
+    """Strictly increasing knots in [-0.4, 0.4], uniform or not, with 1-3
+    value columns and targets inside the knots and up to one end gap past
+    each end."""
+    n = draw(st.integers(4, 15))
+    if draw(st.booleans()):
+        gaps = np.ones(n - 1)
+    else:
+        gaps = np.array(draw(st.lists(st.floats(1.0, 5.0), min_size=n - 1, max_size=n - 1)))
+    knots = np.concatenate(([0.0], np.cumsum(gaps)))
+    knots = 0.8 * (knots / knots[-1] - 0.5)
+    k = draw(st.integers(1, 3))
+    values = draw(st.lists(st.floats(0.0, 100.0), min_size=n * k, max_size=n * k))
+    lo, hi = 2 * knots[0] - knots[1], 2 * knots[-1] - knots[-2]
+    inner = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=30))
+    targets = np.array(inner + [lo, hi])
+    return knots, np.reshape(values, (n, k)), targets
+
+
+@settings(max_examples=200, deadline=None)
+@given(spline_cases())
+def test_spline_matches_scipy_natural_cubic_spline(case):
+    knots, values, targets = case
+    got = spline_interpolate(AngularSweep(SweepPlan(knots, "minimal"), values), targets)
+    want = np.maximum(CubicSpline(knots, values, bc_type="natural")(targets), 0.0)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(values).max()
+
+
+@settings(max_examples=100, deadline=None)
+@given(spline_cases())
+def test_spline_columns_are_independent_bit_for_bit(case):
+    # the harness fits the beam values and every range bin in one call
+    knots, values, targets = case
+    plan = SweepPlan(knots, "minimal")
+    got = spline_interpolate(AngularSweep(plan, values), targets)
+    for j in range(values.shape[1]):
+        np.testing.assert_array_equal(
+            got[:, j], spline_interpolate(AngularSweep(plan, values[:, j]), targets))
