@@ -22,11 +22,11 @@ import typing
 
 import numpy as np
 
-from .beams import DICTIONARY_KINDS, build_dictionary
+from .beams import DICTIONARY_KINDS
 from .detection import extract_peaks
 from .errors import ConfigError, ContractViolation
 from .geometry import naf_resolution
-from .harness import EvalSettings, METHODS, _write_spectrum_csv, run_comparison
+from .harness import EvalSettings, METHODS, _dictionary, _write_spectrum_csv, run_comparison
 from .omp import omp
 from .reconstruct import (
     AngularSweep,
@@ -175,9 +175,15 @@ def _pick_scenarios(names) -> list:
 
 
 def _read_two_column_csv(path):
+    """The naf and value columns of a CSV, read as csv.DictReader reads
+    them: the first line is the header even when blank, later blank lines
+    are skipped and not numbered, a repeated column name means its last
+    column, and cells past the header are ignored."""
     try:
         with open(path, encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = [row for row in reader if row]
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -186,14 +192,16 @@ def _read_two_column_csv(path):
         raise ConfigError(f"{path} is not a valid CSV: {exc}") from exc
     if not rows:
         raise ConfigError(f"{path} holds no data rows")
-    if not {"naf", "value"} <= rows[0].keys():
+    column = {name: i for i, name in enumerate(header)}
+    if not {"naf", "value"} <= column.keys():
         raise ConfigError(f"{path} must have 'naf' and 'value' columns")
+    i_naf, i_val = column["naf"], column["value"]
     naf, val = [], []
     for i, row in enumerate(rows, 1):
-        try:  # a missing cell reads as None
-            naf.append(float(row["naf"]))
-            val.append(float(row["value"]))
-        except (TypeError, ValueError) as exc:
+        try:
+            naf.append(float(row[i_naf]))
+            val.append(float(row[i_val]))
+        except (IndexError, ValueError) as exc:
             raise ConfigError(f"{path} data row {i} is not a number") from exc
     naf, val = np.array(naf), np.array(val)
     bad = ~(np.isfinite(naf) & np.isfinite(val))
@@ -243,16 +251,17 @@ def cmd_reconstruct(args) -> int:
     # the lattice refined by --factor, out to the sweep's outermost sample;
     # a single beam at NAF 0 (order 1) is its own grid
     k_max = round(max(-naf[0], naf[-1]) * order)
-    grid = plan.beam_grid
+    dense_plan = plan
     if k_max:
-        grid = oversampled_sweep_plan((order + 1) // 2, k_max / order, args.factor).beam_grid
+        dense_plan = oversampled_sweep_plan((order + 1) // 2, k_max / order, args.factor)
+    grid = dense_plan.beam_grid
     if args.method == "dft":
         dense = dft_interpolate(sweep, grid)
     elif args.method == "spline":
         dense = spline_interpolate(sweep, grid)
     else:  # omp, the last of the parser's choices
-        dictionary = build_dictionary(
-            settings.geometry(), settings.weights(), naf, grid, settings.dictionary_kind
+        dictionary = _dictionary(
+            settings.geometry(), settings.weights(), plan, dense_plan, settings.dictionary_kind
         )
         estimate = omp(dictionary, values, settings.omp)
         dense = np.zeros(grid.size)

@@ -139,6 +139,29 @@ def _signal_window(
     return signal
 
 
+@functools.lru_cache(maxsize=4)
+def _dictionary(
+    geom: ArrayGeometry,
+    weights: BeamformingWeights,
+    beam_plan: SweepPlan,
+    candidate_plan: SweepPlan,
+    kind: str,
+) -> Dictionary:
+    """build_dictionary over the two plans' grids, cached on the arguments'
+    content like _signal_window; the atoms are read-only.
+
+    Every campaign and every reconstruct --method omp call on equal
+    settings shares one entry. The default 9 x 81 entry is 5.8 KB; at the
+    1,000,000-point grid limit one 9-beam entry holds 72 MB of atoms and
+    the 8 MB grid, so the 4 entries stay under 320 MB.
+    """
+    dictionary = build_dictionary(
+        geom, weights, beam_plan.beam_grid, candidate_plan.beam_grid, kind
+    )
+    dictionary.atoms.flags.writeable = False
+    return dictionary
+
+
 # Beams per noise chunk: a 24-frame chunk's noise and window bins take
 # 0.87 MB, against 2.6 MB for the whole 81-beam acquisition at once.
 _DRAW_CHUNK_BEAMS = 27
@@ -358,6 +381,10 @@ class _Campaign:
     dictionary: Dictionary
 
 
+# The most that one acquisition's largest arrays may take together.
+_ACQUISITION_BUDGET_BYTES = 256 * 2**20
+
+
 def _build_campaign(settings: EvalSettings) -> _Campaign:
     radio = settings.radio
     geom = settings.geometry()
@@ -367,12 +394,21 @@ def _build_campaign(settings: EvalSettings) -> _Campaign:
         n_1d, settings.naf_limit, settings.oversampling_factor,
         settings.dwell_frames, radio.frame_duration_s,
     )
+    # counted before any of them exists: the complex (beam, subcarrier)
+    # scene profile, and the (beam, frame, window) power cube with the
+    # gated copy that the ground-truth pass makes of it
+    n_beams, n_frames = over_plan.n_beams, settings.ground_truth_frames
+    size = n_beams * (16 * radio.n_subcarriers + 2 * 8 * n_frames * radio.n_range_bins)
+    if size > _ACQUISITION_BUDGET_BYTES:
+        raise ConfigError(
+            f"oversampling factor {settings.oversampling_factor} gives {n_beams} beams "
+            f"of {n_frames} frames, whose acquisition arrays take {size} bytes, "
+            f"more than the {_ACQUISITION_BUDGET_BYTES} allowed"
+        )
     minimal_plan = minimal_sweep_plan(
         n_1d, settings.naf_limit, settings.dwell_frames, radio.frame_duration_s
     )
-    dictionary = build_dictionary(
-        geom, weights, minimal_plan.beam_grid, over_plan.beam_grid, settings.dictionary_kind,
-    )
+    dictionary = _dictionary(geom, weights, minimal_plan, over_plan, settings.dictionary_kind)
     over_grid = over_plan.beam_grid
     # both grids are integer ratios from one lattice builder, so a shared
     # point is the same double in each

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beamsweep import cli
+from beamsweep import cli, harness
 from beamsweep import (
     BeamformingWeights,
     EvalSettings,
@@ -914,3 +915,140 @@ def test_good_call_after_a_bad_command_line(tmp_path, capsys):
     assert cli.main(good) == 0
     assert out.read_bytes() == expected
     assert capsys.readouterr().out == f"2 peak(s) written to {out}\n"
+
+
+def _sweep_text(lines, end="\n"):
+    return "".join(line + end for line in lines)
+
+
+def _dense_bytes(tmp_path, text, name="sweep.csv"):
+    """reconstruct --method dft on a sweep file holding text; the dense bytes."""
+    src = tmp_path / name
+    src.write_bytes(text.encode())
+    dst = tmp_path / f"{name}.dense"
+    assert cli.main(["reconstruct", "--sweep", str(src), "--method", "dft", "--out", str(dst)]) == 0
+    return dst.read_bytes()
+
+
+_SWEEP_ROWS = [f"{k / 15!r},{1.0 / (1 + k * k)!r}" for k in range(-4, 5)]
+
+
+def test_csv_leading_blank_line_is_read_as_the_header(tmp_path, capsys):
+    src = tmp_path / "spectrum.csv"
+    src.write_text(_sweep_text(["", "naf,value"] + _SWEEP_ROWS))
+    out = tmp_path / "peaks.csv"
+    assert cli.main(["detect", "--spectrum", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {src} must have 'naf' and 'value' columns\n"
+    assert not out.exists()
+
+
+def test_csv_blank_data_rows_are_skipped_and_not_numbered(tmp_path, capsys):
+    plain = _dense_bytes(tmp_path, _sweep_text(["naf,value"] + _SWEEP_ROWS))
+    rows = _SWEEP_ROWS[:3] + [""] + _SWEEP_ROWS[3:] + [""]
+    assert _dense_bytes(tmp_path, _sweep_text(["naf,value"] + rows), "blank.csv") == plain
+    src = tmp_path / "spectrum.csv"
+    src.write_text(_sweep_text(["naf,value", "0.0,1.0", "", "", "0.1,abc"]))
+    out = tmp_path / "peaks.csv"
+    assert cli.main(["detect", "--spectrum", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {src} data row 2 is not a number\n"
+
+
+def test_csv_repeated_column_reads_the_last(tmp_path, capsys):
+    plain = _dense_bytes(tmp_path, _sweep_text(["naf,value"] + _SWEEP_ROWS))
+    rows = ["junk," + row.split(",")[1] + "," + row.split(",")[0] for row in _SWEEP_ROWS]
+    assert _dense_bytes(tmp_path, _sweep_text(["naf,value,naf"] + rows), "twice.csv") == plain
+    # a row too short to reach the last naf column has no naf cell
+    src = tmp_path / "short.csv"
+    src.write_text(_sweep_text(["naf,value,naf", "0.0,1.0"]))
+    out = tmp_path / "peaks.csv"
+    assert cli.main(["detect", "--spectrum", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {src} data row 1 is not a number\n"
+
+
+def test_csv_one_cell_row_is_not_a_number(tmp_path, capsys):
+    src = tmp_path / "spectrum.csv"
+    src.write_text(_sweep_text(["naf,value", "0.0", "0.1,1.0"]))
+    out = tmp_path / "peaks.csv"
+    assert cli.main(["detect", "--spectrum", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {src} data row 1 is not a number\n"
+    assert not out.exists()
+
+
+def test_csv_extra_cells_are_ignored(tmp_path):
+    plain = _dense_bytes(tmp_path, _sweep_text(["naf,value"] + _SWEEP_ROWS))
+    rows = [row + ",extra,9" for row in _SWEEP_ROWS]
+    assert _dense_bytes(tmp_path, _sweep_text(["naf,value,note"] + rows), "extra.csv") == plain
+    assert _dense_bytes(tmp_path, _sweep_text(["naf,value"] + rows), "unnamed.csv") == plain
+
+
+def test_csv_crlf_line_ends_and_quoted_cells_parse(tmp_path):
+    plain = _dense_bytes(tmp_path, _sweep_text(["naf,value"] + _SWEEP_ROWS))
+    crlf = _sweep_text(["naf,value"] + _SWEEP_ROWS, end="\r\n")
+    assert _dense_bytes(tmp_path, crlf, "crlf.csv") == plain
+    quoted = ['"naf","value"'] + ['"{}","{}"'.format(*row.split(",")) for row in _SWEEP_ROWS]
+    assert _dense_bytes(tmp_path, _sweep_text(quoted, end="\r\n"), "quoted.csv") == plain
+
+
+def test_reconstruct_omp_builds_its_dictionary_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, _real=harness.build_dictionary):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(harness, "build_dictionary", counted)
+    harness._dictionary.cache_clear()
+    src = tmp_path / "sweep.csv"
+    src.write_text(_sweep_text(["naf,value"] + _SWEEP_ROWS))
+    outputs = []
+    for name in ("first.csv", "second.csv"):
+        dst = tmp_path / name
+        argv = ["reconstruct", "--sweep", str(src), "--method", "omp", "--out", str(dst)]
+        assert cli.main(argv) == 0
+        outputs.append(dst.read_bytes())
+    assert len(calls) == 1
+    assert outputs[0] == outputs[1]
+    # the cached dictionary gives the bytes of one built afresh
+    harness._dictionary.cache_clear()
+    assert cli.main(["reconstruct", "--sweep", str(src), "--method", "omp",
+                     "--out", str(tmp_path / "fresh.csv")]) == 0
+    assert (tmp_path / "fresh.csv").read_bytes() == outputs[0]
+
+
+@pytest.mark.parametrize("factor", [10, 40])
+def test_evaluate_runs_oversampling_factors_inside_the_budget(tmp_path, factor):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"oversampling_factor": factor}))
+    out = tmp_path / "eval"
+    argv = ["evaluate", "--config", str(cfg), "--seeds", "1", "--scenarios", "octahedral_far",
+            "--methods", "dft", "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert (out / "report.json").is_file()
+
+
+def test_acquisition_over_the_memory_budget_exits_one(tmp_path, capsys, monkeypatch):
+    # refused from the beam count alone: nothing is synthesized and no
+    # acquisition-sized array is allocated
+    def refuse(*args, **kwargs):
+        raise AssertionError("no acquisition may be drawn")
+
+    monkeypatch.setattr(harness, "simulate_acquisition", refuse)
+    monkeypatch.setattr(harness, "scene_subcarrier_profile", refuse)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"oversampling_factor": 100000}))
+    out = tmp_path / "eval"
+    argv = ["evaluate", "--config", str(cfg), "--seeds", "1", "--scenarios", "octahedral_far",
+            "--methods", "dft", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20  # the 816,959-point grid itself, not a 9.6 GiB profile
+    assert capsys.readouterr().err == (
+        "error: oversampling factor 100000 gives 816959 beams of 24 frames, whose "
+        "acquisition arrays take 23528419200 bytes, more than the 268435456 allowed\n"
+    )
+    assert not out.exists()

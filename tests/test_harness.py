@@ -22,6 +22,7 @@ from beamsweep import (
     Scatterer,
     Scenario,
     Scene,
+    build_dictionary,
     build_scene,
     dft_interpolate,
     estimate_ground_truth,
@@ -784,3 +785,63 @@ def test_campaign_draws_through_simulate_acquisition(tmp_path, monkeypatch):
     assert (info.misses, info.hits) == (2, 4)
     assert got.to_json_bytes() == want.to_json_bytes()
     assert _tree_bytes(tmp_path / "counted") == _tree_bytes(tmp_path / "plain")
+
+
+def _count_dictionary_builds(monkeypatch):
+    """Empty the dictionary cache and count build_dictionary calls from now on."""
+    calls = []
+
+    def counted(*args, _real=harness.build_dictionary):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(harness, "build_dictionary", counted)
+    harness._dictionary.cache_clear()
+    return calls
+
+
+def test_campaigns_build_the_dictionary_once(monkeypatch):
+    calls = _count_dictionary_builds(monkeypatch)
+    scenarios, seeds = scenario_catalog()[:2], [1, 2]
+    first = run_comparison(scenarios, ["omp"], seeds)
+    second = run_comparison(scenarios, ["omp"], seeds)
+    assert len(calls) == 1
+    assert second.to_json_bytes() == first.to_json_bytes()
+
+
+def _dictionary_args(kind="matched"):
+    """_dictionary's arguments for the default campaign, every one built afresh."""
+    settings = EvalSettings()
+    return (
+        settings.geometry(), settings.weights(),
+        minimal_sweep_plan(8, harness.DEFAULT_NAF_LIMIT),
+        oversampled_sweep_plan(8, harness.DEFAULT_NAF_LIMIT, 10), kind,
+    )
+
+
+def test_dictionary_cache_keys_on_content_and_kind(monkeypatch):
+    calls = _count_dictionary_builds(monkeypatch)
+    matched = harness._dictionary(*_dictionary_args("matched"))
+    flat = harness._dictionary(*_dictionary_args("flat"))
+    assert harness._dictionary(*_dictionary_args("matched")) is matched
+    assert harness._dictionary(*_dictionary_args("flat")) is flat
+    info = harness._dictionary.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
+    assert len(calls) == 2
+    assert matched.atoms.tobytes() != flat.atoms.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["matched", "flat"])
+def test_cached_dictionary_is_read_only_and_equals_a_fresh_build(kind):
+    harness._dictionary.cache_clear()
+    cached = harness._dictionary(*_dictionary_args(kind))
+    geom, weights, beam_plan, candidate_plan, _ = _dictionary_args(kind)
+    fresh = build_dictionary(geom, weights, beam_plan.beam_grid, candidate_plan.beam_grid, kind)
+    assert fresh.atoms.flags.writeable
+    assert cached.atoms.shape == fresh.atoms.shape == (9, 81)
+    assert cached.atoms.tobytes() == fresh.atoms.tobytes()
+    assert cached.beam_grid.tobytes() == fresh.beam_grid.tobytes()
+    assert cached.candidate_grid.tobytes() == fresh.candidate_grid.tobytes()
+    assert not cached.atoms.flags.writeable
+    with pytest.raises(ValueError):
+        cached.atoms[0, 0] = 0.0
