@@ -69,18 +69,24 @@ def ca_cfar(profile, config: CfarConfig, cells=None) -> np.ndarray:
         idx = np.broadcast_to(np.arange(n), profile.shape)
     else:
         idx = np.asarray(cells)
-        if idx.dtype.kind not in "iu" or np.any((idx < 0) | (idx >= n)):
-            raise ConfigError(f"cells must be integer indices in [0, {n})")
-    # prefix sums, one cell at a time: the same sequential additions as
-    # np.cumsum, without its per-row cost over many short profiles
+        if (idx.dtype.kind not in "iu" or idx.ndim != profile.ndim
+                or np.any((idx < 0) | (idx >= n))):
+            raise ConfigError(
+                f"cells must be integer indices in [0, {n}), one axis per profile axis"
+            )
+    # prefix sums in one call: cumsum adds sequentially along the axis, so a
+    # cell's sum has the same bits as a Python loop over its row; one call
+    # also keeps the GIL released where many small per-cell calls would not
     cs = np.zeros(profile.shape[:-1] + (n + 1,))
-    for j in range(n):
-        np.add(cs[..., j], profile[..., j], out=cs[..., j + 1])
+    np.cumsum(profile, axis=-1, out=cs[..., 1:])
+    # the leading index of np.take_along_axis, built once for all five gathers
+    leading = np.broadcast_shapes(profile.shape[:-1], idx.shape[:-1])
+    lead = np.indices(leading + (1,), sparse=True)[:-1]
 
     def at(j):
-        return np.take_along_axis(cs, j, axis=-1)
+        return cs[lead + (j,)]
 
-    cut = np.take_along_axis(profile, idx, axis=-1)
+    cut = profile[lead + (idx,)]
     left_lo = np.maximum(idx - g - t_side, 0)
     left_hi = np.maximum(idx - g, 0)
     right_lo = np.minimum(idx + g + 1, n)

@@ -29,7 +29,7 @@ from .beams import (
     build_dictionary,
 )
 from .detection import CfarConfig, PeakEstimate, ca_cfar, extract_peaks
-from .errors import ConfigError
+from .errors import ConfigError, ContractViolation
 from .geometry import ArrayGeometry, naf_resolution
 from .ofdm import (
     RadioConfig,
@@ -61,17 +61,22 @@ DEFAULT_NAF_LIMIT = 0.5 * math.sin(math.radians(33.0))  # steerable sweep limit
 
 @dataclass(frozen=True)
 class Acquisition:
-    """Raw per-beam, per-frame sweep measurements.
+    """Per-beam sweep measurements, reduced to what the pipeline reads.
 
-    magnitudes[b, f] is the square root of the gated collapsed power of
-    beam b in frame f; profiles[b, f] is the windowed zero-Doppler power
-    profile.
+    magnitudes[b, f] is the square root of the gated max power of beam b in
+    frame f; mean_profile[b] is its windowed zero-Doppler power profile
+    averaged over its first mean_frames frames (all, by default). Drawn
+    with a CFAR config, eligible[b, f] and ranges_m[b, f] are the
+    _eligibility of frame f's gated argmax bin and that bin's range.
     """
 
     magnitudes: np.ndarray
-    profiles: np.ndarray
+    mean_profile: np.ndarray
+    mean_frames: int
     range_centers_m: np.ndarray  # windowed display bin centers
     gate_keep: np.ndarray  # bool per display bin, False inside the exclusion
+    eligible: Optional[np.ndarray] = None
+    ranges_m: Optional[np.ndarray] = None
 
     def beam_values(self, n_frames: Optional[int] = None) -> np.ndarray:
         """Per-beam mean magnitude over the first n_frames dwell frames."""
@@ -79,8 +84,12 @@ class Acquisition:
         return self.magnitudes[:, :n].mean(axis=1)
 
     def mean_profiles(self, n_frames: Optional[int] = None) -> np.ndarray:
-        n = self.profiles.shape[1] if n_frames is None else n_frames
-        return self.profiles[:, :n].mean(axis=1)
+        """The stored mean profiles; n_frames, when given, must be mean_frames."""
+        if n_frames not in (None, self.mean_frames):
+            raise ContractViolation(
+                f"the acquisition averaged its first {self.mean_frames} frames, not {n_frames}"
+            )
+        return self.mean_profile
 
 
 @dataclass(frozen=True)
@@ -116,6 +125,12 @@ def _window_basis(radio: RadioConfig) -> _WindowBasis:
     return basis
 
 
+# Beams per chunk of the draw and of the window projection: a 24-frame
+# chunk's noise and window bins take 0.87 MB, against 2.6 MB for the whole
+# 81-beam acquisition at once.
+_DRAW_CHUNK_BEAMS = 27
+
+
 @functools.lru_cache(maxsize=16)
 def _signal_window(
     scatterers: Tuple[Scatterer, ...],
@@ -131,10 +146,17 @@ def _signal_window(
     arguments' content (the array-holding configs compare and hash by
     value): every seed of a scene, and every equal scene, reuses one
     result. An 81-beam entry is 54 KB; 16 of them hold the catalog twice.
+    The (beam, subcarrier) profile is made and projected a chunk of beams
+    at a time, and a last chunk of one beam joins the one before: numpy
+    sends a 1-row product through gemv, whose last bits can differ.
     """
-    signal = radio.n_symbols * scene_subcarrier_profile(
-        radio, scatterers, geom, weights, plan.beam_grid
-    ) @ _window_basis(radio).idft
+    grid = plan.beam_grid
+    idft = _window_basis(radio).idft
+    signal = np.empty((grid.size, idft.shape[1]), dtype=complex)
+    starts = list(range(0, max(grid.size - 1, 1), _DRAW_CHUNK_BEAMS))
+    for lo, hi in zip(starts, starts[1:] + [grid.size]):
+        profile = scene_subcarrier_profile(radio, scatterers, geom, weights, grid[lo:hi])
+        np.matmul(radio.n_symbols * profile, idft, out=signal[lo:hi])
     signal.flags.writeable = False
     return signal
 
@@ -151,20 +173,16 @@ def _dictionary(
     content like _signal_window; the atoms are read-only.
 
     Every campaign and every reconstruct --method omp call on equal
-    settings shares one entry. The default 9 x 81 entry is 5.8 KB; at the
-    1,000,000-point grid limit one 9-beam entry holds 72 MB of atoms and
-    the 8 MB grid, so the 4 entries stay under 320 MB.
+    settings shares one entry. The default 9 x 81 entry is 5.8 KB. Both
+    callers refuse a build whose phasors (_dictionary_bytes) pass
+    _ACQUISITION_BUDGET_BYTES, so with an 8 x 8 array an entry's atoms take
+    at most 1/32 of it, 8 MiB.
     """
     dictionary = build_dictionary(
         geom, weights, beam_plan.beam_grid, candidate_plan.beam_grid, kind
     )
     dictionary.atoms.flags.writeable = False
     return dictionary
-
-
-# Beams per noise chunk: a 24-frame chunk's noise and window bins take
-# 0.87 MB, against 2.6 MB for the whole 81-beam acquisition at once.
-_DRAW_CHUNK_BEAMS = 27
 
 
 def simulate_acquisition(
@@ -176,6 +194,8 @@ def simulate_acquisition(
     n_frames: int,
     seed_prefix: Sequence[int],
     mode: str = "poc",
+    mean_frames: Optional[int] = None,
+    cfar: Optional[CfarConfig] = None,
 ) -> Acquisition:
     """Sweep the scene; one seeded noise stream covers the whole acquisition.
 
@@ -196,6 +216,11 @@ def simulate_acquisition(
     per config; the noise-free bins are built once per (scatterers,
     geometry, weights, radio, plan) and reused by every seed.
 
+    Each chunk's power is reduced in the workspace to what the pipeline
+    reads (see Acquisition): every reduction works row by row, so it has
+    the bits of the same reduction over the whole (beam, frame, window)
+    power cube, which never exists.
+
     mode must be "poc". Frames are combined only after |.|^2, so a
     per-frame phase, such as the free-running phase of the hardware, would
     change no output, and none is drawn.
@@ -204,6 +229,9 @@ def simulate_acquisition(
         raise ConfigError(f"unknown acquisition mode {mode!r}")
     if n_frames < 1:
         raise ConfigError("n_frames must be at least 1")
+    mean_frames = n_frames if mean_frames is None else mean_frames
+    if not 1 <= mean_frames <= n_frames:
+        raise ConfigError(f"mean_frames must be in [1, {n_frames}], not {mean_frames}")
     signal = _signal_window(scene.scatterers, geom, weights, radio, plan)
     basis = _window_basis(radio)
     n_beams, n_window = signal.shape
@@ -211,7 +239,12 @@ def simulate_acquisition(
     scale = np.sqrt(radio.n_symbols * scene.noise_power / 2)
     chunk = min(n_beams, _DRAW_CHUNK_BEAMS)
     noise_ws, bins_ws = np.empty((2, chunk, n_frames, n_window), dtype=complex)
-    profiles = np.empty((n_beams, n_frames, n_window))
+    magnitudes = np.empty((n_beams, n_frames))
+    mean_profile = np.empty((n_beams, n_window))
+    eligible = ranges_m = None
+    if cfar is not None:
+        eligible = np.empty((n_beams, n_frames), dtype=bool)
+        ranges_m = np.empty((n_beams, n_frames))
     for lo in range(0, n_beams, chunk):
         hi = min(lo + chunk, n_beams)
         noise, bins = noise_ws[: hi - lo], bins_ws[: hi - lo]
@@ -224,14 +257,23 @@ def simulate_acquisition(
         # sends 1-row products through gemv.
         np.matmul(noise, basis.r_factor, out=bins)
         bins += signal[lo:hi, None, :]
-        power = np.abs(bins, out=profiles[lo:hi])
+        # the noise is spent once it is in the bins: its real parts take the power
+        power = np.abs(bins, out=noise.real)
         try:
             with np.errstate(over="raise"):
                 power **= 2
         except FloatingPointError:
             raise ConfigError("window-bin power overflows the float range") from None
-    magnitudes = np.sqrt(profiles[..., basis.keep].max(axis=-1))
-    return Acquisition(magnitudes, profiles, basis.centers, basis.keep)
+        gated = power[..., basis.keep]
+        magnitudes[lo:hi] = np.sqrt(gated.max(axis=-1))
+        np.mean(power[:, :mean_frames], axis=1, out=mean_profile[lo:hi])
+        if cfar is not None:
+            eligible[lo:hi], ranges_m[lo:hi] = _gated_eligibility(
+                gated, basis.centers[basis.keep], cfar
+            )
+    return Acquisition(
+        magnitudes, mean_profile, mean_frames, basis.centers, basis.keep, eligible, ranges_m
+    )
 
 
 def _eligibility(
@@ -241,10 +283,15 @@ def _eligibility(
 
     profiles is (..., n_beams, n_range); both results are (..., n_beams).
     """
-    gated = profiles[..., keep]
+    return _gated_eligibility(profiles[..., keep], centers[keep], cfar)
+
+
+def _gated_eligibility(
+    gated: np.ndarray, gated_centers: np.ndarray, cfar: CfarConfig
+) -> Tuple[np.ndarray, np.ndarray]:
+    """_eligibility of profiles and centers without their excluded bins."""
     i = np.argmax(gated, axis=-1)
-    eligible = ca_cfar(gated, cfar, cells=i[..., None])[..., 0]
-    return eligible, centers[keep][i]
+    return ca_cfar(gated, cfar, cells=i[..., None])[..., 0], gated_centers[i]
 
 
 def estimate_ground_truth(
@@ -262,10 +309,17 @@ def estimate_ground_truth(
     nearest = np.argmin(np.abs(nafs[:, None] - np.asarray(nominal_nafs, dtype=float)), axis=1)
     buckets = [nafs[nearest == t] for t in range(len(nominal_nafs))]
     truth = tuple(
-        float(np.median(b)) if b.size else float(nominal_nafs[t])
-        for t, b in enumerate(buckets)
+        _median(b) if b.size else float(nominal_nafs[t]) for t, b in enumerate(buckets)
     )
     return truth, tuple(b.size for b in buckets)
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median's value, the mean of the two middle values for an even
+    count, without the numpy.ma import that np.median makes on first use."""
+    s = np.sort(values)
+    mid = s.size // 2
+    return float(s[mid] if s.size % 2 else (s[mid - 1] + s[mid]) / 2)
 
 
 def naf_error_to_cross_track_m(naf_error: float, range_m: float) -> float:
@@ -381,8 +435,14 @@ class _Campaign:
     dictionary: Dictionary
 
 
-# The most that one acquisition's largest arrays may take together.
+# The most that one acquisition's arrays, or one dictionary build, may take.
 _ACQUISITION_BUDGET_BYTES = 256 * 2**20
+
+
+def _dictionary_bytes(geom: ArrayGeometry, n_beams: int, n_candidates: int) -> int:
+    """The largest arrays of one build_dictionary call: the complex TX and RX
+    phasors of every (beam, candidate) lag, 16 B x (n_tx + n_rx) each."""
+    return 16 * n_beams * n_candidates * (geom.n_tx + geom.n_rx)
 
 
 def _build_campaign(settings: EvalSettings) -> _Campaign:
@@ -394,20 +454,21 @@ def _build_campaign(settings: EvalSettings) -> _Campaign:
         n_1d, settings.naf_limit, settings.oversampling_factor,
         settings.dwell_frames, radio.frame_duration_s,
     )
-    # counted before any of them exists: the complex (beam, subcarrier)
-    # scene profile, and the (beam, frame, window) power cube with the
-    # gated copy that the ground-truth pass makes of it
-    n_beams, n_frames = over_plan.n_beams, settings.ground_truth_frames
-    size = n_beams * (16 * radio.n_subcarriers + 2 * 8 * n_frames * radio.n_range_bins)
-    if size > _ACQUISITION_BUDGET_BYTES:
-        raise ConfigError(
-            f"oversampling factor {settings.oversampling_factor} gives {n_beams} beams "
-            f"of {n_frames} frames, whose acquisition arrays take {size} bytes, "
-            f"more than the {_ACQUISITION_BUDGET_BYTES} allowed"
-        )
     minimal_plan = minimal_sweep_plan(
         n_1d, settings.naf_limit, settings.dwell_frames, radio.frame_duration_s
     )
+    # counted before any of them exists: per beam, the complex window bins
+    # and the mean profile, and per (beam, frame) the magnitude, range and
+    # eligibility that simulate_acquisition keeps; then the dictionary build
+    n_beams, n_frames = over_plan.n_beams, settings.ground_truth_frames
+    size = n_beams * (24 * radio.n_range_bins + 17 * n_frames)
+    size += _dictionary_bytes(geom, minimal_plan.n_beams, n_beams)
+    if size > _ACQUISITION_BUDGET_BYTES:
+        raise ConfigError(
+            f"oversampling factor {settings.oversampling_factor} gives {n_beams} beams "
+            f"of {n_frames} frames, whose acquisition arrays and dictionary build take "
+            f"{size} bytes, more than the {_ACQUISITION_BUDGET_BYTES} allowed"
+        )
     dictionary = _dictionary(geom, weights, minimal_plan, over_plan, settings.dictionary_kind)
     over_grid = over_plan.beam_grid
     # both grids are integer ratios from one lattice builder, so a shared
@@ -428,29 +489,30 @@ def _run_seed(
     scenario_index: int,
     methods: Sequence[str],
     master_seed: int,
+    for_files: bool = True,
 ) -> _SeedOutcome:
+    """One (scenario, seed). Only for_files builds the range-angle maps and
+    keeps the sweep values, which the output files show for a first seed."""
     settings = campaign.settings
     minimal_plan = campaign.minimal_plan
     resolution = campaign.resolution
+    dwell = settings.dwell_frames
     acq = simulate_acquisition(
         scene, campaign.geom, campaign.weights, settings.radio, campaign.over_plan,
         settings.ground_truth_frames, (master_seed, scenario_index),
+        mean_frames=dwell, cfar=settings.cfar,
     )
     over_grid = campaign.over_plan.beam_grid
 
     # ground truth: full detection pipeline on each single-frame spectrum
-    frame_eligible, frame_ranges = _eligibility(
-        acq.profiles.swapaxes(0, 1), acq.gate_keep, acq.range_centers_m, settings.cfar
-    )
     frame_peaks = extract_peaks(
         acq.magnitudes.T, over_grid, resolution, settings.max_peaks,
-        detected=frame_eligible, ranges_m=frame_ranges,
+        detected=acq.eligible.T, ranges_m=acq.ranges_m.T,
     )
     ground_truth, gt_counts = estimate_ground_truth(
         [[p.naf for p in peaks] for peaks in frame_peaks], scenario.target_nafs
     )
 
-    dwell = settings.dwell_frames
     avg_profiles = acq.mean_profiles(dwell)
     beam_values = acq.beam_values(dwell)
     values9 = beam_values[campaign.min_idx]
@@ -488,6 +550,8 @@ def _run_seed(
         peaks_by_method["omp"] = sparse_to_peaks(estimate, over_grid, range_m)
     # in the caller's method order, which peaks.csv follows
     peaks_by_method = {m: peaks_by_method[m] for m in methods}
+    if not for_files:
+        return _SeedOutcome(master_seed, ground_truth, gt_counts, peaks_by_method, {}, None)
     maps = {
         m: RangeAngleMap(power_map.T, acq.range_centers_m, over_grid)
         for m, (_, power_map) in mapped.items()
@@ -542,13 +606,12 @@ def _run_scenario(
     seeds: Sequence[int],
     methods: Sequence[str],
 ) -> List[_SeedOutcome]:
-    """Every seed of one scenario, in seed order. Only the first seed keeps
+    """Every seed of one scenario, in seed order. Only the first seed builds
     its range-angle maps and sweep values: the output files show no other."""
-    runs: List[_SeedOutcome] = []
-    for seed in seeds:
-        run = _run_seed(campaign, scenario, scene, stream_index, methods, seed)
-        runs.append(dataclasses.replace(run, maps={}, sweep_values=None) if runs else run)
-    return runs
+    return [
+        _run_seed(campaign, scenario, scene, stream_index, methods, seed, i == 0)
+        for i, seed in enumerate(seeds)
+    ]
 
 
 _Outcomes = List[Tuple[Scenario, List[_SeedOutcome]]]

@@ -206,7 +206,10 @@ def spline_interpolate(sweep: AngularSweep, target_grid) -> np.ndarray:
     elimination sweep for every trailing column at once. Each target takes
     the cubic of the interval it falls in; targets outside the knots take
     the end pieces. Every step is elementwise across columns, so an (n, k)
-    sweep gives k one-column sweeps bit for bit.
+    sweep gives k one-column sweeps bit for bit. Each column is fitted
+    scaled by the power of two that brings its peak into [0.5, 1): the
+    scaling is exact, so normal-range columns keep every bit, and a column
+    of subnormal magnitudes keeps its relative precision.
     """
     target_grid = np.asarray(target_grid, dtype=float)
     if target_grid.size == 0:
@@ -216,6 +219,8 @@ def spline_interpolate(sweep: AngularSweep, target_grid) -> np.ndarray:
     x = sweep.plan.beam_grid
     mags = np.abs(sweep.values).astype(float)
     y = mags.reshape(x.size, -1)
+    exponent = np.frexp(y.max(axis=0))[1]
+    y = np.ldexp(y, -exponent)
     h = np.diff(x)[:, None]
     slope = np.diff(y, axis=0) / h
     diag = 2.0 * (h[:-1] + h[1:])
@@ -234,5 +239,5 @@ def spline_interpolate(sweep: AngularSweep, target_grid) -> np.ndarray:
     t = target_grid.ravel()
     j = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
     dt = (t - x[j])[:, None]
-    out = y[j] + dt * (b[j] + dt * (c[j] + dt * d[j]))
+    out = np.ldexp(y[j] + dt * (b[j] + dt * (c[j] + dt * d[j])), exponent)
     return np.maximum(out, 0.0).reshape(target_grid.shape + mags.shape[1:])

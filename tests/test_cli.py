@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from beamsweep import cli, harness
 from beamsweep import (
     BeamformingWeights,
+    ConfigError,
     EvalSettings,
     build_dictionary,
     minimal_naf_grid,
@@ -1046,9 +1047,42 @@ def test_acquisition_over_the_memory_budget_exits_one(tmp_path, capsys, monkeypa
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20  # the 816,959-point grid itself, not a 9.6 GiB profile
+    assert peak < 32 * 2**20  # the 816,959-point grid itself, not 1.8 GB of phasors
+    # 816,959 x (24 x 42 + 17 x 24) B kept by the draw, plus 16 x 9 x 816,959 x 16 B
+    # of dictionary phasors
     assert capsys.readouterr().err == (
         "error: oversampling factor 100000 gives 816959 beams of 24 frames, whose "
-        "acquisition arrays take 23528419200 bytes, more than the 268435456 allowed\n"
+        "acquisition arrays and dictionary build take 3039087480 bytes, more than "
+        "the 268435456 allowed\n"
     )
     assert not out.exists()
+
+
+def test_omp_dictionary_over_the_memory_budget_exits_one(tmp_path, capsys, monkeypatch):
+    # refused from the candidate count alone: no dictionary is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("no dictionary may be built")
+
+    monkeypatch.setattr(harness, "build_dictionary", refuse)
+    harness._dictionary.cache_clear()
+    src, dst = tmp_path / "sweep.csv", tmp_path / "omp.csv"
+    _write_sweep(src, np.arange(-4, 5) / 15.0, 1.0 / (1 + np.arange(-4, 5) ** 2))
+    argv = ["reconstruct", "--sweep", str(src), "--method", "omp", "--out", str(dst)]
+    assert cli.main(argv + ["--factor", "100000"]) == 1
+    # 16 B x 9 beams x 800,001 candidates x (8 TX + 8 RX) phasors
+    assert capsys.readouterr().err == (
+        "error: factor 100000 gives 800001 OMP candidates, whose dictionary build "
+        "takes 1843202304 bytes, more than the 268435456 allowed\n"
+    )
+    assert not dst.exists()
+    # at the edge: 14,563 reaches the build (stopped here before it allocates
+    # anything), 14,564 does not
+    def reached(geom, weights, plan, dense_plan, kind):
+        raise ConfigError(f"build of {dense_plan.n_beams} candidates reached")
+
+    monkeypatch.setattr(cli, "_dictionary", reached)
+    assert cli.main(argv + ["--factor", "14563"]) == 1
+    assert capsys.readouterr().err == "error: build of 116505 candidates reached\n"
+    assert cli.main(argv + ["--factor", "14564"]) == 1
+    assert "14564 gives 116513 OMP candidates" in capsys.readouterr().err
+    assert not dst.exists()

@@ -105,6 +105,61 @@ def test_cfar_nd_equals_stacked_rows(rng):
         ca_cfar(np.ones((4, 20)), cfg)
 
 
+def _cfar_threshold(row, i, config):
+    """One cell's CA-CFAR threshold in plain Python floats: prefix sums added
+    left to right, then the two training windows as differences of them."""
+    t, g, n = config.n_training // 2, config.n_guard, len(row)
+    cs = [0.0]
+    for v in row:
+        cs.append(cs[-1] + v)
+    left_lo, left_hi = max(i - g - t, 0), max(i - g, 0)
+    right_lo, right_hi = min(i + g + 1, n), min(i + g + 1 + t, n)
+    train_sum = (cs[left_hi] - cs[left_lo]) + (cs[right_hi] - cs[right_lo])
+    counts = (left_hi - left_lo) + (right_hi - right_lo)
+    alpha = counts * (config.p_fa ** (-1.0 / counts) - 1.0)
+    return alpha * train_sum / counts
+
+
+def _heavy_tailed(rng, shape):
+    # sums of these round at many scales
+    return rng.pareto(1.5, size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+
+
+@pytest.mark.parametrize("config", [CfarConfig(), CfarConfig(8, 1, 0.3), CfarConfig(2, 0, 0.5)])
+def test_cfar_equals_per_cell_python_reference(rng, config):
+    for shape in ((40,), (3, 4, 41), (2, 27, 36)):
+        profiles = _heavy_tailed(rng, shape)
+        rows = profiles.reshape(-1, shape[-1]).tolist()
+        want = [[row[i] > _cfar_threshold(row, i, config) for i in range(len(row))] for row in rows]
+        assert ca_cfar(profiles, config).reshape(len(rows), -1).tolist() == want
+        cells = rng.integers(0, shape[-1], size=shape[:-1] + (5,))
+        got = ca_cfar(profiles, config, cells=cells).reshape(len(rows), 5).tolist()
+        assert got == [[w[i] for i in idx] for w, idx in zip(want, cells.reshape(len(rows), 5))]
+    # bit for bit: cells put within a few rounding steps of their threshold,
+    # where one step of difference in a prefix sum flips the decision
+    profiles = _heavy_tailed(rng, (200, 40))
+    cells = rng.integers(0, 40, size=200)
+    flips = set()
+    for steps in range(-3, 4):
+        for row, i in zip(profiles, cells):
+            row[i] = _cfar_threshold(row.tolist(), i, config) * (1 + steps * 2.0**-52)
+        want = [
+            row[i] > _cfar_threshold(row.tolist(), i, config) for row, i in zip(profiles, cells)
+        ]
+        assert ca_cfar(profiles, config, cells=cells[:, None])[:, 0].tolist() == want
+        flips.add(tuple(want))
+    assert len(flips) > 2  # the decisions do turn on the last bits
+    # cells broadcast over leading axes of length one, as in np.take_along_axis
+    profiles = rng.exponential(1.0, size=(3, 40))
+    cells = np.array([[0, 17, 39]])
+    np.testing.assert_array_equal(
+        ca_cfar(profiles, config, cells=cells),
+        np.take_along_axis(ca_cfar(profiles, config), np.broadcast_to(cells, (3, 3)), axis=-1),
+    )
+    with pytest.raises(ConfigError, match="one axis per profile axis"):
+        ca_cfar(profiles, config, cells=np.array([0, 17]))
+
+
 def test_cfar_scale_invariant(rng):
     profile = rng.exponential(1.0, size=512)
     base = ca_cfar(profile, CfarConfig())

@@ -2,9 +2,12 @@ import collections
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from beamsweep import (
     BeamformingWeights,
     CfarConfig,
     ConfigError,
+    ContractViolation,
     EvalSettings,
     RadioConfig,
     RearWall,
@@ -38,8 +42,77 @@ from beamsweep import (
 )
 from beamsweep import harness
 from beamsweep.harness import _eligibility, _window_basis
+from beamsweep.ofdm import scene_subcarrier_profile
 from beamsweep.reconstruct import SweepPlan, oversampled_sweep_plan
 from csi_oracle import range_doppler_periodogram, synthesize_csi
+
+
+def test_median_equals_np_median(rng):
+    for size in range(1, 60):
+        for _ in range(50):
+            bucket = rng.normal(0.0, 0.1, size=size)
+            if size > 2:
+                bucket[: size // 3] = bucket[-1]  # ties
+            assert harness._median(bucket) == float(np.median(bucket))
+
+
+def _fresh_process(code, *args, cwd):
+    """Run code in a fresh interpreter that imports beamsweep from this
+    checkout; returns its stdout."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+    env.pop("BEAMSWEEP_SEED", None)
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True,
+        timeout=300, cwd=cwd, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# Runs the cli.main call given as JSON in argv[1] in a fresh interpreter,
+# then prints its peak RSS and whether numpy.ma was loaded. The peak is the
+# kernel's VmHWM: getrusage's ru_maxrss would also count the forked copy of
+# the test process that exec replaced.
+_EVALUATE_THEN_REPORT = """
+import contextlib, io, json, sys
+from beamsweep import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(json.loads(sys.argv[1])) == 0
+try:
+    with open("/proc/self/status") as fh:
+        peak = next(int(line.split()[1]) / 1024 for line in fh if line.startswith("VmHWM:"))
+except OSError:
+    peak = None
+print(json.dumps({"peak_mib": peak, "numpy_ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_campaign_leaves_numpy_ma_unimported(tmp_path):
+    # np.median imports numpy.ma on first use; the ground truth avoids it
+    out = _fresh_process(
+        _EVALUATE_THEN_REPORT, json.dumps(["evaluate", "--seeds", "1", "--out", "eval"]),
+        cwd=tmp_path,
+    )
+    assert json.loads(out)["numpy_ma"] is False
+    assert (tmp_path / "eval" / "report.json").is_file()
+
+
+def test_acquisition_memory_is_flat_in_the_oversampling_factor(tmp_path):
+    # factor 40 draws 327 beams against 81; when the draw kept its
+    # (beam, frame, window) power cube, fresh-process peaks differed by 6 MB
+    peaks = {}
+    for factor in (10, 40):
+        (tmp_path / f"{factor}.json").write_text(json.dumps({"oversampling_factor": factor}))
+        argv = ["evaluate", "--config", f"{factor}.json", "--seeds", "1",
+                "--scenarios", "octahedral_far", "--methods", "dft", "--out", f"eval{factor}"]
+        out = _fresh_process(_EVALUATE_THEN_REPORT, json.dumps(argv), cwd=tmp_path)
+        peaks[factor] = json.loads(out)["peak_mib"]
+    if peaks[10] is None:
+        pytest.skip("no /proc/self/status to read the peak RSS from")
+    assert abs(peaks[40] - peaks[10]) < 2.0, peaks
 
 
 def test_cross_track_conversion():
@@ -225,18 +298,34 @@ def small_acquisition():
 
 
 def test_acquisition_shapes(small_acquisition):
-    radio, _, _, _, plan, acq = small_acquisition
+    radio, geom, weights, scene, plan, acq = small_acquisition
     assert acq.magnitudes.shape == (9, 2)
-    assert acq.profiles.shape == (9, 2, 42)
+    assert acq.mean_profile.shape == (9, 42)
+    assert acq.mean_frames == 2
     assert acq.range_centers_m.shape == (42,)
     assert acq.gate_keep.sum() == 36
+    assert acq.eligible is None and acq.ranges_m is None
+    # nothing of size beams x frames x bins is kept
+    gated = simulate_acquisition(
+        scene, geom, weights, radio, plan, 2, (7, 0), mean_frames=1, cfar=CfarConfig()
+    )
+    assert gated.mean_profile.shape == (9, 42) and gated.mean_frames == 1
+    assert gated.eligible.shape == gated.ranges_m.shape == (9, 2)
+    assert gated.eligible.dtype == bool
+    assert all(np.ndim(v) <= 2 for v in vars(gated).values())
 
 
 def test_acquisition_is_deterministic(small_acquisition):
     radio, geom, weights, scene, plan, acq = small_acquisition
     again = simulate_acquisition(scene, geom, weights, radio, plan, 2, (7, 0))
     np.testing.assert_array_equal(acq.magnitudes, again.magnitudes)
-    np.testing.assert_array_equal(acq.profiles, again.profiles)
+    np.testing.assert_array_equal(acq.mean_profile, again.mean_profile)
+    first, second = (
+        simulate_acquisition(scene, geom, weights, radio, plan, 2, (7, 0), cfar=CfarConfig())
+        for _ in range(2)
+    )
+    np.testing.assert_array_equal(first.eligible, second.eligible)
+    np.testing.assert_array_equal(first.ranges_m, second.ranges_m)
 
 
 def test_acquisition_seed_prefix_matters(small_acquisition):
@@ -246,21 +335,35 @@ def test_acquisition_seed_prefix_matters(small_acquisition):
 
 
 def test_selected_ranges_come_from_kept_bins(small_acquisition):
-    _, _, _, _, _, acq = small_acquisition
-    _, ranges = _eligibility(
-        acq.profiles.swapaxes(0, 1), acq.gate_keep, acq.range_centers_m, CfarConfig()
-    )
+    radio, geom, weights, scene, plan, _ = small_acquisition
+    acq = simulate_acquisition(scene, geom, weights, radio, plan, 2, (7, 0), cfar=CfarConfig())
+    ranges = acq.ranges_m
     kept = acq.range_centers_m[acq.gate_keep]
-    assert ranges.shape == (2, 9)
+    assert ranges.shape == (9, 2)
     assert np.isin(ranges, kept).all()
     assert ranges.max() < 21.0
 
 
 def test_acquisition_frame_slicing(small_acquisition):
-    _, _, _, _, _, acq = small_acquisition
+    radio, geom, weights, scene, plan, acq = small_acquisition
     np.testing.assert_array_equal(acq.beam_values(1), acq.magnitudes[:, 0])
     np.testing.assert_array_equal(acq.beam_values(), acq.magnitudes.mean(axis=1))
-    np.testing.assert_array_equal(acq.mean_profiles(1), acq.profiles[:, 0])
+    signal = harness._signal_window(scene.scatterers, geom, weights, radio, plan)
+    profiles, _ = _one_shot_draw(signal, scene.noise_power, radio, 2, (7, 0))
+    np.testing.assert_array_equal(acq.mean_profiles(), profiles.mean(axis=1))
+    np.testing.assert_array_equal(acq.mean_profiles(2), profiles.mean(axis=1))
+    first = simulate_acquisition(scene, geom, weights, radio, plan, 2, (7, 0), mean_frames=1)
+    np.testing.assert_array_equal(first.mean_profiles(1), profiles[:, 0])
+    np.testing.assert_array_equal(first.magnitudes, acq.magnitudes)
+    # the stored mean answers for its own frames only
+    for stored, other in ((acq, 1), (first, 2)):
+        with pytest.raises(ContractViolation, match=f"first {3 - other} frames, not {other}"):
+            stored.mean_profiles(other)
+    for mean_frames in (0, 3):
+        with pytest.raises(ConfigError, match=re.escape("mean_frames must be in [1, 2]")):
+            simulate_acquisition(
+                scene, geom, weights, radio, plan, 2, (7, 0), mean_frames=mean_frames
+            )
 
 
 def test_acquisition_validation(small_acquisition):
@@ -290,18 +393,24 @@ def test_window_centers_are_the_range_axis_entries():
 
 
 def test_eligibility_over_frames_equals_per_frame_calls(small_acquisition):
-    _, _, _, _, _, acq = small_acquisition
-    frames = acq.profiles.swapaxes(0, 1)  # (frames, beams, range)
+    radio, geom, weights, scene, plan, acq = small_acquisition
+    signal = harness._signal_window(scene.scatterers, geom, weights, radio, plan)
+    profiles, _ = _one_shot_draw(signal, scene.noise_power, radio, 2, (7, 0))
+    frames = profiles.swapaxes(0, 1)  # (frames, beams, range)
     cfar = CfarConfig()
     eligible, ranges = _eligibility(frames, acq.gate_keep, acq.range_centers_m, cfar)
     assert eligible.shape == ranges.shape == (2, 9)
     assert eligible.any()
-    for f, profiles in enumerate(frames):
+    for f, frame in enumerate(frames):
         want_eligible, want_ranges = _eligibility(
-            profiles, acq.gate_keep, acq.range_centers_m, cfar
+            frame, acq.gate_keep, acq.range_centers_m, cfar
         )
         np.testing.assert_array_equal(eligible[f], want_eligible)
         np.testing.assert_array_equal(ranges[f], want_ranges)
+    # and the draw's per-chunk pass gives the same, beam by frame
+    drawn = simulate_acquisition(scene, geom, weights, radio, plan, 2, (7, 0), cfar=cfar)
+    np.testing.assert_array_equal(drawn.eligible, eligible.T)
+    np.testing.assert_array_equal(drawn.ranges_m, ranges.T)
 
 
 
@@ -323,19 +432,27 @@ def test_run_seed_equals_per_frame_and_per_method_calls(monkeypatch):
         monkeypatch.setattr(harness, name, counted)
     run = harness._run_seed(campaign, scenario, scene, 0, methods, 5)
     monkeypatch.undo()
-    # one pass over all frames and one over all mapped methods
+    # one peak pass over all frames and one over all mapped methods; the
+    # frames' eligibility comes with the draw
     assert calls == {
-        "extract_peaks": 2, "_eligibility": 2, "dft_interpolate": 1, "spline_interpolate": 1,
+        "extract_peaks": 2, "_eligibility": 1, "dft_interpolate": 1, "spline_interpolate": 1,
     }
     assert list(run.peaks) == methods
     assert list(run.maps) == ["spline", "oversampled", "dft"]
 
     # the reference: one frame, one method and one range bin at a time,
-    # through the public 1-D calls
-    acq = simulate_acquisition(
-        scene, campaign.geom, campaign.weights, settings.radio, campaign.over_plan, 4, (5, 0)
+    # through the public 1-D calls, on the profiles of the one-shot draw
+    radio, over_plan = settings.radio, campaign.over_plan
+    signal = harness._signal_window(
+        scene.scatterers, campaign.geom, campaign.weights, radio, over_plan
     )
-    grid, plan = campaign.over_plan.beam_grid, campaign.minimal_plan
+    profiles, magnitudes = _one_shot_draw(signal, scene.noise_power, radio, 4, (5, 0))
+    acq = simulate_acquisition(
+        scene, campaign.geom, campaign.weights, radio, over_plan, 4, (5, 0), mean_frames=2
+    )
+    assert acq.magnitudes.tobytes() == magnitudes.tobytes()
+    assert acq.mean_profiles(2).tobytes() == profiles[:, :2].mean(axis=1).tobytes()
+    grid, plan = over_plan.beam_grid, campaign.minimal_plan
     keep, centers, cfar = acq.gate_keep, acq.range_centers_m, settings.cfar
 
     def peaks(spectrum, power_map):
@@ -346,7 +463,7 @@ def test_run_seed_equals_per_frame_and_per_method_calls(monkeypatch):
         )
 
     frame_nafs = [
-        [p.naf for p in peaks(acq.magnitudes[:, f], acq.profiles[:, f])] for f in range(4)
+        [p.naf for p in peaks(magnitudes[:, f], profiles[:, f])] for f in range(4)
     ]
     assert sum(map(len, frame_nafs)) > 0
     assert (run.ground_truth, run.gt_counts) == estimate_ground_truth(
@@ -396,13 +513,28 @@ def test_chunked_draw_equals_one_shot_draw():
         )
         signal = harness._signal_window(scene.scatterers, geom, weights, radio, plan)
         for n_frames in (1, 6, 24):
-            acq = simulate_acquisition(scene, geom, weights, radio, plan, n_frames, (9, n_beams))
             profiles, magnitudes = _one_shot_draw(
                 signal, scene.noise_power, radio, n_frames, (9, n_beams)
             )
-            assert acq.profiles.shape == (n_beams, n_frames, 42)
-            assert acq.profiles.tobytes() == profiles.tobytes()
-            assert acq.magnitudes.tobytes() == magnitudes.tobytes()
+            # every reduction of the chunked draw has the bits of the same
+            # reduction over the one-shot draw's whole power cube
+            eligible, ranges = _eligibility(
+                profiles.swapaxes(0, 1), _window_basis(radio).keep,
+                _window_basis(radio).centers, settings.cfar,
+            )
+            for mean_frames in sorted({1, n_frames // 2 or 1, n_frames}):
+                acq = simulate_acquisition(
+                    scene, geom, weights, radio, plan, n_frames, (9, n_beams),
+                    mean_frames=mean_frames, cfar=settings.cfar,
+                )
+                assert acq.magnitudes.shape == (n_beams, n_frames)
+                assert acq.magnitudes.tobytes() == magnitudes.tobytes()
+                want = profiles[:, :mean_frames].mean(axis=1)
+                assert acq.mean_profiles(mean_frames).tobytes() == want.tobytes()
+                assert acq.eligible.tobytes() == eligible.T.tobytes()
+                assert acq.ranges_m.tobytes() == ranges.T.tobytes()
+            plain = simulate_acquisition(scene, geom, weights, radio, plan, n_frames, (9, n_beams))
+            assert plain.mean_profiles().tobytes() == profiles.mean(axis=1).tobytes()
 
 
 def _oracle_window_power(radio, geom, weights, scene, steer, n_frames, seed):
@@ -421,11 +553,24 @@ def _oracle_window_power(radio, geom, weights, scene, steer, n_frames, seed):
 def test_acquisition_matches_explicit_csi_path_without_noise(small_acquisition):
     radio, geom, weights, scene, plan, _ = small_acquisition
     clean = Scene(scene.scatterers, 0.0)
+    single = simulate_acquisition(clean, geom, weights, radio, plan, 1, (7, 0)).mean_profiles(1)
     acq = simulate_acquisition(clean, geom, weights, radio, plan, 2, (7, 0))
     for b, steer in enumerate(plan.beam_grid):
         want = _oracle_window_power(radio, geom, weights, clean, steer, 1, 0)[0]
-        for f in range(2):
-            np.testing.assert_allclose(acq.profiles[b, f], want, rtol=1e-12)
+        np.testing.assert_allclose(single[b], want, rtol=1e-12)
+        # without noise both frames are equal, and so is their mean
+        np.testing.assert_allclose(acq.mean_profiles()[b], want, rtol=1e-12)
+        peak = np.sqrt(want[acq.gate_keep].max())
+        np.testing.assert_allclose(acq.magnitudes[b], peak, rtol=1e-12)
+
+
+def _single_frame_draws(scene, geom, weights, radio, plan, n_frames, seed):
+    """The window power of the plan's one beam, one single-frame draw from
+    stream (seed, f) per row f."""
+    return np.array([
+        simulate_acquisition(scene, geom, weights, radio, plan, 1, (seed, f)).mean_profiles(1)[0]
+        for f in range(n_frames)
+    ])
 
 
 def test_acquisition_noise_matches_explicit_csi_path_in_distribution(small_acquisition):
@@ -435,7 +580,7 @@ def test_acquisition_noise_matches_explicit_csi_path_in_distribution(small_acqui
     steer = scene.scatterers[0].naf
     n_frames = 300
     plan = SweepPlan(np.array([steer]), "minimal")
-    fast = simulate_acquisition(scene, geom, weights, radio, plan, n_frames, (11, 0)).profiles[0]
+    fast = _single_frame_draws(scene, geom, weights, radio, plan, n_frames, 11)
     slow = _oracle_window_power(radio, geom, weights, scene, steer, n_frames, 12)
     mean_ratio = fast.mean(axis=0) / slow.mean(axis=0)
     var_ratio = fast.var(axis=0) / slow.var(axis=0)
@@ -464,7 +609,7 @@ def test_acquisition_noise_matches_explicit_csi_path_across_bins(small_acquisiti
     empty = Scene((), scene.noise_power)  # every bin holds noise only
     n_frames = 300
     plan = SweepPlan(np.array([0.0]), "minimal")
-    fast = simulate_acquisition(empty, geom, weights, radio, plan, n_frames, (13, 0)).profiles[0]
+    fast = _single_frame_draws(empty, geom, weights, radio, plan, n_frames, 13)
     slow = _oracle_window_power(radio, geom, weights, empty, 0.0, n_frames, 14)
     fast_lag1, slow_lag1 = (_mean_lag_correlation(p, 1) for p in (fast, slow))
     assert 0.5 < slow_lag1 < 0.72, slow_lag1
@@ -751,6 +896,21 @@ def test_signal_window_cached_on_content():
     assert (info.hits, info.misses) == (4, 1)
 
 
+def test_signal_window_projects_in_chunks_with_the_bits_of_one_product():
+    # across the 27-beam chunk: a last chunk of one beam joins the one
+    # before, so no row goes through a 1-row product unless the plan has one beam
+    scatterers, geom, weights, radio, plan = _window_args()
+    idft = _window_basis(radio).idft
+    for n_beams in (1, 2, 27, 28, 29, 54, 55, 81):
+        sub = dataclasses.replace(plan, beam_grid=plan.beam_grid[:n_beams])
+        whole = radio.n_symbols * scene_subcarrier_profile(
+            radio, scatterers, geom, weights, sub.beam_grid
+        ) @ idft
+        got = harness._signal_window.__wrapped__(scatterers, geom, weights, radio, sub)
+        assert got.shape == (n_beams, 42)
+        assert got.tobytes() == whole.tobytes()
+
+
 @pytest.mark.parametrize("change", [
     {"tx": np.r_[np.ones(7), 1j]},
     {"factor": 5},
@@ -773,9 +933,9 @@ def test_campaign_draws_through_simulate_acquisition(tmp_path, monkeypatch):
     want = run_comparison(scenarios, methods, seeds, out_dir=tmp_path / "plain")
     calls = []
 
-    def counted(*args, _real=harness.simulate_acquisition):
+    def counted(*args, _real=harness.simulate_acquisition, **kwargs):
         calls.append(args)
-        return _real(*args)
+        return _real(*args, **kwargs)
 
     monkeypatch.setattr(harness, "simulate_acquisition", counted)
     harness._signal_window.cache_clear()

@@ -294,7 +294,12 @@ def spline_cases(draw):
 def test_spline_matches_scipy_natural_cubic_spline(case):
     knots, values, targets = case
     got = spline_interpolate(AngularSweep(SweepPlan(knots, "minimal"), values), targets)
-    want = np.maximum(CubicSpline(knots, values, bc_type="natural")(targets), 0.0)
+    # scipy is fitted in the normal range, on values scaled by an exact power
+    # of two: fitted on subnormal values directly it is off by whole subnormal
+    # steps, more than the bound allows there
+    exponent = np.frexp(np.abs(values).max())[1]
+    fit = CubicSpline(knots, np.ldexp(values, -exponent), bc_type="natural")
+    want = np.maximum(np.ldexp(fit(targets), exponent), 0.0)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * np.abs(values).max()
 
@@ -309,3 +314,13 @@ def test_spline_columns_are_independent_bit_for_bit(case):
     for j in range(values.shape[1]):
         np.testing.assert_array_equal(
             got[:, j], spline_interpolate(AngularSweep(plan, values[:, j]), targets))
+
+
+def test_spline_of_subnormal_magnitudes_is_the_scaled_spline(rng):
+    plan9 = minimal_sweep_plan(8, LIMIT)
+    vals = rng.integers(0, 2**20, 9).astype(float)
+    dense = np.linspace(-0.3, 0.3, 97)
+    ref = spline_interpolate(AngularSweep(plan9, vals, "magnitude"), dense)
+    # 20-bit integers times the smallest subnormal are exact
+    tiny = spline_interpolate(AngularSweep(plan9, np.ldexp(vals, -1074), "magnitude"), dense)
+    np.testing.assert_array_equal(tiny, np.ldexp(ref, -1074))
