@@ -248,7 +248,7 @@ def cmd_reconstruct(args) -> int:
         order = _infer_order(plan.beam_grid)
     except ContractViolation as exc:
         raise ConfigError(f"{args.sweep}: {exc}") from exc
-    sweep = AngularSweep(plan, values, "magnitude")
+    sweep = AngularSweep(plan, values)
     # the lattice refined by --factor, out to the sweep's outermost sample;
     # a single beam at NAF 0 (order 1) is its own grid
     k_max = round(max(-naf[0], naf[-1]) * order)
@@ -273,9 +273,8 @@ def cmd_reconstruct(args) -> int:
         )
         estimate = omp(dictionary, values, settings.omp)
         dense = np.zeros(grid.size)
-        for i, c in zip(estimate.support, estimate.coefficients):
-            dense[i] = c
-    _write_spectrum_csv(args.out, grid, np.real(dense))
+        dense[list(estimate.support)] = estimate.coefficients
+    _write_spectrum_csv(args.out, grid, dense)
     print(f"wrote {grid.size}-point {args.method} spectrum to {args.out}")
     return 0
 

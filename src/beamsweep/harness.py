@@ -29,7 +29,7 @@ from .beams import (
     build_dictionary,
 )
 from .detection import CfarConfig, PeakEstimate, ca_cfar, extract_peaks
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError
 from .geometry import ArrayGeometry, naf_resolution
 from .ofdm import (
     RadioConfig,
@@ -66,8 +66,8 @@ class Acquisition:
     magnitudes[b, f] is the square root of the gated max power of beam b in
     frame f; mean_profile[b] is its windowed zero-Doppler power profile
     averaged over its first mean_frames frames (all, by default). Drawn
-    with a CFAR config, eligible[b, f] and ranges_m[b, f] are the
-    _eligibility of frame f's gated argmax bin and that bin's range.
+    with a CFAR config, eligible[b, f] is the _eligibility of frame f's
+    gated argmax bin.
     """
 
     magnitudes: np.ndarray
@@ -76,19 +76,13 @@ class Acquisition:
     range_centers_m: np.ndarray  # windowed display bin centers
     gate_keep: np.ndarray  # bool per display bin, False inside the exclusion
     eligible: Optional[np.ndarray] = None
-    ranges_m: Optional[np.ndarray] = None
 
-    def beam_values(self, n_frames: Optional[int] = None) -> np.ndarray:
-        """Per-beam mean magnitude over the first n_frames dwell frames."""
-        n = self.magnitudes.shape[1] if n_frames is None else n_frames
-        return self.magnitudes[:, :n].mean(axis=1)
+    def beam_values(self) -> np.ndarray:
+        """Per-beam mean magnitude over the first mean_frames frames."""
+        return self.magnitudes[:, : self.mean_frames].mean(axis=1)
 
-    def mean_profiles(self, n_frames: Optional[int] = None) -> np.ndarray:
-        """The stored mean profiles; n_frames, when given, must be mean_frames."""
-        if n_frames not in (None, self.mean_frames):
-            raise ContractViolation(
-                f"the acquisition averaged its first {self.mean_frames} frames, not {n_frames}"
-            )
+    def mean_profiles(self) -> np.ndarray:
+        """Per-beam power profile averaged over the first mean_frames frames."""
         return self.mean_profile
 
 
@@ -241,10 +235,7 @@ def simulate_acquisition(
     noise_ws, bins_ws = np.empty((2, chunk, n_frames, n_window), dtype=complex)
     magnitudes = np.empty((n_beams, n_frames))
     mean_profile = np.empty((n_beams, n_window))
-    eligible = ranges_m = None
-    if cfar is not None:
-        eligible = np.empty((n_beams, n_frames), dtype=bool)
-        ranges_m = np.empty((n_beams, n_frames))
+    eligible = None if cfar is None else np.empty((n_beams, n_frames), dtype=bool)
     for lo in range(0, n_beams, chunk):
         hi = min(lo + chunk, n_beams)
         noise, bins = noise_ws[: hi - lo], bins_ws[: hi - lo]
@@ -268,12 +259,9 @@ def simulate_acquisition(
         magnitudes[lo:hi] = np.sqrt(gated.max(axis=-1))
         np.mean(power[:, :mean_frames], axis=1, out=mean_profile[lo:hi])
         if cfar is not None:
-            eligible[lo:hi], ranges_m[lo:hi] = _gated_eligibility(
-                gated, basis.centers[basis.keep], cfar
-            )
-    return Acquisition(
-        magnitudes, mean_profile, mean_frames, basis.centers, basis.keep, eligible, ranges_m
-    )
+            cells = np.argmax(gated, axis=-1)[..., None]
+            eligible[lo:hi] = ca_cfar(gated, cfar, cells=cells)[..., 0]
+    return Acquisition(magnitudes, mean_profile, mean_frames, basis.centers, basis.keep, eligible)
 
 
 def _eligibility(
@@ -283,15 +271,9 @@ def _eligibility(
 
     profiles is (..., n_beams, n_range); both results are (..., n_beams).
     """
-    return _gated_eligibility(profiles[..., keep], centers[keep], cfar)
-
-
-def _gated_eligibility(
-    gated: np.ndarray, gated_centers: np.ndarray, cfar: CfarConfig
-) -> Tuple[np.ndarray, np.ndarray]:
-    """_eligibility of profiles and centers without their excluded bins."""
+    gated = profiles[..., keep]
     i = np.argmax(gated, axis=-1)
-    return ca_cfar(gated, cfar, cells=i[..., None])[..., 0], gated_centers[i]
+    return ca_cfar(gated, cfar, cells=i[..., None])[..., 0], centers[keep][i]
 
 
 def estimate_ground_truth(
@@ -432,7 +414,7 @@ class _Campaign:
     minimal_plan: SweepPlan
     min_idx: np.ndarray  # oversampled-grid index of each minimal beam
     resolution: float
-    dictionary: Dictionary
+    dictionary: Optional[Dictionary]  # built only for a campaign with omp
 
 
 # The most that one acquisition's arrays, or one dictionary build, may take.
@@ -445,7 +427,7 @@ def _dictionary_bytes(geom: ArrayGeometry, n_beams: int, n_candidates: int) -> i
     return 16 * n_beams * n_candidates * (geom.n_tx + geom.n_rx)
 
 
-def _build_campaign(settings: EvalSettings) -> _Campaign:
+def _build_campaign(settings: EvalSettings, methods: Sequence[str]) -> _Campaign:
     radio = settings.radio
     geom = settings.geometry()
     weights = settings.weights()
@@ -458,10 +440,12 @@ def _build_campaign(settings: EvalSettings) -> _Campaign:
         n_1d, settings.naf_limit, settings.dwell_frames, radio.frame_duration_s
     )
     # counted before any of them exists: per beam, the complex window bins
-    # and the mean profile, and per (beam, frame) the magnitude, range and
-    # eligibility that simulate_acquisition keeps; then the dictionary build
+    # and the mean profile, and per (beam, frame) the magnitude and
+    # eligibility that simulate_acquisition keeps; then the dictionary
+    # build, counted without omp too, as a margin for the campaign's other
+    # per-beam arrays, which this count leaves out
     n_beams, n_frames = over_plan.n_beams, settings.ground_truth_frames
-    size = n_beams * (24 * radio.n_range_bins + 17 * n_frames)
+    size = n_beams * (24 * radio.n_range_bins + 9 * n_frames)
     size += _dictionary_bytes(geom, minimal_plan.n_beams, n_beams)
     if size > _ACQUISITION_BUDGET_BYTES:
         raise ConfigError(
@@ -469,7 +453,9 @@ def _build_campaign(settings: EvalSettings) -> _Campaign:
             f"of {n_frames} frames, whose acquisition arrays and dictionary build take "
             f"{size} bytes, more than the {_ACQUISITION_BUDGET_BYTES} allowed"
         )
-    dictionary = _dictionary(geom, weights, minimal_plan, over_plan, settings.dictionary_kind)
+    dictionary = None
+    if "omp" in methods:
+        dictionary = _dictionary(geom, weights, minimal_plan, over_plan, settings.dictionary_kind)
     over_grid = over_plan.beam_grid
     # both grids are integer ratios from one lattice builder, so a shared
     # point is the same double in each
@@ -496,25 +482,24 @@ def _run_seed(
     settings = campaign.settings
     minimal_plan = campaign.minimal_plan
     resolution = campaign.resolution
-    dwell = settings.dwell_frames
     acq = simulate_acquisition(
         scene, campaign.geom, campaign.weights, settings.radio, campaign.over_plan,
         settings.ground_truth_frames, (master_seed, scenario_index),
-        mean_frames=dwell, cfar=settings.cfar,
+        mean_frames=settings.dwell_frames, cfar=settings.cfar,
     )
     over_grid = campaign.over_plan.beam_grid
 
     # ground truth: full detection pipeline on each single-frame spectrum
     frame_peaks = extract_peaks(
         acq.magnitudes.T, over_grid, resolution, settings.max_peaks,
-        detected=acq.eligible.T, ranges_m=acq.ranges_m.T,
+        detected=acq.eligible.T,
     )
     ground_truth, gt_counts = estimate_ground_truth(
         [[p.naf for p in peaks] for peaks in frame_peaks], scenario.target_nafs
     )
 
-    avg_profiles = acq.mean_profiles(dwell)
-    beam_values = acq.beam_values(dwell)
+    avg_profiles = acq.mean_profiles()
+    beam_values = acq.beam_values()
     values9 = beam_values[campaign.min_idx]
     profiles9 = avg_profiles[campaign.min_idx]
     # the beam values and the windowed profiles as magnitudes per range bin,
@@ -736,20 +721,25 @@ def run_comparison(
     """
     scenarios = list(scenarios)
     methods = list(methods)
-    seeds = [int(s) for s in seeds]
+    given_seeds = list(seeds)
+    seeds = [int(s) for s in given_seeds]
     if not scenarios or not methods or not seeds:
         raise ConfigError("scenarios, methods and seeds must all be non-empty")
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}")
+    if seeds != given_seeds:
+        raise ConfigError(f"master seeds must be whole numbers; given: {given_seeds}")
     if any(s < 0 for s in seeds):
         raise ConfigError("master seeds must be non-negative")
     names = [s.name for s in scenarios]
-    for kind, given in (("scenario", names), ("method", methods)):
+    for what, given in (
+        ("scenario names", names), ("method names", methods), ("master seeds", seeds)
+    ):
         repeated = sorted({n for n in given if given.count(n) > 1})
         if repeated:
-            raise ConfigError(f"{kind} names must be unique; repeated: {repeated}")
-    campaign = _build_campaign(settings)
+            raise ConfigError(f"{what} must be unique; repeated: {repeated}")
+    campaign = _build_campaign(settings, methods)
     stream = {s.name: i for i, s in enumerate(scenario_catalog())}
     for name in names:
         stream.setdefault(name, len(stream))

@@ -76,10 +76,6 @@ class RadioConfig:
     def range_bin_width_m(self) -> float:
         return self.unambiguous_range_m / self.range_fft_size
 
-    def range_axis(self) -> np.ndarray:
-        """Bin-center ranges of the zero-padded transform."""
-        return np.arange(self.range_fft_size) * self.range_bin_width_m
-
     def window_bins(self) -> np.ndarray:
         """Indices of the n_range_bins display bins starting at the window floor."""
         start = int(round(self.range_window_m[0] / self.range_bin_width_m))

