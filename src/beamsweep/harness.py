@@ -92,37 +92,42 @@ class _WindowBasis:
 
     centers: np.ndarray  # range of each window bin (m)
     keep: np.ndarray  # False inside the range exclusion
-    idft: np.ndarray  # (n_subcarriers, n_window) IDFT rows of the window bins
-    r_factor: np.ndarray  # R of idft = QR, so R^H R = idft^H idft
+    r_factor: np.ndarray  # R of W = QR (W = _window_idft), so R^H R = W^H W
+
+
+def _window_idft(radio: RadioConfig) -> np.ndarray:
+    """W, the (n_subcarriers, n_window) IDFT rows of the window bins; built
+    per call, since only R and _signal_window's cache misses read it."""
+    n_fft, window = radio.range_fft_size, radio.window_bins()
+    # the index product is reduced mod n_fft first so the phase argument
+    # stays below 2*pi
+    return np.exp(
+        2j * np.pi * (np.outer(np.arange(radio.n_subcarriers), window) % n_fft) / n_fft
+    ) / n_fft
 
 
 @functools.lru_cache(maxsize=8)
 def _window_basis(radio: RadioConfig) -> _WindowBasis:
     """Built on first use per (hashable, frozen) radio config; arrays read-only."""
-    window = radio.window_bins()
-    centers = window * radio.range_bin_width_m
+    centers = radio.window_bins() * radio.range_bin_width_m
     lo, hi = RANGE_GATE_EXCLUDE_M
     keep = ~((centers >= lo) & (centers <= hi))
     if not np.any(keep):
         raise ConfigError("range exclusion removes every display bin")
-    n_fft = radio.range_fft_size
-    # the index product is reduced mod n_fft first so the phase argument
-    # stays below 2*pi
-    idft = np.exp(
-        2j * np.pi * (np.outer(np.arange(radio.n_subcarriers), window) % n_fft) / n_fft
-    ) / n_fft
-    # The Gram matrix idft^H idft itself (condition number ~1e17) is too
+    # The Gram matrix W^H W itself (condition number ~1e17) is too
     # ill-conditioned for a Cholesky factor.
-    basis = _WindowBasis(centers, keep, idft, np.linalg.qr(idft, mode="r"))
+    basis = _WindowBasis(centers, keep, np.linalg.qr(_window_idft(radio), mode="r"))
     for arr in vars(basis).values():
         arr.flags.writeable = False
     return basis
 
 
-# Beams per chunk of the draw and of the window projection: a 24-frame
-# chunk's noise and window bins take 0.87 MB, against 2.6 MB for the whole
-# 81-beam acquisition at once.
-_DRAW_CHUNK_BEAMS = 27
+# (beam, frame) rows per chunk of the draw, which bound its workspace: at 42
+# window bins a chunk's noise and bins take 0.87 MB (27 beams of 24 frames),
+# against 2.6 MB for a whole 81 x 24 acquisition; 81 x 6 is one chunk.
+_DRAW_CHUNK_ROWS = 648
+# beams per chunk of _signal_window's (beam, subcarrier) profile
+_PROJECTION_CHUNK_BEAMS = 27
 
 
 @functools.lru_cache(maxsize=16)
@@ -140,14 +145,15 @@ def _signal_window(
     arguments' content (the array-holding configs compare and hash by
     value): every seed of a scene, and every equal scene, reuses one
     result. An 81-beam entry is 54 KB; 16 of them hold the catalog twice.
-    The (beam, subcarrier) profile is made and projected a chunk of beams
-    at a time, and a last chunk of one beam joins the one before: numpy
-    sends a 1-row product through gemv, whose last bits can differ.
+    A miss builds the window IDFT afresh. The (beam, subcarrier) profile
+    is made and projected a chunk of beams at a time, and a last chunk of
+    one beam joins the one before: numpy sends a 1-row product through
+    gemv, whose last bits can differ.
     """
     grid = plan.beam_grid
-    idft = _window_basis(radio).idft
+    idft = _window_idft(radio)
     signal = np.empty((grid.size, idft.shape[1]), dtype=complex)
-    starts = list(range(0, max(grid.size - 1, 1), _DRAW_CHUNK_BEAMS))
+    starts = list(range(0, max(grid.size - 1, 1), _PROJECTION_CHUNK_BEAMS))
     for lo, hi in zip(starts, starts[1:] + [grid.size]):
         profile = scene_subcarrier_profile(radio, scatterers, geom, weights, grid[lo:hi])
         np.matmul(radio.n_symbols * profile, idft, out=signal[lo:hi])
@@ -206,9 +212,9 @@ def simulate_acquisition(
     tests/csi_oracle.py (the full CSI grid, then the zero-Doppler column of
     its range-Doppler transform) is the reference; the two agree exactly
     without noise and in distribution, inter-bin correlation included,
-    with it. W and R depend on the radio config alone and are built once
-    per config; the noise-free bins are built once per (scatterers,
-    geometry, weights, radio, plan) and reused by every seed.
+    with it. R depends on the radio config alone and is built once per
+    config; the noise-free bins are built once per (scatterers, geometry,
+    weights, radio, plan) and reused by every seed.
 
     Each chunk's power is reduced in the workspace to what the pipeline
     reads (see Acquisition): every reduction works row by row, so it has
@@ -231,7 +237,7 @@ def simulate_acquisition(
     n_beams, n_window = signal.shape
     rng = np.random.default_rng(tuple(int(s) for s in seed_prefix))
     scale = np.sqrt(radio.n_symbols * scene.noise_power / 2)
-    chunk = min(n_beams, _DRAW_CHUNK_BEAMS)
+    chunk = max(1, min(n_beams, _DRAW_CHUNK_ROWS // n_frames))
     noise_ws, bins_ws = np.empty((2, chunk, n_frames, n_window), dtype=complex)
     magnitudes = np.empty((n_beams, n_frames))
     mean_profile = np.empty((n_beams, n_window))
@@ -243,10 +249,14 @@ def simulate_acquisition(
         rng.standard_normal(out=noise.view(float))
         noise *= scale
         # R^H R = W^H W: white noise times R has the covariance of white
-        # noise seen through W. The product stays per beam: as one 2-D
-        # product it is bitwise equal for n_frames > 1 only, because numpy
-        # sends 1-row products through gemv.
-        np.matmul(noise, basis.r_factor, out=bins)
+        # noise seen through W. Over several frames the chunk's rows make
+        # one 2-D product (the reshapes are views of the workspace rows),
+        # bitwise equal to the per-beam products; with one frame it stays
+        # per beam, because numpy sends 1-row products through gemv.
+        if n_frames > 1:
+            np.matmul(noise.reshape(-1, n_window), basis.r_factor, out=bins.reshape(-1, n_window))
+        else:
+            np.matmul(noise, basis.r_factor, out=bins)
         bins += signal[lo:hi, None, :]
         # the noise is spent once it is in the bins: its real parts take the power
         power = np.abs(bins, out=noise.real)
@@ -722,14 +732,17 @@ def run_comparison(
     scenarios = list(scenarios)
     methods = list(methods)
     given_seeds = list(seeds)
-    seeds = [int(s) for s in given_seeds]
+    try:
+        seeds = [int(s) for s in given_seeds]
+    except (ValueError, OverflowError):  # a NaN or infinite seed
+        seeds = None
+    if seeds != given_seeds:
+        raise ConfigError(f"master seeds must be whole numbers; given: {given_seeds}")
     if not scenarios or not methods or not seeds:
         raise ConfigError("scenarios, methods and seeds must all be non-empty")
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}")
-    if seeds != given_seeds:
-        raise ConfigError(f"master seeds must be whole numbers; given: {given_seeds}")
     if any(s < 0 for s in seeds):
         raise ConfigError("master seeds must be non-negative")
     names = [s.name for s in scenarios]

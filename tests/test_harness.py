@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -381,9 +382,18 @@ def test_window_basis_is_cached_and_read_only(small_acquisition):
     # an equal config, with the range window as a JSON config gives it
     assert _window_basis(RadioConfig(range_window_m=[0.0, 25.0])) is basis
     assert acq.range_centers_m is basis.centers and acq.gate_keep is basis.keep
-    for arr in (basis.centers, basis.keep, basis.idft, basis.r_factor):
+    for arr in (basis.centers, basis.keep, basis.r_factor):
         assert not arr.flags.writeable
-    assert _window_basis(RadioConfig(n_range_bins=40)).idft.shape == (792, 40)
+    # the IDFT is built per call, and R is its QR factor
+    idft = harness._window_idft(RadioConfig(n_range_bins=40))
+    assert idft.shape == (792, 40)
+    assert harness._window_idft(RadioConfig(n_range_bins=40)) is not idft
+    r_factor = _window_basis(RadioConfig(n_range_bins=40)).r_factor
+    assert r_factor.tobytes() == np.linalg.qr(idft, mode="r").tobytes()
+    # only R and the window bins' cache misses read the IDFT, so no cached
+    # basis keeps an (n_subcarriers, n_window) array for the whole process
+    assert [f.name for f in dataclasses.fields(basis)] == ["centers", "keep", "r_factor"]
+    assert all(arr.shape[0] != radio.n_subcarriers for arr in vars(basis).values())
 
 
 def test_window_centers_are_the_range_axis_entries():
@@ -487,7 +497,8 @@ def test_run_seed_equals_per_frame_and_per_method_calls(monkeypatch):
 
 def _one_shot_draw(signal, noise_power, radio, n_frames, seed_prefix):
     """The draw as one whole-acquisition call, as simulate_acquisition made
-    it before it drew in beam chunks: the reference for the chunked draw."""
+    it before it drew in beam chunks, with one noise product per beam: the
+    reference for the chunked draw."""
     basis = _window_basis(radio)
     n_beams, n_window = signal.shape
     noise, bins = np.empty((2, n_beams, n_frames, n_window), dtype=complex)
@@ -507,36 +518,75 @@ def test_chunked_draw_equals_one_shot_draw():
     campaign = harness._build_campaign(settings, ["oversampled"])
     radio, geom, weights = settings.radio, campaign.geom, campaign.weights
     scene = build_scene(scenario_catalog()[4], radio, geom)
-    # below, at and across the chunk of 27 beams; one frame takes the gemv path
-    for n_beams in (1, 26, 27, 28, 81):
+    # a chunk holds 648 // n_frames beams (27 at 24 frames, 25 at 25), so
+    # these cross the chunk edges; with more than one frame a chunk is one
+    # 2-D product, bitwise equal to the per-beam products, even at row counts
+    # that are not multiples of the kernel unroll; one frame takes the gemv path
+    cases = [(n_beams, n_frames) for n_beams in (1, 26, 27, 28, 81)
+             for n_frames in (1, 2, 5, 6, 24, 25)]
+    cases += [(n_beams, 25) for n_beams in (24, 25, 51)]
+    for n_beams, n_frames in cases:
         plan = dataclasses.replace(
             campaign.over_plan, beam_grid=campaign.over_plan.beam_grid[:n_beams]
         )
         signal = harness._signal_window(scene.scatterers, geom, weights, radio, plan)
-        for n_frames in (1, 6, 24):
-            profiles, magnitudes = _one_shot_draw(
-                signal, scene.noise_power, radio, n_frames, (9, n_beams)
+        profiles, magnitudes = _one_shot_draw(
+            signal, scene.noise_power, radio, n_frames, (9, n_beams)
+        )
+        # every reduction of the chunked draw has the bits of the same
+        # reduction over the one-shot draw's whole power cube
+        eligible, _ = _eligibility(
+            profiles.swapaxes(0, 1), _window_basis(radio).keep,
+            _window_basis(radio).centers, settings.cfar,
+        )
+        for mean_frames in sorted({1, n_frames // 2 or 1, n_frames}):
+            acq = simulate_acquisition(
+                scene, geom, weights, radio, plan, n_frames, (9, n_beams),
+                mean_frames=mean_frames, cfar=settings.cfar,
             )
-            # every reduction of the chunked draw has the bits of the same
-            # reduction over the one-shot draw's whole power cube
-            eligible, _ = _eligibility(
-                profiles.swapaxes(0, 1), _window_basis(radio).keep,
-                _window_basis(radio).centers, settings.cfar,
-            )
-            for mean_frames in sorted({1, n_frames // 2 or 1, n_frames}):
-                acq = simulate_acquisition(
-                    scene, geom, weights, radio, plan, n_frames, (9, n_beams),
-                    mean_frames=mean_frames, cfar=settings.cfar,
-                )
-                assert acq.magnitudes.shape == (n_beams, n_frames)
-                assert acq.magnitudes.tobytes() == magnitudes.tobytes()
-                want = profiles[:, :mean_frames].mean(axis=1)
-                assert acq.mean_profiles().tobytes() == want.tobytes()
-                want = magnitudes[:, :mean_frames].mean(axis=1)
-                assert acq.beam_values().tobytes() == want.tobytes()
-                assert acq.eligible.tobytes() == eligible.T.tobytes()
-            plain = simulate_acquisition(scene, geom, weights, radio, plan, n_frames, (9, n_beams))
-            assert plain.mean_profiles().tobytes() == profiles.mean(axis=1).tobytes()
+            assert acq.magnitudes.shape == (n_beams, n_frames)
+            assert acq.magnitudes.tobytes() == magnitudes.tobytes()
+            want = profiles[:, :mean_frames].mean(axis=1)
+            assert acq.mean_profiles().tobytes() == want.tobytes()
+            want = magnitudes[:, :mean_frames].mean(axis=1)
+            assert acq.beam_values().tobytes() == want.tobytes()
+            assert acq.eligible.tobytes() == eligible.T.tobytes()
+        plain = simulate_acquisition(scene, geom, weights, radio, plan, n_frames, (9, n_beams))
+        assert plain.mean_profiles().tobytes() == profiles.mean(axis=1).tobytes()
+
+
+def _draw_peak_bytes(n_beams, n_frames, cfar):
+    """tracemalloc peak of one warm-cache draw, and the bytes of its outputs."""
+    settings = EvalSettings()
+    campaign = harness._build_campaign(settings, ["oversampled"])
+    radio, geom, weights = settings.radio, campaign.geom, campaign.weights
+    scene = build_scene(scenario_catalog()[4], radio, geom)
+    plan = dataclasses.replace(
+        campaign.over_plan, beam_grid=campaign.over_plan.beam_grid[:n_beams]
+    )
+    harness._signal_window(scene.scatterers, geom, weights, radio, plan)
+    tracemalloc.start()
+    try:
+        acq = simulate_acquisition(
+            scene, geom, weights, radio, plan, n_frames, (1, 2), cfar=cfar
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    outputs = [acq.magnitudes, acq.mean_profile, acq.eligible]
+    return peak, sum(a.nbytes for a in outputs if a is not None)
+
+
+def test_draw_workspace_stays_within_the_row_budget():
+    # noise and window bins of one chunk of _DRAW_CHUNK_ROWS (beam, frame) rows
+    workspace = 2 * harness._DRAW_CHUNK_ROWS * 42 * 16
+    # criterion 7's 81 x 6 sweep is one chunk of 486 rows
+    peak, outputs = _draw_peak_bytes(81, 6, None)
+    assert peak < workspace + outputs
+    # a 24-frame sweep keeps 27-beam chunks: one 81 x 24 chunk would take
+    # three workspaces
+    peak, outputs = _draw_peak_bytes(81, 24, EvalSettings().cfar)
+    assert peak < 2 * workspace + outputs
 
 
 def _oracle_window_power(radio, geom, weights, scene, steer, n_frames, seed):
@@ -737,6 +787,9 @@ def test_repeated_and_fractional_master_seeds_rejected(tmp_path):
     for seeds, message in (
         ([1, 2, 1], "master seeds must be unique; repeated: [1]"),
         ([1.9, 1.2], "master seeds must be whole numbers; given: [1.9, 1.2]"),
+        ([1, math.nan], "master seeds must be whole numbers; given: [1, nan]"),
+        ([math.inf], "master seeds must be whole numbers; given: [inf]"),
+        ([2, -math.inf], "master seeds must be whole numbers; given: [2, -inf]"),
     ):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             run_comparison(far, ["dft"], seeds, out_dir=out)
@@ -916,7 +969,7 @@ def test_signal_window_projects_in_chunks_with_the_bits_of_one_product():
     # across the 27-beam chunk: a last chunk of one beam joins the one
     # before, so no row goes through a 1-row product unless the plan has one beam
     scatterers, geom, weights, radio, plan = _window_args()
-    idft = _window_basis(radio).idft
+    idft = harness._window_idft(radio)
     for n_beams in (1, 2, 27, 28, 29, 54, 55, 81):
         sub = dataclasses.replace(plan, beam_grid=plan.beam_grid[:n_beams])
         whole = radio.n_symbols * scene_subcarrier_profile(
