@@ -323,45 +323,44 @@ def naf_error_to_cross_track_m(naf_error: float, range_m: float) -> float:
     return range_m * math.asin(max(-1.0, min(1.0, naf_error)))
 
 
-def score_rmse(
-    estimates: Sequence[Sequence[float]],
-    ground_truths: Sequence[Sequence[float]],
-) -> dict:
-    """Score per-run estimate lists against per-run ground-truth tuples.
+def score_rmse(estimates, ground_truths) -> dict:
+    """Score per-run estimates against per-run ground truths.
 
-    Each ground-truth target is matched to its nearest estimate (estimates
-    may be reused, so the result is independent of estimate order). Runs
-    with no estimates at all count as misses and contribute no errors.
+    estimates is (runs, slots): each run's estimate NAFs, NaN-padded;
+    ground_truths is (runs, targets). Each target is matched to its run's
+    nearest estimate (estimates may be reused; ties go to the first slot).
+    Runs with no estimates count as misses and contribute no errors. The
+    pooled errors run target by target, runs in order within each.
     Returns the report's summary entry for one (scenario group, method).
     """
-    if len(estimates) != len(ground_truths):
-        raise ConfigError("one estimate list per ground-truth tuple required")
-    if not ground_truths:
+    try:
+        est = np.asarray(estimates, dtype=float)
+        truth = np.asarray(ground_truths, dtype=float)
+    except ValueError:  # a ragged list, or a value that is not a number
+        raise ConfigError("estimates and ground truths must be numeric tables") from None
+    if len(est) != len(truth):
+        raise ConfigError("one estimate row per ground-truth row required")
+    if not len(truth):
         raise ConfigError("cannot score zero runs")
-    n_targets = len(ground_truths[0])
-    per_target: Tuple[List[float], ...] = tuple([] for _ in range(n_targets))
-    missed = 0
-    for ests, truths in zip(estimates, ground_truths):
-        if len(truths) != n_targets:
-            raise ConfigError("ground-truth tuples must have uniform length")
-        if len(ests) == 0:
-            missed += 1
-            continue
-        arr = np.asarray(ests, dtype=float)
-        for t, g in enumerate(truths):
-            nearest = arr[np.argmin(np.abs(arr - g))]
-            per_target[t].append(float(nearest - g))
-    pooled = np.array([e for bucket in per_target for e in bucket])
+    if est.ndim != 2 or truth.ndim != 2 or not est.shape[1]:
+        raise ConfigError("estimates must be (runs, slots) and ground truths (runs, targets)")
+    hit = ~np.isnan(est).all(axis=1)
+    est, truth = est[hit], truth[hit]
+    distance = np.abs(est[:, None, :] - truth[:, :, None])
+    distance[np.isnan(distance)] = np.inf
+    nearest = np.take_along_axis(est, distance.argmin(axis=-1), axis=1)
+    errors = np.ascontiguousarray((nearest - truth).T)  # (targets, hit runs)
+    pooled = errors.ravel()
+    missed = len(hit) - len(est)
     return {
         "rmse_per_target": [
-            float(np.sqrt(np.mean(np.square(bucket)))) if bucket else math.nan
-            for bucket in per_target
+            float(np.sqrt(np.mean(np.square(e)))) if e.size else math.nan for e in errors
         ],
         "pooled_rmse": float(np.sqrt(np.mean(pooled**2))) if pooled.size else math.nan,
         "pooled_variance": float(np.var(pooled)) if pooled.size else math.nan,
-        "n_runs": len(estimates),
+        "n_runs": len(hit),
         "n_missed": missed,
-        "detection_rate": 1.0 - missed / len(estimates),
+        "detection_rate": 1.0 - missed / len(hit),
     }
 
 
@@ -391,6 +390,12 @@ class EvalSettings:
                 f"dwell_frames ({self.dwell_frames}) must not exceed "
                 f"ground_truth_frames ({self.ground_truth_frames})"
             )
+        # above it, a draw chunk (one beam of all its frames) leaves the row budget
+        if self.ground_truth_frames > _DRAW_CHUNK_ROWS:
+            raise ConfigError(
+                f"ground_truth_frames ({self.ground_truth_frames}) must not exceed "
+                f"{_DRAW_CHUNK_ROWS}, the rows of one draw chunk"
+            )
         if self.n_tx != self.n_rx:
             raise ConfigError(f"n_tx ({self.n_tx}) and n_rx ({self.n_rx}) must be equal")
         if self.dictionary_kind not in DICTIONARY_KINDS:
@@ -404,13 +409,14 @@ class EvalSettings:
 
 
 @dataclass(frozen=True)
-class _SeedOutcome:
-    seed: int
-    ground_truth: Tuple[float, float]
-    gt_counts: Tuple[int, int]
-    peaks: Dict[str, List[PeakEstimate]]
-    maps: Dict[str, RangeAngleMap]
-    sweep_values: Optional[np.ndarray]  # minimal-sweep beam magnitudes
+class _Runs:
+    """Every seed of one scenario, one row per seed in seed order."""
+
+    truth: np.ndarray  # (seeds, targets) ground-truth NAF
+    counts: np.ndarray  # (seeds, targets) frames assigned to each target
+    peaks: np.ndarray  # (seeds, methods, slots, 3): naf, range_m, power; NaN-padded
+    maps: Dict[str, RangeAngleMap]  # the first seed's
+    sweep_values: np.ndarray  # the first seed's minimal-sweep beam magnitudes
 
 
 @dataclass(frozen=True)
@@ -427,8 +433,12 @@ class _Campaign:
     dictionary: Optional[Dictionary]  # built only for a campaign with omp
 
 
-# The most that one acquisition's arrays, or one dictionary build, may take.
+# The most that one acquisition's arrays, one dictionary build, or one
+# window basis may take.
 _ACQUISITION_BUDGET_BYTES = 256 * 2**20
+# _window_basis's peak per (subcarrier, window bin): the index product, the
+# complex IDFT and QR's copy of it (49 B traced, 49.9 B of RSS at 2000 x 2000)
+_WINDOW_BASIS_BYTES = 50
 
 
 def _dictionary_bytes(geom: ArrayGeometry, n_beams: int, n_candidates: int) -> int:
@@ -463,6 +473,12 @@ def _build_campaign(settings: EvalSettings, methods: Sequence[str]) -> _Campaign
             f"of {n_frames} frames, whose acquisition arrays and dictionary build take "
             f"{size} bytes, more than the {_ACQUISITION_BUDGET_BYTES} allowed"
         )
+    basis = _WINDOW_BASIS_BYTES * radio.n_subcarriers * radio.n_range_bins
+    if basis > _ACQUISITION_BUDGET_BYTES:
+        raise ConfigError(
+            f"{radio.n_subcarriers} subcarriers and {radio.n_range_bins} range bins give a "
+            f"window basis of {basis} bytes, more than the {_ACQUISITION_BUDGET_BYTES} allowed"
+        )
     dictionary = None
     if "omp" in methods:
         dictionary = _dictionary(geom, weights, minimal_plan, over_plan, settings.dictionary_kind)
@@ -480,15 +496,16 @@ def _build_campaign(settings: EvalSettings, methods: Sequence[str]) -> _Campaign
 
 def _run_seed(
     campaign: _Campaign,
+    runs: _Runs,
+    i: int,
     scenario: Scenario,
     scene: Scene,
     scenario_index: int,
     methods: Sequence[str],
     master_seed: int,
-    for_files: bool = True,
-) -> _SeedOutcome:
-    """One (scenario, seed). Only for_files builds the range-angle maps and
-    keeps the sweep values, which the output files show for a first seed."""
+) -> None:
+    """One (scenario, seed), written to row i of runs. Row 0 also keeps the
+    range-angle maps and sweep values, which the output files show."""
     settings = campaign.settings
     minimal_plan = campaign.minimal_plan
     resolution = campaign.resolution
@@ -504,7 +521,7 @@ def _run_seed(
         acq.magnitudes.T, over_grid, resolution, settings.max_peaks,
         detected=acq.eligible.T,
     )
-    ground_truth, gt_counts = estimate_ground_truth(
+    runs.truth[i], runs.counts[i] = estimate_ground_truth(
         [[p.naf for p in peaks] for peaks in frame_peaks], scenario.target_nafs
     )
 
@@ -543,15 +560,13 @@ def _run_seed(
         gated = profiles9[strongest][acq.gate_keep]
         range_m = float(acq.range_centers_m[acq.gate_keep][np.argmax(gated)])
         peaks_by_method["omp"] = sparse_to_peaks(estimate, over_grid, range_m)
-    # in the caller's method order, which peaks.csv follows
-    peaks_by_method = {m: peaks_by_method[m] for m in methods}
-    if not for_files:
-        return _SeedOutcome(master_seed, ground_truth, gt_counts, peaks_by_method, {}, None)
-    maps = {
-        m: RangeAngleMap(power_map.T, acq.range_centers_m, over_grid)
-        for m, (_, power_map) in mapped.items()
-    }
-    return _SeedOutcome(master_seed, ground_truth, gt_counts, peaks_by_method, maps, values9)
+    for m, peaks in peaks_by_method.items():
+        for slot, p in enumerate(peaks):
+            runs.peaks[i, methods.index(m), slot] = p.naf, p.range_m, p.power
+    if i == 0:
+        for m, (_, power_map) in mapped.items():
+            runs.maps[m] = RangeAngleMap(power_map.T, acq.range_centers_m, over_grid)
+        runs.sweep_values[:] = values9
 
 
 @dataclass(frozen=True)
@@ -587,10 +602,11 @@ class RmseReport:
         return self.data["groups"]["total"][method]["pooled_rmse"]
 
 
-def _summary(runs: Sequence[_SeedOutcome], method: str) -> dict:
-    return score_rmse(
-        [[p.naf for p in r.peaks[method]] for r in runs], [r.ground_truth for r in runs]
-    )
+def _summaries(tables: Sequence[_Runs], methods: Sequence[str]) -> dict:
+    """Each method's score_rmse entry over the rows of tables, in order."""
+    truth = np.concatenate([r.truth for r in tables])
+    nafs = np.concatenate([r.peaks[..., 0] for r in tables])
+    return {m: score_rmse(nafs[:, k], truth) for k, m in enumerate(methods)}
 
 
 def _run_scenario(
@@ -600,16 +616,22 @@ def _run_scenario(
     stream_index: int,
     seeds: Sequence[int],
     methods: Sequence[str],
-) -> List[_SeedOutcome]:
-    """Every seed of one scenario, in seed order. Only the first seed builds
-    its range-angle maps and sweep values: the output files show no other."""
-    return [
-        _run_seed(campaign, scenario, scene, stream_index, methods, seed, i == 0)
-        for i, seed in enumerate(seeds)
-    ]
+) -> _Runs:
+    """Every seed of one scenario, in seed order."""
+    settings = campaign.settings
+    shape = (len(seeds), len(scenario.target_nafs))
+    slots = max(settings.max_peaks, settings.omp.max_atoms)
+    runs = _Runs(
+        np.empty(shape), np.empty(shape, dtype=int),
+        np.full((len(seeds), len(methods), slots, 3), np.nan),
+        {}, np.empty(campaign.minimal_plan.n_beams),
+    )
+    for i, seed in enumerate(seeds):
+        _run_seed(campaign, runs, i, scenario, scene, stream_index, methods, seed)
+    return runs
 
 
-_Outcomes = List[Tuple[Scenario, List[_SeedOutcome]]]
+_Outcomes = List[Tuple[Scenario, _Runs]]
 
 
 def _build_report(
@@ -623,8 +645,9 @@ def _build_report(
         ("walls", ("wall",)),
         ("total", ("octahedral", "wall")),
     ):
-        pool = [run for scenario, runs in outcomes if scenario.kind in kinds for run in runs]
-        groups[group] = {m: _summary(pool, m) if pool else None for m in methods}
+        pool = [runs for scenario, runs in outcomes if scenario.kind in kinds]
+        groups[group] = _summaries(pool, methods) if pool else dict.fromkeys(methods)
+    per_scenario = {s.name: _summaries([runs], methods) for s, runs in outcomes}
     snr_ref = settings.snr_db
     report = {
         "metadata": {
@@ -646,18 +669,13 @@ def _build_report(
                 "kind": scenario.kind,
                 "separation_naf": scenario.separation_naf,
                 "nominal_nafs": list(scenario.target_nafs),
-                "mean_ground_truth": [
-                    float(np.mean([r.ground_truth[i] for r in runs])) for i in (0, 1)
-                ],
-                "mean_assigned_frames": [
-                    float(np.mean([r.gt_counts[i] for r in runs])) for i in (0, 1)
-                ],
+                "mean_ground_truth": [float(np.mean(t)) for t in runs.truth.T],
+                "mean_assigned_frames": [float(np.mean(c)) for c in runs.counts.T],
             }
             for scenario, runs in outcomes
         },
         "per_scenario": {
-            m: {scenario.name: _summary(runs, m) for scenario, runs in outcomes}
-            for m in methods
+            m: {name: entries[m] for name, entries in per_scenario.items()} for m in methods
         },
         "groups": groups,
     }
@@ -684,20 +702,18 @@ def _write_outputs(
     out.mkdir(parents=True, exist_ok=True)
     report.write_json(out / "report.json")
     report.write_csv(out / "report.csv")
+    meta = report.data["metadata"]
     with open(out / "peaks.csv", "w") as fh:
         fh.write("scenario,method,seed,naf,range_m,power\n")
         for scenario, runs in outcomes:
-            for run in runs:
-                for m, peaks in run.peaks.items():
-                    for p in peaks:
-                        fh.write(
-                            f"{scenario.name},{m},{run.seed},{p.naf!r},{p.range_m!r},{p.power!r}\n"
-                        )
+            found = ~np.isnan(runs.peaks[..., 0])  # in (seed, method, slot) order
+            for (i, k, _), peak in zip(np.argwhere(found).tolist(), runs.peaks[found].tolist()):
+                row = [scenario.name, meta["methods"][k], str(meta["master_seeds"][i])]
+                fh.write(",".join(row + [repr(v) for v in peak]) + "\n")
     for scenario, runs in outcomes:
-        first = runs[0]
-        for m, map_ in first.maps.items():
+        for m, map_ in runs.maps.items():
             dump_ramp(map_, out / f"{scenario.name}_{m}.ramp")
-        _write_spectrum_csv(out / f"{scenario.name}_sweep.csv", minimal_grid, first.sweep_values)
+        _write_spectrum_csv(out / f"{scenario.name}_sweep.csv", minimal_grid, runs.sweep_values)
 
 
 def _usable_cpus() -> int:

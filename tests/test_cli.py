@@ -1070,6 +1070,61 @@ def test_acquisition_over_the_memory_budget_exits_one(tmp_path, capsys, monkeypa
         assert not out.exists()
 
 
+def test_window_basis_over_the_memory_budget_exits_one(tmp_path, capsys, monkeypatch):
+    # refused from the radio config alone: no window IDFT is built and no
+    # acquisition is drawn
+    def refuse(*args, **kwargs):
+        raise AssertionError("no window basis may be built")
+
+    for name in ("_window_idft", "simulate_acquisition", "scene_subcarrier_profile"):
+        monkeypatch.setattr(harness, name, refuse)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"radio": {"n_subcarriers": 20000, "n_range_bins": 20000}}))
+    out = tmp_path / "eval"
+    argv = ["evaluate", "--config", str(cfg), "--seeds", "1", "--scenarios", "octahedral_far",
+            "--methods", "dft", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    # 50 B x 20,000 subcarriers x 20,000 window bins; the per-beam count admits it
+    assert capsys.readouterr().err == (
+        "error: 20000 subcarriers and 20000 range bins give a window basis of "
+        "20000000000 bytes, more than the 268435456 allowed\n"
+    )
+    assert not out.exists()
+    # at the edge, 5,368,709 (subcarrier, bin) pairs of 50 B fit in 256 MiB:
+    # 5,368 x 1,000 reaches the draw (stopped here before it allocates
+    # anything), 5,369 x 1,000 does not
+    def reached(scene, geom, weights, radio, *args, **kwargs):
+        raise ConfigError(f"draw with {radio.n_subcarriers} subcarriers reached")
+
+    monkeypatch.setattr(harness, "simulate_acquisition", reached)
+    for n, err in ((5368, "error: draw with 5368 subcarriers reached\n"),
+                   (5369, "error: 5369 subcarriers and 1000 range bins give a window basis "
+                          "of 268450000 bytes")):
+        cfg.write_text(json.dumps({"radio": {"n_subcarriers": n, "n_range_bins": 1000}}))
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith(err)
+        assert not out.exists()
+
+
+def test_ground_truth_frames_past_one_draw_chunk_exit_one(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ground_truth_frames": 649}))
+    out = tmp_path / "eval"
+    argv = ["evaluate", "--config", str(cfg), "--seeds", "1", "--scenarios", "octahedral_far",
+            "--methods", "dft", "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: ground_truth_frames (649) must not exceed 648, the rows of one draw chunk\n"
+    )
+    assert not out.exists()
+
+
 def test_omp_dictionary_over_the_memory_budget_exits_one(tmp_path, capsys, monkeypatch):
     # refused from the candidate count alone: no dictionary is built
     def refuse(*args, **kwargs):

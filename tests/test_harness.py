@@ -164,7 +164,7 @@ def test_score_rmse_hand_example():
 
 
 def test_score_rmse_counts_empty_runs_as_misses():
-    s = score_rmse([[], [-0.1, 0.1]], [(-0.1, 0.1), (-0.1, 0.1)])
+    s = score_rmse([[math.nan, math.nan], [-0.1, 0.1]], [(-0.1, 0.1), (-0.1, 0.1)])
     assert s["n_missed"] == 1
     assert s["detection_rate"] == 0.5
     assert s["rmse_per_target"] == [0.0, 0.0]
@@ -176,12 +176,76 @@ def test_score_rmse_reuses_nearest_estimate():
 
 
 def test_score_rmse_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="one estimate row per ground-truth row"):
         score_rmse([[0.1]], [])
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="one estimate row per ground-truth row"):
         score_rmse([[0.1], [0.2]], [(-0.1, 0.1)])
-    with pytest.raises(ConfigError):
+    # ragged rows are a ConfigError, not numpy's inhomogeneous-shape ValueError
+    with pytest.raises(ConfigError, match="must be numeric tables"):
         score_rmse([[0.1], [0.2]], [(-0.1, 0.1), (-0.1,)])
+    with pytest.raises(ConfigError, match="must be numeric tables"):
+        score_rmse([[0.1], [0.2, 0.3]], [(-0.1, 0.1), (-0.1, 0.1)])
+    with pytest.raises(ConfigError, match="must be numeric tables"):
+        score_rmse([["x", 0.1]], [(-0.1, 0.1)])
+    with pytest.raises(ConfigError, match="cannot score zero runs"):
+        score_rmse(np.empty((0, 2)), np.empty((0, 2)))
+    for estimates in ([0.1, 0.2], [[], []]):  # not a table, or one without slots
+        with pytest.raises(ConfigError, match=re.escape("(runs, slots)")):
+            score_rmse(estimates, [(-0.1, 0.1), (-0.1, 0.1)])
+
+
+def _list_score_rmse(estimates, ground_truths):
+    """score_rmse as it was written over ragged per-run estimate lists, with
+    one Python pass per run: the reference for the table version's bits."""
+    n_targets = len(ground_truths[0])
+    per_target = tuple([] for _ in range(n_targets))
+    missed = 0
+    for ests, truths in zip(estimates, ground_truths):
+        if len(ests) == 0:
+            missed += 1
+            continue
+        arr = np.asarray(ests, dtype=float)
+        for t, g in enumerate(truths):
+            nearest = arr[np.argmin(np.abs(arr - g))]
+            per_target[t].append(float(nearest - g))
+    pooled = np.array([e for bucket in per_target for e in bucket])
+    return {
+        "rmse_per_target": [
+            float(np.sqrt(np.mean(np.square(bucket)))) if bucket else math.nan
+            for bucket in per_target
+        ],
+        "pooled_rmse": float(np.sqrt(np.mean(pooled**2))) if pooled.size else math.nan,
+        "pooled_variance": float(np.var(pooled)) if pooled.size else math.nan,
+        "n_runs": len(estimates),
+        "n_missed": missed,
+        "detection_rate": 1.0 - missed / len(estimates),
+    }
+
+
+@pytest.mark.parametrize("n_runs", [2, 130, 300, 1000])
+def test_score_rmse_equals_the_per_run_list_reference_bit_for_bit(n_runs):
+    # past 128 runs numpy's pairwise summation splits the error vectors into
+    # blocks, so only the reference's summation order gives its bits
+    rng = np.random.default_rng(n_runs)
+    for case in range(40):
+        slots, n_targets = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        if case % 2:
+            # a coarse lattice of estimates and truths halfway between two of
+            # its points: exact ties, and repeated estimates
+            table = rng.integers(-8, 9, size=(n_runs, slots)) / 16
+            truth = (2 * rng.integers(-8, 8, size=(n_runs, n_targets)) + 1) / 32
+        else:
+            table = rng.normal(0.0, 0.2, size=(n_runs, slots))
+            truth = rng.normal(0.0, 0.2, size=(n_runs, n_targets))
+        # each run keeps its first 0..slots estimates, NaN past them
+        kept = rng.integers(0, slots + 1, size=n_runs)
+        kept[rng.random(n_runs) < 0.5] = slots
+        table[np.arange(slots) >= kept[:, None]] = np.nan
+        lists = [list(row[:k]) for row, k in zip(table.tolist(), kept)]
+        want = _list_score_rmse(lists, [tuple(t) for t in truth.tolist()])
+        got = score_rmse(table, truth)
+        assert repr(got) == repr(want)
+        assert got["n_missed"] == np.count_nonzero(kept == 0)
 
 
 def test_eval_settings_defaults():
@@ -214,6 +278,20 @@ def test_eval_settings_rejects(kwargs, message):
 def test_eval_settings_accepts_the_edges():
     s = EvalSettings(dwell_frames=24, n_tx=4, n_rx=4, dictionary_kind="flat")
     assert s.dwell_frames == s.ground_truth_frames
+
+
+def test_ground_truth_frames_are_capped_at_one_draw_chunk(monkeypatch):
+    # refused from the settings alone: nothing is drawn
+    def refuse(*args, **kwargs):
+        raise AssertionError("no acquisition may be drawn")
+
+    monkeypatch.setattr(harness, "simulate_acquisition", refuse)
+    edge = EvalSettings(ground_truth_frames=harness._DRAW_CHUNK_ROWS)
+    assert harness._build_campaign(edge, ["dft"]).settings.ground_truth_frames == 648
+    with pytest.raises(ConfigError, match=re.escape(
+        "ground_truth_frames (649) must not exceed 648, the rows of one draw chunk"
+    )):
+        EvalSettings(ground_truth_frames=649)
 
 
 def test_scenario_catalog_layout():
@@ -428,6 +506,12 @@ def _peak_bytes(peaks):
     return np.array([(p.naf, p.range_m, p.power) for p in peaks], dtype=float).tobytes()
 
 
+def _slot_bytes(slots, n):
+    """The first n slots of a (slots, 3) table block, which must be NaN past them."""
+    assert np.isnan(slots[n:]).all() and not np.isnan(slots[:n]).any()
+    return slots[:n].tobytes()
+
+
 def test_run_seed_equals_per_frame_and_per_method_calls(monkeypatch):
     settings = EvalSettings(ground_truth_frames=4, dwell_frames=2)
     methods = ["spline", "omp", "oversampled", "dft"]
@@ -440,14 +524,15 @@ def test_run_seed_equals_per_frame_and_per_method_calls(monkeypatch):
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(harness, name, counted)
-    run = harness._run_seed(campaign, scenario, scene, 0, methods, 5)
+    run = harness._run_scenario(campaign, scenario, scene, 0, [5], methods)
     monkeypatch.undo()
     # one peak pass over all frames and one over all mapped methods; the
     # frames' eligibility comes with the draw
     assert calls == {
         "extract_peaks": 2, "_eligibility": 1, "dft_interpolate": 1, "spline_interpolate": 1,
     }
-    assert list(run.peaks) == methods
+    # one row, its method axis in the caller's order, max(max_peaks, max_atoms) slots
+    assert run.peaks.shape == (1, len(methods), 5, 3)
     assert list(run.maps) == ["spline", "oversampled", "dft"]
 
     # the reference: one frame, one method and one range bin at a time,
@@ -477,22 +562,53 @@ def test_run_seed_equals_per_frame_and_per_method_calls(monkeypatch):
         [p.naf for p in peaks(magnitudes[:, f], profiles[:, f])] for f in range(4)
     ]
     assert sum(map(len, frame_nafs)) > 0
-    assert (run.ground_truth, run.gt_counts) == estimate_ground_truth(
+    assert (tuple(run.truth[0]), tuple(run.counts[0])) == estimate_ground_truth(
         frame_nafs, scenario.target_nafs
     )
     values9 = acq.beam_values()[campaign.min_idx]
     profiles9 = acq.mean_profiles()[campaign.min_idx]
+    assert run.sweep_values.tobytes() == values9.tobytes()
     for method, interpolate in (("dft", dft_interpolate), ("spline", spline_interpolate)):
         spectrum = interpolate(AngularSweep(plan, values9), grid)
         columns = [interpolate(AngularSweep(plan, np.sqrt(p)), grid) for p in profiles9.T]
         power_map = np.maximum(np.column_stack(columns), 0.0) ** 2
         want = peaks(spectrum, power_map)
-        assert want and _peak_bytes(run.peaks[method]) == _peak_bytes(want)
+        got = _slot_bytes(run.peaks[0, methods.index(method)], len(want))
+        assert want and got == _peak_bytes(want)
         assert run.maps[method].power.tobytes() == power_map.T.tobytes()
     want = peaks(acq.beam_values(), acq.mean_profiles())
-    assert want and _peak_bytes(run.peaks["oversampled"]) == _peak_bytes(want)
+    got = _slot_bytes(run.peaks[0, methods.index("oversampled")], len(want))
+    assert want and got == _peak_bytes(want)
     assert run.maps["oversampled"].power.tobytes() == acq.mean_profiles().T.tobytes()
 
+
+
+@pytest.mark.parametrize("m", [-20, 7])
+@pytest.mark.parametrize("index", [0, 6])
+def test_power_of_two_scale_leaves_every_estimate_and_scales_every_power(index, m):
+    # amplitudes x 2^m and noise power x 4^m on the same streams: every step
+    # is linear, a ratio or a comparison, and power-of-two scaling is exact,
+    # so the truth, the NAFs and ranges are identical and powers are x 4^m
+    methods = list(harness.METHODS)
+    campaign = harness._build_campaign(EvalSettings(), methods)
+    scenario = scenario_catalog()[index]
+    scene = build_scene(scenario, campaign.settings.radio, campaign.geom)
+    scaled = Scene(
+        [dataclasses.replace(s, amplitude=s.amplitude * 2.0**m) for s in scene.scatterers],
+        scene.noise_power * 4.0**m,
+    )
+    base, runs = (
+        harness._run_scenario(campaign, scenario, sc, index, [1, 2], methods)
+        for sc in (scene, scaled)
+    )
+    assert np.isfinite(base.peaks[..., 0]).any(axis=-1).all()  # every method finds peaks
+    assert runs.truth.tobytes() == base.truth.tobytes()
+    assert runs.counts.tobytes() == base.counts.tobytes()
+    assert runs.peaks[..., :2].tobytes() == base.peaks[..., :2].tobytes()
+    assert runs.peaks[..., 2].tobytes() == (base.peaks[..., 2] * 4.0**m).tobytes()
+    assert runs.sweep_values.tobytes() == (base.sweep_values * 2.0**m).tobytes()
+    for method, map_ in base.maps.items():
+        assert runs.maps[method].power.tobytes() == (map_.power * 4.0**m).tobytes()
 
 
 def _one_shot_draw(signal, noise_power, radio, n_frames, seed_prefix):
