@@ -61,7 +61,6 @@ from .reconstruct import (
     sweep_duration,
 )
 from .scenarios import (
-    RearWall,
     Scenario,
     Scene,
     build_scene,

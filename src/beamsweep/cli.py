@@ -27,7 +27,6 @@ from .detection import extract_peaks
 from .errors import ConfigError, ContractViolation
 from .geometry import naf_resolution
 from .harness import EvalSettings, METHODS, _dictionary, _write_spectrum_csv, run_comparison
-from .harness import _ACQUISITION_BUDGET_BYTES, _dictionary_bytes
 from .omp import omp
 from .reconstruct import (
     AngularSweep,
@@ -261,15 +260,8 @@ def cmd_reconstruct(args) -> int:
     elif args.method == "spline":
         dense = spline_interpolate(sweep, grid)
     else:  # omp, the last of the parser's choices
-        geom = settings.geometry()
-        size = _dictionary_bytes(geom, plan.n_beams, grid.size)
-        if size > _ACQUISITION_BUDGET_BYTES:
-            raise ConfigError(
-                f"factor {args.factor} gives {grid.size} OMP candidates, whose dictionary "
-                f"build takes {size} bytes, more than the {_ACQUISITION_BUDGET_BYTES} allowed"
-            )
         dictionary = _dictionary(
-            geom, settings.weights(), plan, dense_plan, settings.dictionary_kind
+            settings.geometry(), settings.weights(), plan, dense_plan, settings.dictionary_kind
         )
         estimate = omp(dictionary, values, settings.omp)
         dense = np.zeros(grid.size)
@@ -296,7 +288,7 @@ def cmd_detect(args) -> int:
 
 def cmd_evaluate(args) -> int:
     settings, base = _build_settings(args)
-    seeds = [base + i for i in range(args.seeds)]
+    seeds = range(base, base + args.seeds)
     # an empty list value names one empty name, which is refused, not "all"
     scenarios = _pick_scenarios(args.scenarios.split(",") if args.scenarios is not None else [])
     methods = args.methods.split(",") if args.methods is not None else list(METHODS)

@@ -9,6 +9,7 @@ seed, scenario index), so reports are byte-reproducible.
 """
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import json
@@ -95,6 +96,23 @@ class _WindowBasis:
     r_factor: np.ndarray  # R of W = QR (W = _window_idft), so R^H R = W^H W
 
 
+# The most that one acquisition's arrays, one window basis, one dictionary
+# build, or one campaign's outcome tables may take.
+_BUDGET_BYTES = 256 * 2**20
+
+
+def _check_budget(nbytes: int, what: str) -> None:
+    """Refuse an allocation of nbytes, before it exists, if it passes the budget."""
+    if nbytes > _BUDGET_BYTES:
+        raise ConfigError(f"{what} {nbytes} bytes, more than the {_BUDGET_BYTES} allowed")
+
+
+def _dictionary_bytes(geom: ArrayGeometry, n_beams: int, n_candidates: int) -> int:
+    """The largest arrays of one build_dictionary call: the complex TX and RX
+    phasors of every (beam, candidate) lag, 16 B x (n_tx + n_rx) each."""
+    return 16 * n_beams * n_candidates * (geom.n_tx + geom.n_rx)
+
+
 def _window_idft(radio: RadioConfig) -> np.ndarray:
     """W, the (n_subcarriers, n_window) IDFT rows of the window bins; built
     per call, since only R and _signal_window's cache misses read it."""
@@ -109,6 +127,11 @@ def _window_idft(radio: RadioConfig) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _window_basis(radio: RadioConfig) -> _WindowBasis:
     """Built on first use per (hashable, frozen) radio config; arrays read-only."""
+    # its peak per (subcarrier, window bin) is 50 B: the index product, the
+    # complex IDFT and QR's copy of it (49 B traced, 49.9 B of RSS at 2000 x 2000)
+    n_sc, n_bins = radio.n_subcarriers, radio.n_range_bins
+    what = f"{n_sc} subcarriers and {n_bins} range bins give a window basis of"
+    _check_budget(50 * n_sc * n_bins, what)
     centers = radio.window_bins() * radio.range_bin_width_m
     lo, hi = RANGE_GATE_EXCLUDE_M
     keep = ~((centers >= lo) & (centers <= hi))
@@ -173,11 +196,13 @@ def _dictionary(
     content like _signal_window; the atoms are read-only.
 
     Every campaign and every reconstruct --method omp call on equal
-    settings shares one entry. The default 9 x 81 entry is 5.8 KB. Both
-    callers refuse a build whose phasors (_dictionary_bytes) pass
-    _ACQUISITION_BUDGET_BYTES, so with an 8 x 8 array an entry's atoms take
-    at most 1/32 of it, 8 MiB.
+    settings shares one entry. The default 9 x 81 entry is 5.8 KB. A build
+    whose phasors (_dictionary_bytes) pass _BUDGET_BYTES is refused, so
+    with an 8 x 8 array an entry's atoms take at most 1/32 of it, 8 MiB.
     """
+    n_beams, n_candidates = beam_plan.n_beams, candidate_plan.n_beams
+    what = f"{n_beams} beams and {n_candidates} OMP candidates give a dictionary build of"
+    _check_budget(_dictionary_bytes(geom, n_beams, n_candidates), what)
     dictionary = build_dictionary(
         geom, weights, beam_plan.beam_grid, candidate_plan.beam_grid, kind
     )
@@ -232,8 +257,8 @@ def simulate_acquisition(
     mean_frames = n_frames if mean_frames is None else mean_frames
     if not 1 <= mean_frames <= n_frames:
         raise ConfigError(f"mean_frames must be in [1, {n_frames}], not {mean_frames}")
-    signal = _signal_window(scene.scatterers, geom, weights, radio, plan)
     basis = _window_basis(radio)
+    signal = _signal_window(scene.scatterers, geom, weights, radio, plan)
     n_beams, n_window = signal.shape
     rng = np.random.default_rng(tuple(int(s) for s in seed_prefix))
     scale = np.sqrt(radio.n_symbols * scene.noise_power / 2)
@@ -431,20 +456,7 @@ class _Campaign:
     min_idx: np.ndarray  # oversampled-grid index of each minimal beam
     resolution: float
     dictionary: Optional[Dictionary]  # built only for a campaign with omp
-
-
-# The most that one acquisition's arrays, one dictionary build, or one
-# window basis may take.
-_ACQUISITION_BUDGET_BYTES = 256 * 2**20
-# _window_basis's peak per (subcarrier, window bin): the index product, the
-# complex IDFT and QR's copy of it (49 B traced, 49.9 B of RSS at 2000 x 2000)
-_WINDOW_BASIS_BYTES = 50
-
-
-def _dictionary_bytes(geom: ArrayGeometry, n_beams: int, n_candidates: int) -> int:
-    """The largest arrays of one build_dictionary call: the complex TX and RX
-    phasors of every (beam, candidate) lag, 16 B x (n_tx + n_rx) each."""
-    return 16 * n_beams * n_candidates * (geom.n_tx + geom.n_rx)
+    slots: int  # the most peaks one run of a method can return
 
 
 def _build_campaign(settings: EvalSettings, methods: Sequence[str]) -> _Campaign:
@@ -467,18 +479,14 @@ def _build_campaign(settings: EvalSettings, methods: Sequence[str]) -> _Campaign
     n_beams, n_frames = over_plan.n_beams, settings.ground_truth_frames
     size = n_beams * (24 * radio.n_range_bins + 9 * n_frames)
     size += _dictionary_bytes(geom, minimal_plan.n_beams, n_beams)
-    if size > _ACQUISITION_BUDGET_BYTES:
-        raise ConfigError(
-            f"oversampling factor {settings.oversampling_factor} gives {n_beams} beams "
-            f"of {n_frames} frames, whose acquisition arrays and dictionary build take "
-            f"{size} bytes, more than the {_ACQUISITION_BUDGET_BYTES} allowed"
-        )
-    basis = _WINDOW_BASIS_BYTES * radio.n_subcarriers * radio.n_range_bins
-    if basis > _ACQUISITION_BUDGET_BYTES:
-        raise ConfigError(
-            f"{radio.n_subcarriers} subcarriers and {radio.n_range_bins} range bins give a "
-            f"window basis of {basis} bytes, more than the {_ACQUISITION_BUDGET_BYTES} allowed"
-        )
+    _check_budget(
+        size,
+        f"oversampling factor {settings.oversampling_factor} gives {n_beams} beams "
+        f"of {n_frames} frames, whose acquisition arrays and dictionary build take",
+    )
+    # checked, and built once, here: concurrent misses of its cache in the
+    # workers would each build it
+    _window_basis(radio)
     dictionary = None
     if "omp" in methods:
         dictionary = _dictionary(geom, weights, minimal_plan, over_plan, settings.dictionary_kind)
@@ -488,9 +496,12 @@ def _build_campaign(settings: EvalSettings, methods: Sequence[str]) -> _Campaign
     min_idx = np.flatnonzero(np.isin(over_grid, minimal_plan.beam_grid))
     if min_idx.size != minimal_plan.n_beams:
         raise ConfigError("minimal grid is not a subset of the oversampled grid")
+    # extract_peaks and OMP return at most max_peaks and max_atoms peaks, and
+    # at most one per grid point; a max_peaks below 1 is refused in the workers
+    widths = [settings.omp.max_atoms if m == "omp" else settings.max_peaks for m in methods]
     return _Campaign(
         settings, geom, weights, over_plan, minimal_plan, min_idx,
-        naf_resolution(n_1d), dictionary,
+        naf_resolution(n_1d), dictionary, max(0, min(max(widths), n_beams)),
     )
 
 
@@ -618,12 +629,10 @@ def _run_scenario(
     methods: Sequence[str],
 ) -> _Runs:
     """Every seed of one scenario, in seed order."""
-    settings = campaign.settings
     shape = (len(seeds), len(scenario.target_nafs))
-    slots = max(settings.max_peaks, settings.omp.max_atoms)
     runs = _Runs(
         np.empty(shape), np.empty(shape, dtype=int),
-        np.full((len(seeds), len(methods), slots, 3), np.nan),
+        np.full((len(seeds), len(methods), campaign.slots, 3), np.nan),
         {}, np.empty(campaign.minimal_plan.n_beams),
     )
     for i, seed in enumerate(seeds):
@@ -747,6 +756,19 @@ def run_comparison(
     """
     scenarios = list(scenarios)
     methods = list(methods)
+    if not scenarios or not methods or not len(seeds):
+        raise ConfigError("scenarios, methods and seeds must all be non-empty")
+    for m in methods:
+        if m not in METHODS:
+            raise ConfigError(f"unknown method {m!r}")
+    campaign = _build_campaign(settings, methods)
+    # every scenario's outcome table (_Runs), counted before any of them, or
+    # the list of seeds, exists
+    row = sum(len(methods) * campaign.slots * 24 + len(s.target_nafs) * 16 for s in scenarios)
+    _check_budget(
+        len(seeds) * row,
+        f"{len(seeds)} seeds of {len(scenarios)} scenarios give outcome tables of",
+    )
     given_seeds = list(seeds)
     try:
         seeds = [int(s) for s in given_seeds]
@@ -754,21 +776,15 @@ def run_comparison(
         seeds = None
     if seeds != given_seeds:
         raise ConfigError(f"master seeds must be whole numbers; given: {given_seeds}")
-    if not scenarios or not methods or not seeds:
-        raise ConfigError("scenarios, methods and seeds must all be non-empty")
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}")
     if any(s < 0 for s in seeds):
         raise ConfigError("master seeds must be non-negative")
     names = [s.name for s in scenarios]
     for what, given in (
         ("scenario names", names), ("method names", methods), ("master seeds", seeds)
     ):
-        repeated = sorted({n for n in given if given.count(n) > 1})
+        repeated = sorted(n for n, k in collections.Counter(given).items() if k > 1)
         if repeated:
             raise ConfigError(f"{what} must be unique; repeated: {repeated}")
-    campaign = _build_campaign(settings, methods)
     stream = {s.name: i for i, s in enumerate(scenario_catalog())}
     for name in names:
         stream.setdefault(name, len(stream))

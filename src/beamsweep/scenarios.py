@@ -18,7 +18,7 @@ the per-entry noise variance for a requested reference SNR.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -29,7 +29,6 @@ from .geometry import ArrayGeometry
 from .ofdm import RadioConfig
 
 __all__ = [
-    "RearWall",
     "Scenario",
     "Scene",
     "scenario_catalog",
@@ -44,19 +43,11 @@ SEPARATION_LABELS = ("far", "mid", "near", "limit")
 
 RANGE_GATE_EXCLUDE_M = (21.0, 25.0)
 
-
-@dataclass(frozen=True)
-class RearWall:
-    """Line of weak scatterers behind the targets."""
-
-    range_m: float = 22.0
-    amplitude_db: float = 11.4  # coherent aggregate of the line, re: 0 dB target
-    n_scatterers: int = 17
-    extent_naf: float = 0.5
-
-    def __post_init__(self):
-        if self.range_m <= 0 or self.n_scatterers < 1 or not 0 < self.extent_naf <= 1:
-            raise ConfigError("invalid rear wall geometry")
+# the rear wall, a line of scatterers inside RANGE_GATE_EXCLUDE_M
+REAR_WALL_RANGE_M = 22.0
+REAR_WALL_AMPLITUDE_DB = 11.4  # coherent aggregate of the line, re: 0 dB target
+REAR_WALL_SCATTERERS = 17
+REAR_WALL_EXTENT_NAF = 0.5
 
 
 @dataclass(frozen=True)
@@ -67,7 +58,6 @@ class Scenario:
     target_range_m: float = 18.0
     target_amplitude_db: float = 0.0
     snr_db: float = 25.0  # collapsed-peak SNR of a 0 dB reference target
-    rear_wall: RearWall = field(default_factory=RearWall)
 
     def __post_init__(self):
         if self.kind not in ("octahedral", "wall"):
@@ -151,10 +141,9 @@ def build_scene(
         # point sits at one range, so a beam sums its segment in amplitude);
         # splitting in power instead leaks through the 21 m gate edge well
         # above a 0 dB target and blinds every scene.
-        wall = scenario.rear_wall
-        per_point = 10 ** (wall.amplitude_db / 20) / wall.n_scatterers
-        half = wall.extent_naf / 2
-        for naf in np.linspace(-half, half, wall.n_scatterers):
-            scatterers.append(Scatterer(float(naf), wall.range_m, per_point))
+        per_point = 10 ** (REAR_WALL_AMPLITUDE_DB / 20) / REAR_WALL_SCATTERERS
+        half = REAR_WALL_EXTENT_NAF / 2
+        for naf in np.linspace(-half, half, REAR_WALL_SCATTERERS):
+            scatterers.append(Scatterer(float(naf), REAR_WALL_RANGE_M, per_point))
     noise = reference_noise_power(config, geom, scenario.snr_db)
     return Scene(tuple(scatterers), noise)

@@ -1097,19 +1097,47 @@ def test_window_basis_over_the_memory_budget_exits_one(tmp_path, capsys, monkeyp
     )
     assert not out.exists()
     # at the edge, 5,368,709 (subcarrier, bin) pairs of 50 B fit in 256 MiB:
-    # 5,368 x 1,000 reaches the draw (stopped here before it allocates
-    # anything), 5,369 x 1,000 does not
-    def reached(scene, geom, weights, radio, *args, **kwargs):
-        raise ConfigError(f"draw with {radio.n_subcarriers} subcarriers reached")
+    # 5,368 x 1,000 reaches the window IDFT (stopped here before it
+    # allocates anything), 5,369 x 1,000 does not
+    def reached(radio):
+        raise ConfigError(f"window IDFT with {radio.n_subcarriers} subcarriers reached")
 
-    monkeypatch.setattr(harness, "simulate_acquisition", reached)
-    for n, err in ((5368, "error: draw with 5368 subcarriers reached\n"),
+    monkeypatch.setattr(harness, "_window_idft", reached)
+    for n, err in ((5368, "error: window IDFT with 5368 subcarriers reached\n"),
                    (5369, "error: 5369 subcarriers and 1000 range bins give a window basis "
                           "of 268450000 bytes")):
         cfg.write_text(json.dumps({"radio": {"n_subcarriers": n, "n_range_bins": 1000}}))
         assert cli.main(argv) == 1
         assert capsys.readouterr().err.startswith(err)
         assert not out.exists()
+
+
+def test_outcome_tables_over_the_memory_budget_exit_one(tmp_path, capsys):
+    # refused from the seed count alone: no seed list and no table exists
+    out = tmp_path / "eval"
+    argv = ["evaluate", "--seeds", "300000000", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    # 8 scenarios x (4 methods x 5 slots x 24 B + 2 targets x 16 B) per seed
+    assert capsys.readouterr().err == (
+        "error: 300000000 seeds of 8 scenarios give outcome tables of 1228800000000 "
+        "bytes, more than the 268435456 allowed\n"
+    )
+    assert not out.exists()
+    # a table is as wide as the running methods' peaks can be, at most one
+    # per grid point, so a large OMP atom count alone runs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"omp": {"max_atoms": 10**9}}))
+    for methods in ("omp", "dft"):
+        argv = ["evaluate", "--config", str(cfg), "--seeds", "1", "--scenarios",
+                "octahedral_far", "--methods", methods, "--out", str(out / methods)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
 
 
 def test_ground_truth_frames_past_one_draw_chunk_exit_one(tmp_path, capsys):
@@ -1138,18 +1166,18 @@ def test_omp_dictionary_over_the_memory_budget_exits_one(tmp_path, capsys, monke
     assert cli.main(argv + ["--factor", "100000"]) == 1
     # 16 B x 9 beams x 800,001 candidates x (8 TX + 8 RX) phasors
     assert capsys.readouterr().err == (
-        "error: factor 100000 gives 800001 OMP candidates, whose dictionary build "
-        "takes 1843202304 bytes, more than the 268435456 allowed\n"
+        "error: 9 beams and 800001 OMP candidates give a dictionary build of "
+        "1843202304 bytes, more than the 268435456 allowed\n"
     )
     assert not dst.exists()
     # at the edge: 14,563 reaches the build (stopped here before it allocates
     # anything), 14,564 does not
-    def reached(geom, weights, plan, dense_plan, kind):
-        raise ConfigError(f"build of {dense_plan.n_beams} candidates reached")
+    def reached(geom, weights, beams, candidates, kind):
+        raise ConfigError(f"build of {len(candidates)} candidates reached")
 
-    monkeypatch.setattr(cli, "_dictionary", reached)
+    monkeypatch.setattr(harness, "build_dictionary", reached)
     assert cli.main(argv + ["--factor", "14563"]) == 1
     assert capsys.readouterr().err == "error: build of 116505 candidates reached\n"
     assert cli.main(argv + ["--factor", "14564"]) == 1
-    assert "14564 gives 116513 OMP candidates" in capsys.readouterr().err
+    assert "9 beams and 116513 OMP candidates" in capsys.readouterr().err
     assert not dst.exists()

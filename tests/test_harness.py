@@ -21,8 +21,8 @@ from beamsweep import (
     CfarConfig,
     ConfigError,
     EvalSettings,
+    OmpConfig,
     RadioConfig,
-    RearWall,
     Scatterer,
     Scenario,
     Scene,
@@ -322,12 +322,6 @@ def test_scenario_validation():
     with pytest.raises(ConfigError):
         Scenario("x", "octahedral", 0.1, target_range_m=-1.0)
     with pytest.raises(ConfigError):
-        RearWall(range_m=0.0)
-    with pytest.raises(ConfigError):
-        RearWall(n_scatterers=0)
-    with pytest.raises(ConfigError):
-        RearWall(extent_naf=1.5)
-    with pytest.raises(ConfigError):
         Scene((Scatterer(0.0, 18.0, 1.0),), -1.0)
 
 
@@ -474,6 +468,22 @@ def test_window_basis_is_cached_and_read_only(small_acquisition):
     assert all(arr.shape[0] != radio.n_subcarriers for arr in vars(basis).values())
 
 
+def test_direct_draw_refuses_an_oversize_window_basis(small_acquisition, monkeypatch):
+    # the basis weighs its own build, so a library call is refused before W exists
+    _, geom, weights, scene, plan, _ = small_acquisition
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no window IDFT may be built")
+
+    monkeypatch.setattr(harness, "_window_idft", refuse)
+    radio = RadioConfig(n_subcarriers=5369, n_range_bins=1000)
+    with pytest.raises(ConfigError, match=re.escape(
+        "5369 subcarriers and 1000 range bins give a window basis of 268450000 bytes, "
+        "more than the 268435456 allowed"
+    )):
+        simulate_acquisition(scene, geom, weights, radio, plan, 2, (7, 0))
+
+
 def test_window_centers_are_the_range_axis_entries():
     for radio in (RadioConfig(), RadioConfig(range_window_m=(3.0, 20.0), n_range_bins=100)):
         centers = _window_basis(radio).centers
@@ -531,7 +541,7 @@ def test_run_seed_equals_per_frame_and_per_method_calls(monkeypatch):
     assert calls == {
         "extract_peaks": 2, "_eligibility": 1, "dft_interpolate": 1, "spline_interpolate": 1,
     }
-    # one row, its method axis in the caller's order, max(max_peaks, max_atoms) slots
+    # one row, its method axis in the caller's order, max_atoms slots with omp
     assert run.peaks.shape == (1, len(methods), 5, 3)
     assert list(run.maps) == ["spline", "oversampled", "dft"]
 
@@ -581,6 +591,21 @@ def test_run_seed_equals_per_frame_and_per_method_calls(monkeypatch):
     assert want and got == _peak_bytes(want)
     assert run.maps["oversampled"].power.tobytes() == acq.mean_profiles().T.tobytes()
 
+
+
+def test_a_catalog_subset_scores_as_in_the_full_catalog():
+    # each catalog scenario draws from its catalog index's stream, so which
+    # other scenarios run, and in what order, changes none of its entries
+    catalog = {s.name: s for s in scenario_catalog()}
+    methods, seeds = list(harness.METHODS), [1, 2]
+    full = run_comparison(list(catalog.values()), methods, seeds).data["per_scenario"]
+    for names in (
+        ["wall_mid"], ["wall_limit", "octahedral_far"],
+        ["octahedral_limit", "wall_near", "octahedral_mid"],
+    ):
+        subset = run_comparison([catalog[n] for n in names], methods, seeds)
+        want = {m: {n: full[m][n] for n in names} for m in methods}
+        assert json.dumps(subset.data["per_scenario"]) == json.dumps(want)
 
 
 @pytest.mark.parametrize("m", [-20, 7])
@@ -869,6 +894,40 @@ def test_report_bytes_reproducible(far_report):
     _, methods, report = far_report
     again = run_comparison([scenario_catalog()[0]], methods, [5])
     assert again.to_json_bytes() == report.to_json_bytes()
+
+
+@pytest.mark.parametrize("settings, methods, slots", [
+    (EvalSettings(), ["dft"], 2),
+    (EvalSettings(), ["dft", "spline", "oversampled"], 2),
+    (EvalSettings(), ["omp"], 5),
+    (EvalSettings(), ["spline", "omp"], 5),
+    (EvalSettings(omp=OmpConfig(max_atoms=10**9)), ["dft"], 2),
+    (EvalSettings(omp=OmpConfig(max_atoms=10**9)), ["oversampled", "omp"], 81),
+    (EvalSettings(max_peaks=10**8), ["dft"], 81),
+    (EvalSettings(max_peaks=10**8), ["omp"], 5),
+])
+def test_outcome_table_holds_the_most_peaks_the_methods_return(settings, methods, slots):
+    # max_atoms counts only with omp, and no method returns more peaks
+    # than the 81-point grid has points
+    assert harness._build_campaign(settings, methods).slots == slots
+
+
+def test_outcome_tables_are_counted_before_any_exists(tmp_path, monkeypatch):
+    def reached(campaign, scenario, scene, stream_index, seeds, methods):
+        raise ConfigError(f"{len(seeds)} seeds reached")
+
+    monkeypatch.setattr(harness, "_run_scenario", reached)
+    out = tmp_path / "out"
+    # 8 scenarios x (4 methods x 5 slots x 24 B + 2 targets x 16 B) = 4,096 B
+    # per seed: 65,536 seeds fill 256 MiB, and a range is never listed first
+    for n, message in (
+        (65536, "65536 seeds reached"),
+        (65537, "65537 seeds of 8 scenarios give outcome tables of 268439552 bytes"),
+        (10**15, f"{10**15} seeds of 8 scenarios give outcome tables of"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            run_comparison(scenario_catalog(), list(harness.METHODS), range(n), out_dir=out)
+        assert not out.exists()
 
 
 def test_run_comparison_validation():
