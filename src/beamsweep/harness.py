@@ -210,6 +210,20 @@ def _dictionary(
     return dictionary
 
 
+def _eligibility(
+    profiles: np.ndarray, keep: np.ndarray, centers: np.ndarray, cfar: CfarConfig
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-angle CFAR eligibility of the gated argmax bin, plus its range.
+
+    profiles is (..., n_beams, n_range); both results are (..., n_beams).
+    The one detection rule: the draw's per-frame flags, which the ground
+    truth reads, the methods' maps and OMP's range all come from here.
+    """
+    gated = profiles[..., keep]
+    i = np.argmax(gated, axis=-1)
+    return ca_cfar(gated, cfar, cells=i[..., None])[..., 0], centers[keep][i]
+
+
 def simulate_acquisition(
     scene: Scene,
     geom: ArrayGeometry,
@@ -290,25 +304,11 @@ def simulate_acquisition(
                 power **= 2
         except FloatingPointError:
             raise ConfigError("window-bin power overflows the float range") from None
-        gated = power[..., basis.keep]
-        magnitudes[lo:hi] = np.sqrt(gated.max(axis=-1))
+        magnitudes[lo:hi] = np.sqrt(power[..., basis.keep].max(axis=-1))
         np.mean(power[:, :mean_frames], axis=1, out=mean_profile[lo:hi])
         if cfar is not None:
-            cells = np.argmax(gated, axis=-1)[..., None]
-            eligible[lo:hi] = ca_cfar(gated, cfar, cells=cells)[..., 0]
+            eligible[lo:hi] = _eligibility(power, basis.keep, basis.centers, cfar)[0]
     return Acquisition(magnitudes, mean_profile, mean_frames, basis.centers, basis.keep, eligible)
-
-
-def _eligibility(
-    profiles: np.ndarray, keep: np.ndarray, centers: np.ndarray, cfar: CfarConfig
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-angle CFAR eligibility of the gated argmax bin, plus its range.
-
-    profiles is (..., n_beams, n_range); both results are (..., n_beams).
-    """
-    gated = profiles[..., keep]
-    i = np.argmax(gated, axis=-1)
-    return ca_cfar(gated, cfar, cells=i[..., None])[..., 0], centers[keep][i]
 
 
 def estimate_ground_truth(
@@ -567,9 +567,8 @@ def _run_seed(
         peaks_by_method = dict(zip(mapped, found))
     if "omp" in methods:
         estimate = omp(campaign.dictionary, values9, settings.omp)
-        strongest = int(np.argmax(values9))
-        gated = profiles9[strongest][acq.gate_keep]
-        range_m = float(acq.range_centers_m[acq.gate_keep][np.argmax(gated)])
+        _, ranges = _eligibility(profiles9, acq.gate_keep, acq.range_centers_m, settings.cfar)
+        range_m = float(ranges[np.argmax(values9)])  # the strongest minimal beam's
         peaks_by_method["omp"] = sparse_to_peaks(estimate, over_grid, range_m)
     for m, peaks in peaks_by_method.items():
         for slot, p in enumerate(peaks):
@@ -578,6 +577,10 @@ def _run_seed(
         for m, (_, power_map) in mapped.items():
             runs.maps[m] = RangeAngleMap(power_map.T, acq.range_centers_m, over_grid)
         runs.sweep_values[:] = values9
+
+
+# each report group, in report.csv's row order, and the scenario kinds it pools
+_GROUPS = {"reflectors": ("octahedral",), "walls": ("wall",), "total": ("octahedral", "wall")}
 
 
 @dataclass(frozen=True)
@@ -595,6 +598,8 @@ class RmseReport:
 
     def write_csv(self, path) -> None:
         methods = self.data["metadata"]["methods"]
+        # the total group pools every scenario, so all of them have its targets
+        n_targets = len(next(iter(self.data["scenarios"].values()))["nominal_nafs"])
 
         def cell(group: str, m: str, pick) -> str:
             entry = self.data["groups"][group][m]
@@ -602,8 +607,8 @@ class RmseReport:
 
         with open(path, "w", newline="") as fh:
             fh.write("group,target," + ",".join(methods) + "\n")
-            for group in ("reflectors", "walls", "total"):
-                for t in (0, 1):
+            for group in _GROUPS:
+                for t in range(n_targets):
                     cells = [cell(group, m, lambda e: e["rmse_per_target"][t]) for m in methods]
                     fh.write(f"{group},t{t + 1}," + ",".join(cells) + "\n")
             cells = [cell("total", m, lambda e: e["pooled_rmse"]) for m in methods]
@@ -649,11 +654,7 @@ def _build_report(
     """Pool the per-seed outcomes, in scenario order, into the report."""
     settings = campaign.settings
     groups = {}
-    for group, kinds in (
-        ("reflectors", ("octahedral",)),
-        ("walls", ("wall",)),
-        ("total", ("octahedral", "wall")),
-    ):
+    for group, kinds in _GROUPS.items():
         pool = [runs for scenario, runs in outcomes if scenario.kind in kinds]
         groups[group] = _summaries(pool, methods) if pool else dict.fromkeys(methods)
     per_scenario = {s.name: _summaries([runs], methods) for s, runs in outcomes}
@@ -725,6 +726,11 @@ def _write_outputs(
         _write_spectrum_csv(out / f"{scenario.name}_sweep.csv", minimal_grid, runs.sweep_values)
 
 
+def _quoted(values: list) -> str:
+    """values as a list, cut after its first 8: a refusal stays one short line."""
+    return repr(values) if len(values) <= 8 else repr(values[:8])[:-1] + ", …]"
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask (taskset), else all."""
     try:
@@ -775,7 +781,7 @@ def run_comparison(
     except (ValueError, OverflowError):  # a NaN or infinite seed
         seeds = None
     if seeds != given_seeds:
-        raise ConfigError(f"master seeds must be whole numbers; given: {given_seeds}")
+        raise ConfigError(f"master seeds must be whole numbers; given: {_quoted(given_seeds)}")
     if any(s < 0 for s in seeds):
         raise ConfigError("master seeds must be non-negative")
     names = [s.name for s in scenarios]
@@ -784,7 +790,7 @@ def run_comparison(
     ):
         repeated = sorted(n for n, k in collections.Counter(given).items() if k > 1)
         if repeated:
-            raise ConfigError(f"{what} must be unique; repeated: {repeated}")
+            raise ConfigError(f"{what} must be unique; repeated: {_quoted(repeated)}")
     stream = {s.name: i for i, s in enumerate(scenario_catalog())}
     for name in names:
         stream.setdefault(name, len(stream))

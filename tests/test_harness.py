@@ -536,10 +536,11 @@ def test_run_seed_equals_per_frame_and_per_method_calls(monkeypatch):
         monkeypatch.setattr(harness, name, counted)
     run = harness._run_scenario(campaign, scenario, scene, 0, [5], methods)
     monkeypatch.undo()
-    # one peak pass over all frames and one over all mapped methods; the
-    # frames' eligibility comes with the draw
+    # one peak pass over all frames and one over all mapped methods; one
+    # eligibility pass for the draw's one chunk (81 beams x 4 frames), one
+    # for the mapped methods and one for OMP's range
     assert calls == {
-        "extract_peaks": 2, "_eligibility": 1, "dft_interpolate": 1, "spline_interpolate": 1,
+        "extract_peaks": 2, "_eligibility": 3, "dft_interpolate": 1, "spline_interpolate": 1,
     }
     # one row, its method axis in the caller's order, max_atoms slots with omp
     assert run.peaks.shape == (1, len(methods), 5, 3)
@@ -578,6 +579,11 @@ def test_run_seed_equals_per_frame_and_per_method_calls(monkeypatch):
     values9 = acq.beam_values()[campaign.min_idx]
     profiles9 = acq.mean_profiles()[campaign.min_idx]
     assert run.sweep_values.tobytes() == values9.tobytes()
+    # every OMP peak lies at the range of the strongest minimal beam
+    omp_ranges = run.peaks[0, methods.index("omp"), :, 1]
+    omp_ranges = omp_ranges[~np.isnan(omp_ranges)]
+    want_range = _eligibility(profiles9, keep, centers, cfar)[1][np.argmax(values9)]
+    assert omp_ranges.size and (omp_ranges == want_range).all()
     for method, interpolate in (("dft", dft_interpolate), ("spline", spline_interpolate)):
         spectrum = interpolate(AngularSweep(plan, values9), grid)
         columns = [interpolate(AngularSweep(plan, np.sqrt(p)), grid) for p in profiles9.T]
@@ -609,7 +615,7 @@ def test_a_catalog_subset_scores_as_in_the_full_catalog():
 
 
 @pytest.mark.parametrize("m", [-20, 7])
-@pytest.mark.parametrize("index", [0, 6])
+@pytest.mark.parametrize("index", range(8))
 def test_power_of_two_scale_leaves_every_estimate_and_scales_every_power(index, m):
     # amplitudes x 2^m and noise power x 4^m on the same streams: every step
     # is linear, a ratio or a comparison, and power-of-two scaling is exact,
@@ -634,6 +640,32 @@ def test_power_of_two_scale_leaves_every_estimate_and_scales_every_power(index, 
     assert runs.sweep_values.tobytes() == (base.sweep_values * 2.0**m).tobytes()
     for method, map_ in base.maps.items():
         assert runs.maps[method].power.tobytes() == (map_.power * 4.0**m).tobytes()
+
+
+def test_a_mirrored_scene_gives_mirrored_estimates():
+    """Every catalog scene is symmetric about boresight, so without noise the
+    ground truth and the oversampled, dft and spline peak NAFs equal their
+    negated reverse, to rounding (2.5e-16 NAF at most). Two measured
+    exceptions are left out: the *_limit scenes, whose two peaks tie and
+    the tie is broken at the last bit (up to 0.07 NAF), and OMP, whose
+    greedy picks are not mirrored (up to 0.2 NAF)."""
+    methods = ["oversampled", "dft", "spline"]
+    campaign = harness._build_campaign(EvalSettings(), methods)
+    radio, geom = campaign.settings.radio, campaign.geom
+    catalog = scenario_catalog()
+    for index in (0, 1, 2, 4, 5, 6):  # far, mid and near, both kinds
+        for rear_wall in (True, False):
+            scene = build_scene(catalog[index], radio, geom, rear_wall)
+            runs = harness._run_scenario(
+                campaign, catalog[index], Scene(scene.scatterers, 0.0), index, [1], methods
+            )
+            truth = runs.truth[0]
+            np.testing.assert_allclose(truth, -truth[::-1], rtol=0, atol=1e-15)
+            for k in range(len(methods)):
+                nafs = np.sort(runs.peaks[0, k, :, 0])
+                nafs = nafs[~np.isnan(nafs)]
+                assert nafs.size
+                np.testing.assert_allclose(nafs, -nafs[::-1], rtol=0, atol=1e-15)
 
 
 def _one_shot_draw(signal, noise_power, radio, n_frames, seed_prefix):
@@ -890,6 +922,20 @@ def test_report_files_written(far_report):
     assert walls_row[2] == "nan"
 
 
+@pytest.mark.parametrize("names", [["octahedral_far", "wall_mid"], ["wall_far"]])
+def test_report_csv_of_a_reloaded_report_is_unchanged(tmp_path, names):
+    # report.json is written with sorted keys, so report.csv must take its
+    # row order from the group table, not from the report's dict order
+    catalog = {s.name: s for s in scenario_catalog()}
+    report = run_comparison([catalog[n] for n in names], list(harness.METHODS), [1])
+    reloaded = harness.RmseReport(json.loads(report.to_json_bytes()))
+    report.write_csv(tmp_path / "original.csv")
+    reloaded.write_csv(tmp_path / "reloaded.csv")
+    original = (tmp_path / "original.csv").read_bytes()
+    assert original.startswith(b"group,target,") and original.count(b"\n") == 8
+    assert (tmp_path / "reloaded.csv").read_bytes() == original
+
+
 def test_report_bytes_reproducible(far_report):
     _, methods, report = far_report
     again = run_comparison([scenario_catalog()[0]], methods, [5])
@@ -959,12 +1005,18 @@ def test_repeated_method_names_rejected(tmp_path):
 
 def test_repeated_and_fractional_master_seeds_rejected(tmp_path):
     far, out = scenario_catalog()[:1], tmp_path / "out"
+    given = "master seeds must be whole numbers; given: [0.5, 1, 2, 3, 4, 5, 6, 7"
     for seeds, message in (
         ([1, 2, 1], "master seeds must be unique; repeated: [1]"),
         ([1.9, 1.2], "master seeds must be whole numbers; given: [1.9, 1.2]"),
         ([1, math.nan], "master seeds must be whole numbers; given: [1, nan]"),
         ([math.inf], "master seeds must be whole numbers; given: [inf]"),
         ([2, -math.inf], "master seeds must be whole numbers; given: [2, -inf]"),
+        # a refusal quotes at most the first 8 values, so it stays one short line
+        ([0.5] + list(range(1, 8)), given + "]"),
+        ([0.5] + list(range(1, 50000)), given + ", …]"),
+        (list(range(50000)) * 2,
+         "master seeds must be unique; repeated: [0, 1, 2, 3, 4, 5, 6, 7, …]"),
     ):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             run_comparison(far, ["dft"], seeds, out_dir=out)
