@@ -213,18 +213,7 @@ def _read_two_column_csv(path):
 def cmd_catalog(args) -> int:
     scenarios = scenario_catalog()
     if args.json:
-        payload = [
-            {
-                "name": s.name,
-                "kind": s.kind,
-                "separation_naf": s.separation_naf,
-                "target_nafs": list(s.target_nafs),
-                "target_range_m": s.target_range_m,
-                "target_amplitude_db": s.target_amplitude_db,
-                "snr_db": s.snr_db,
-            }
-            for s in scenarios
-        ]
+        payload = [dataclasses.asdict(s) | {"target_nafs": list(s.target_nafs)} for s in scenarios]
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"{'name':<18} {'kind':<11} {'sep(NAF)':>9} {'targets(NAF)':>20} {'amp(dB)':>8}")

@@ -505,78 +505,83 @@ def _build_campaign(settings: EvalSettings, methods: Sequence[str]) -> _Campaign
     )
 
 
-def _run_seed(
+def _run_scenario(
     campaign: _Campaign,
-    runs: _Runs,
-    i: int,
     scenario: Scenario,
     scene: Scene,
-    scenario_index: int,
+    stream_index: int,
+    seeds: Sequence[int],
     methods: Sequence[str],
-    master_seed: int,
-) -> None:
-    """One (scenario, seed), written to row i of runs. Row 0 also keeps the
-    range-angle maps and sweep values, which the output files show."""
+) -> _Runs:
+    """Every seed of one scenario, one row of its outcome table each, in
+    seed order. The first seed also keeps the range-angle maps and sweep
+    values, which the output files show."""
     settings = campaign.settings
-    minimal_plan = campaign.minimal_plan
-    resolution = campaign.resolution
-    acq = simulate_acquisition(
-        scene, campaign.geom, campaign.weights, settings.radio, campaign.over_plan,
-        settings.ground_truth_frames, (master_seed, scenario_index),
-        mean_frames=settings.dwell_frames, cfar=settings.cfar,
-    )
     over_grid = campaign.over_plan.beam_grid
-
-    # ground truth: full detection pipeline on each single-frame spectrum
-    frame_peaks = extract_peaks(
-        acq.magnitudes.T, over_grid, resolution, settings.max_peaks,
-        detected=acq.eligible.T,
+    shape = (len(seeds), len(scenario.target_nafs))
+    runs = _Runs(
+        np.empty(shape), np.empty(shape, dtype=int),
+        np.full((len(seeds), len(methods), campaign.slots, 3), np.nan),
+        {}, np.empty(campaign.minimal_plan.n_beams),
     )
-    runs.truth[i], runs.counts[i] = estimate_ground_truth(
-        [[p.naf for p in peaks] for peaks in frame_peaks], scenario.target_nafs
-    )
-
-    avg_profiles = acq.mean_profiles()
-    beam_values = acq.beam_values()
-    values9 = beam_values[campaign.min_idx]
-    profiles9 = avg_profiles[campaign.min_idx]
-    # the beam values and the windowed profiles as magnitudes per range bin,
-    # one sweep column each: an interpolator treats every column on its own
-    sweep9 = AngularSweep(minimal_plan, np.column_stack((values9, np.sqrt(profiles9))))
-
-    # each mapped method's spectrum and power map over the oversampled grid
-    mapped: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-    for method in methods:  # run_comparison has checked every name
-        if method == "oversampled":
-            mapped[method] = beam_values, avg_profiles
-        elif method != "omp":
-            interpolate = dft_interpolate if method == "dft" else spline_interpolate
-            dense = interpolate(sweep9, over_grid)
-            mapped[method] = dense[:, 0], np.maximum(dense[:, 1:], 0.0) ** 2
-
-    peaks_by_method: Dict[str, List[PeakEstimate]] = {}
-    if mapped:
-        spectra, power_maps = (np.stack(arrays) for arrays in zip(*mapped.values()))
-        eligible, ranges = _eligibility(
-            power_maps, acq.gate_keep, acq.range_centers_m, settings.cfar
+    for i, master_seed in enumerate(seeds):
+        acq = simulate_acquisition(
+            scene, campaign.geom, campaign.weights, settings.radio, campaign.over_plan,
+            settings.ground_truth_frames, (master_seed, stream_index),
+            mean_frames=settings.dwell_frames, cfar=settings.cfar,
         )
-        found = extract_peaks(
-            spectra, over_grid, resolution, settings.max_peaks,
-            detected=eligible, ranges_m=ranges,
+
+        # ground truth: full detection pipeline on each single-frame spectrum
+        frame_peaks = extract_peaks(
+            acq.magnitudes.T, over_grid, campaign.resolution, settings.max_peaks,
+            detected=acq.eligible.T,
         )
-        peaks_by_method = dict(zip(mapped, found))
-    if "omp" in methods:
-        estimate = omp(campaign.dictionary, values9, settings.omp)
-        _, ranges = _eligibility(profiles9, acq.gate_keep, acq.range_centers_m, settings.cfar)
-        range_m = float(ranges[np.argmax(values9)])  # the strongest minimal beam's
-        peaks_by_method["omp"] = sparse_to_peaks(estimate, over_grid, range_m)
-    for m, peaks in peaks_by_method.items():
-        for slot, p in enumerate(peaks):
-            runs.peaks[i, methods.index(m), slot] = p.naf, p.range_m, p.power
-    if i == 0:
-        for m, (_, power_map) in mapped.items():
-            runs.maps[m] = RangeAngleMap(power_map.T, acq.range_centers_m, over_grid)
-        runs.sweep_values[:] = values9
+        runs.truth[i], runs.counts[i] = estimate_ground_truth(
+            [[p.naf for p in peaks] for peaks in frame_peaks], scenario.target_nafs
+        )
+
+        avg_profiles = acq.mean_profiles()
+        beam_values = acq.beam_values()
+        values9 = beam_values[campaign.min_idx]
+        profiles9 = avg_profiles[campaign.min_idx]
+        # the beam values and the windowed profiles as magnitudes per range bin,
+        # one sweep column each: an interpolator treats every column on its own
+        sweep9 = AngularSweep(campaign.minimal_plan, np.column_stack((values9, np.sqrt(profiles9))))
+
+        # each mapped method's spectrum and power map over the oversampled grid
+        mapped: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        for method in methods:  # run_comparison has checked every name
+            if method == "oversampled":
+                mapped[method] = beam_values, avg_profiles
+            elif method != "omp":
+                interpolate = dft_interpolate if method == "dft" else spline_interpolate
+                dense = interpolate(sweep9, over_grid)
+                mapped[method] = dense[:, 0], np.maximum(dense[:, 1:], 0.0) ** 2
+
+        method_peaks: Dict[str, List[PeakEstimate]] = {}
+        if mapped:
+            spectra, power_maps = (np.stack(arrays) for arrays in zip(*mapped.values()))
+            eligible, ranges = _eligibility(
+                power_maps, acq.gate_keep, acq.range_centers_m, settings.cfar
+            )
+            found = extract_peaks(
+                spectra, over_grid, campaign.resolution, settings.max_peaks,
+                detected=eligible, ranges_m=ranges,
+            )
+            method_peaks = dict(zip(mapped, found))
+        if "omp" in methods:
+            estimate = omp(campaign.dictionary, values9, settings.omp)
+            _, ranges = _eligibility(profiles9, acq.gate_keep, acq.range_centers_m, settings.cfar)
+            range_m = float(ranges[np.argmax(values9)])  # the strongest minimal beam's
+            method_peaks["omp"] = sparse_to_peaks(estimate, over_grid, range_m)
+        for k, m in enumerate(methods):
+            for slot, p in enumerate(method_peaks[m]):
+                runs.peaks[i, k, slot] = p.naf, p.range_m, p.power
+        if i == 0:
+            for m, (_, power_map) in mapped.items():
+                runs.maps[m] = RangeAngleMap(power_map.T, acq.range_centers_m, over_grid)
+            runs.sweep_values[:] = values9
+    return runs
 
 
 # each report group, in report.csv's row order, and the scenario kinds it pools
@@ -623,26 +628,6 @@ def _summaries(tables: Sequence[_Runs], methods: Sequence[str]) -> dict:
     truth = np.concatenate([r.truth for r in tables])
     nafs = np.concatenate([r.peaks[..., 0] for r in tables])
     return {m: score_rmse(nafs[:, k], truth) for k, m in enumerate(methods)}
-
-
-def _run_scenario(
-    campaign: _Campaign,
-    scenario: Scenario,
-    scene: Scene,
-    stream_index: int,
-    seeds: Sequence[int],
-    methods: Sequence[str],
-) -> _Runs:
-    """Every seed of one scenario, in seed order."""
-    shape = (len(seeds), len(scenario.target_nafs))
-    runs = _Runs(
-        np.empty(shape), np.empty(shape, dtype=int),
-        np.full((len(seeds), len(methods), campaign.slots, 3), np.nan),
-        {}, np.empty(campaign.minimal_plan.n_beams),
-    )
-    for i, seed in enumerate(seeds):
-        _run_seed(campaign, runs, i, scenario, scene, stream_index, methods, seed)
-    return runs
 
 
 _Outcomes = List[Tuple[Scenario, _Runs]]
@@ -769,19 +754,28 @@ def run_comparison(
             raise ConfigError(f"unknown method {m!r}")
     campaign = _build_campaign(settings, methods)
     # every scenario's outcome table (_Runs), counted before any of them, or
-    # the list of seeds, exists
+    # the list of seeds, exists: per seed its rows, and once its first-seed
+    # maps, one (beam, range bin) float each for every method but omp, and
+    # minimal-sweep values
     row = sum(len(methods) * campaign.slots * 24 + len(s.target_nafs) * 16 for s in scenarios)
+    n_maps = sum(m != "omp" for m in methods)
+    map_bins = n_maps * campaign.over_plan.n_beams * settings.radio.n_range_bins
+    first = 8 * (map_bins + campaign.minimal_plan.n_beams)
     _check_budget(
-        len(seeds) * row,
+        len(seeds) * row + len(scenarios) * first,
         f"{len(seeds)} seeds of {len(scenarios)} scenarios give outcome tables of",
     )
-    given_seeds = list(seeds)
-    try:
-        seeds = [int(s) for s in given_seeds]
-    except (ValueError, OverflowError):  # a NaN or infinite seed
-        seeds = None
-    if seeds != given_seeds:
-        raise ConfigError(f"master seeds must be whole numbers; given: {_quoted(given_seeds)}")
+
+    def whole(seed) -> bool:
+        try:
+            return int(seed) == seed
+        except (ValueError, OverflowError):  # a NaN or infinite seed
+            return False
+
+    not_whole = [s for s in seeds if not whole(s)]
+    if not_whole:
+        raise ConfigError(f"master seeds must be whole numbers; not whole: {_quoted(not_whole)}")
+    seeds = [int(s) for s in seeds]
     if any(s < 0 for s in seeds):
         raise ConfigError("master seeds must be non-negative")
     names = [s.name for s in scenarios]

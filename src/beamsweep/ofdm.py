@@ -59,6 +59,12 @@ class RadioConfig:
             raise ConfigError("range window must satisfy 0 <= min < max")
         if hi > self.unambiguous_range_m:
             raise ConfigError("range window exceeds the unambiguous range")
+        # range_fft_size before rounding, C0 / step, must be finite (step can
+        # underflow to 0) and at most 2**31 bins: with the window-basis
+        # budget, that keeps _window_idft's int64 index product below 2**63
+        step = 2 * self.subcarrier_spacing_hz * ((hi - lo) / self.n_range_bins)
+        if not (step > 0 and C0 / step <= 2**31):
+            raise ConfigError("range window/bin combination requires more than 2**31 FFT bins")
         if self.range_fft_size < self.n_subcarriers:
             raise ConfigError("range window/bin combination requires fewer FFT bins than subcarriers")
 

@@ -627,6 +627,38 @@ def test_window_power_overflow_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_range_fft_past_2_31_bins_exits_one(tmp_path, capsys):
+    # a window or spacing whose FFT size divides by zero (5e-324 m), is
+    # infinite (1e-300 and 5e-324 Hz) or passes int64 (1e-15 m, 1e-200 Hz)
+    # is refused with one line by every command that reads the config, as
+    # is the first window past the 2**31-bin edge
+    edge = 2.4430304835550487e-05  # 42 bins at 120 kHz: exactly 2**31 FFT bins
+    spectrum, cfg, out = tmp_path / "sp.csv", tmp_path / "cfg.json", tmp_path / "x"
+    _write_sweep(spectrum, np.arange(-4, 5) / 15.0, 1.0 / (1 + np.arange(-4, 5) ** 2))
+    evaluate = ["evaluate", "--config", str(cfg), "--scenarios", "octahedral_far",
+                "--methods", "dft", "--seeds", "1", "--out", str(out)]
+    detect = ["detect", "--config", str(cfg), "--spectrum", str(spectrum), "--out", str(out)]
+    for radio in (
+        {"range_window_m": [0.0, 5e-324]},
+        {"range_window_m": [0.0, 1e-15]},
+        {"range_window_m": [0.0, math.nextafter(edge, 0.0)]},
+        {"subcarrier_spacing_hz": 1e-300},
+        {"subcarrier_spacing_hz": 5e-324},
+        {"subcarrier_spacing_hz": 1e-200},
+    ):
+        cfg.write_text(json.dumps({"radio": radio}))
+        for argv in (evaluate, detect):
+            assert cli.main(argv) == 1
+            assert capsys.readouterr().err == (
+                "error: range window/bin combination requires more than 2**31 FFT bins\n"
+            )
+            assert not out.exists()
+    cfg.write_text(json.dumps({"radio": {"range_window_m": [0.0, edge]}}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(evaluate) == 0
+    assert (out / "report.json").exists()
+
+
 def test_negative_snr_spellings(tmp_path, capsys):
     base = ["evaluate", "--seeds", "1", "--scenarios", "octahedral_far",
             "--methods", "dft", "--out"]
@@ -1123,9 +1155,10 @@ def test_outcome_tables_over_the_memory_budget_exit_one(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
-    # 8 scenarios x (4 methods x 5 slots x 24 B + 2 targets x 16 B) per seed
+    # 8 scenarios x (4 methods x 5 slots x 24 B + 2 targets x 16 B) per seed,
+    # and 8 x (3 maps x 81 beams x 42 range bins + 9 beams) x 8 B once
     assert capsys.readouterr().err == (
-        "error: 300000000 seeds of 8 scenarios give outcome tables of 1228800000000 "
+        "error: 300000000 seeds of 8 scenarios give outcome tables of 1228800653760 "
         "bytes, more than the 268435456 allowed\n"
     )
     assert not out.exists()

@@ -668,6 +668,31 @@ def test_a_mirrored_scene_gives_mirrored_estimates():
                 np.testing.assert_allclose(nafs, -nafs[::-1], rtol=0, atol=1e-15)
 
 
+def test_a_noise_free_draw_repeats_the_signal_window_in_every_frame():
+    """Without noise every frame's window bins are the noise-free signal
+    itself, so every frame of an 81 x 24 draw has the same magnitudes and
+    CFAR flags, and the magnitudes are the gated maximum of |signal| bit for
+    bit (sqrt of a rounded square gives the magnitude back). The mean
+    profile is left out: the mean of equal powers can round."""
+    campaign = harness._build_campaign(EvalSettings(), ["dft"])
+    settings, geom, weights = campaign.settings, campaign.geom, campaign.weights
+    radio, plan = settings.radio, campaign.over_plan
+    keep = _window_basis(radio).keep
+    for index, scenario in enumerate(scenario_catalog()):
+        for rear_wall in (True, False):
+            scene = build_scene(scenario, radio, geom, rear_wall)
+            quiet = Scene(scene.scatterers, 0.0)
+            acq = simulate_acquisition(
+                quiet, geom, weights, radio, plan, 24, (1, index), cfar=settings.cfar
+            )
+            signal = harness._signal_window(quiet.scatterers, geom, weights, radio, plan)
+            assert acq.magnitudes.shape == acq.eligible.shape == (81, 24)
+            frame0 = acq.magnitudes[:, :1]
+            assert (acq.magnitudes == frame0).all()
+            assert frame0[:, 0].tobytes() == np.abs(signal)[:, keep].max(axis=1).tobytes()
+            assert (acq.eligible == acq.eligible[:, :1]).all()
+
+
 def _one_shot_draw(signal, noise_power, radio, n_frames, seed_prefix):
     """The draw as one whole-acquisition call, as simulate_acquisition made
     it before it drew in beam chunks, with one noise product per beam: the
@@ -965,15 +990,38 @@ def test_outcome_tables_are_counted_before_any_exists(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "_run_scenario", reached)
     out = tmp_path / "out"
     # 8 scenarios x (4 methods x 5 slots x 24 B + 2 targets x 16 B) = 4,096 B
-    # per seed: 65,536 seeds fill 256 MiB, and a range is never listed first
+    # per seed, plus each scenario's first-seed maps and sweep values, 8 x
+    # (3 maps x 81 beams x 42 range bins + 9 beams) x 8 B = 653,760 B: 65,376
+    # seeds fit in 256 MiB, and a range is never listed first
     for n, message in (
-        (65536, "65536 seeds reached"),
-        (65537, "65537 seeds of 8 scenarios give outcome tables of 268439552 bytes"),
+        (65376, "65376 seeds reached"),
+        (65377, "65377 seeds of 8 scenarios give outcome tables of 268437952 bytes"),
         (10**15, f"{10**15} seeds of 8 scenarios give outcome tables of"),
     ):
         with pytest.raises(ConfigError, match=f"^{message}"):
             run_comparison(scenario_catalog(), list(harness.METHODS), range(n), out_dir=out)
         assert not out.exists()
+
+
+def test_first_seed_maps_are_counted_before_any_scenario_runs(tmp_path, monkeypatch):
+    # 40 scenarios at factor 1,000 (8,169 beams): their rows take 20 KB, but
+    # their first-seed oversampled, dft and spline maps take 314 MiB
+    def reached(*args):
+        raise AssertionError("no scenario may run")
+
+    monkeypatch.setattr(harness, "_run_scenario", reached)
+    walls = [Scenario(f"wall_{k}", "wall", 0.2) for k in range(40)]
+    settings, out = EvalSettings(oversampling_factor=1000), tmp_path / "out"
+    message = "1 seeds of 40 scenarios give outcome tables of 329384000 bytes, more than"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            run_comparison(walls, ["oversampled", "dft", "spline"], [1], settings, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert not out.exists()
 
 
 def test_run_comparison_validation():
@@ -1005,16 +1053,21 @@ def test_repeated_method_names_rejected(tmp_path):
 
 def test_repeated_and_fractional_master_seeds_rejected(tmp_path):
     far, out = scenario_catalog()[:1], tmp_path / "out"
-    given = "master seeds must be whole numbers; given: [0.5, 1, 2, 3, 4, 5, 6, 7"
+    not_whole = "master seeds must be whole numbers; not whole: "
     for seeds, message in (
         ([1, 2, 1], "master seeds must be unique; repeated: [1]"),
-        ([1.9, 1.2], "master seeds must be whole numbers; given: [1.9, 1.2]"),
-        ([1, math.nan], "master seeds must be whole numbers; given: [1, nan]"),
-        ([math.inf], "master seeds must be whole numbers; given: [inf]"),
-        ([2, -math.inf], "master seeds must be whole numbers; given: [2, -inf]"),
-        # a refusal quotes at most the first 8 values, so it stays one short line
-        ([0.5] + list(range(1, 8)), given + "]"),
-        ([0.5] + list(range(1, 50000)), given + ", …]"),
+        ([1.9, 1.2], not_whole + "[1.9, 1.2]"),
+        ([1, math.nan], not_whole + "[nan]"),
+        ([math.inf], not_whole + "[inf]"),
+        ([2, -math.inf], not_whole + "[-inf]"),
+        # a refusal quotes the offending values, at most the first 8 of them,
+        # so it stays one short line that names a bad seed
+        ([0.5] + list(range(1, 50000)), not_whole + "[0.5]"),
+        (list(range(1, 50000)) + [0.5], not_whole + "[0.5]"),
+        (list(range(1, 50000)) + [math.nan], not_whole + "[nan]"),
+        ([k + 0.5 for k in range(8)], not_whole + "[0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5]"),
+        ([k + 0.5 for k in range(9)],
+         not_whole + "[0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5, …]"),
         (list(range(50000)) * 2,
          "master seeds must be unique; repeated: [0, 1, 2, 3, 4, 5, 6, 7, …]"),
     ):

@@ -1,4 +1,7 @@
 """CSI synthesis, range processing, map containers and file formats."""
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +42,13 @@ def test_radio_validation():
         RadioConfig(range_window_m=(0.0, 2000.0))  # beyond unambiguous range
     with pytest.raises(ConfigError):
         RadioConfig(n_range_bins=1)  # window would need fewer FFT bins than subcarriers
+    # at most 2**31 FFT bins (bins of 0.58 um at 120 kHz): this 42-bin
+    # window has exactly that many, and the next float below needs more
+    edge = 2.4430304835550487e-05
+    assert RadioConfig(range_window_m=(0.0, edge)).range_fft_size == 2**31
+    message = "range window/bin combination requires more than 2**31 FFT bins"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        RadioConfig(range_window_m=(0.0, math.nextafter(edge, 0.0)))
 
 
 def test_radio_rejects_more_range_bins_than_subcarriers():
