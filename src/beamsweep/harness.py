@@ -66,9 +66,9 @@ class Acquisition:
 
     magnitudes[b, f] is the square root of the gated max power of beam b in
     frame f; mean_profile[b] is its windowed zero-Doppler power profile
-    averaged over its first mean_frames frames (all, by default). Drawn
-    with a CFAR config, eligible[b, f] is the _eligibility of frame f's
-    gated argmax bin.
+    averaged over its first mean_frames frames: the plan's dwell, or every
+    frame of a shorter recording. Drawn with a CFAR config, eligible[b, f]
+    is the _eligibility of frame f's gated argmax bin.
     """
 
     magnitudes: np.ndarray
@@ -233,7 +233,6 @@ def simulate_acquisition(
     n_frames: int,
     seed_prefix: Sequence[int],
     mode: str = "poc",
-    mean_frames: Optional[int] = None,
     cfar: Optional[CfarConfig] = None,
 ) -> Acquisition:
     """Sweep the scene; one seeded noise stream covers the whole acquisition.
@@ -256,9 +255,10 @@ def simulate_acquisition(
     weights, radio, plan) and reused by every seed.
 
     Each chunk's power is reduced in the workspace to what the pipeline
-    reads (see Acquisition): every reduction works row by row, so it has
-    the bits of the same reduction over the whole (beam, frame, window)
-    power cube, which never exists.
+    reads (see Acquisition), the means over the plan's first dwell_frames
+    frames, or over all n_frames when fewer: every reduction works row by
+    row, so it has the bits of the same reduction over the whole (beam,
+    frame, window) power cube, which never exists.
 
     mode must be "poc". Frames are combined only after |.|^2, so a
     per-frame phase, such as the free-running phase of the hardware, would
@@ -268,9 +268,7 @@ def simulate_acquisition(
         raise ConfigError(f"unknown acquisition mode {mode!r}")
     if n_frames < 1:
         raise ConfigError("n_frames must be at least 1")
-    mean_frames = n_frames if mean_frames is None else mean_frames
-    if not 1 <= mean_frames <= n_frames:
-        raise ConfigError(f"mean_frames must be in [1, {n_frames}], not {mean_frames}")
+    mean_frames = min(plan.dwell_frames, n_frames)
     basis = _window_basis(radio)
     signal = _signal_window(scene.scatterers, geom, weights, radio, plan)
     n_beams, n_window = signal.shape
@@ -490,12 +488,10 @@ def _build_campaign(settings: EvalSettings, methods: Sequence[str]) -> _Campaign
     dictionary = None
     if "omp" in methods:
         dictionary = _dictionary(geom, weights, minimal_plan, over_plan, settings.dictionary_kind)
-    over_grid = over_plan.beam_grid
-    # both grids are integer ratios from one lattice builder, so a shared
-    # point is the same double in each
-    min_idx = np.flatnonzero(np.isin(over_grid, minimal_plan.beam_grid))
-    if min_idx.size != minimal_plan.n_beams:
-        raise ConfigError("minimal grid is not a subset of the oversampled grid")
+    # the lattice keeps every minimal beam k/M0 as its point k*factor, so the
+    # minimal beams are the centre one and every factor-th one out from it
+    half = minimal_plan.n_beams // 2
+    min_idx = n_beams // 2 + settings.oversampling_factor * np.arange(-half, half + 1)
     # extract_peaks and OMP return at most max_peaks and max_atoms peaks, and
     # at most one per grid point; a max_peaks below 1 is refused in the workers
     widths = [settings.omp.max_atoms if m == "omp" else settings.max_peaks for m in methods]
@@ -527,8 +523,7 @@ def _run_scenario(
     for i, master_seed in enumerate(seeds):
         acq = simulate_acquisition(
             scene, campaign.geom, campaign.weights, settings.radio, campaign.over_plan,
-            settings.ground_truth_frames, (master_seed, stream_index),
-            mean_frames=settings.dwell_frames, cfar=settings.cfar,
+            settings.ground_truth_frames, (master_seed, stream_index), cfar=settings.cfar,
         )
 
         # ground truth: full detection pipeline on each single-frame spectrum
@@ -674,7 +669,9 @@ def _build_report(
         },
         "groups": groups,
     }
-    ranking = sorted(methods, key=lambda m: groups["total"][m]["pooled_rmse"])
+    # a method with no detection has a NaN RMSE: it ranks last
+    rmse = {m: groups["total"][m]["pooled_rmse"] for m in methods}
+    ranking = sorted(methods, key=lambda m: (math.isnan(rmse[m]), rmse[m]))
     report["ordering"] = {"total_pooled_rmse_ascending": ranking}
     return RmseReport(report)
 

@@ -36,22 +36,27 @@ _MAX_LATTICE_POINTS = 1_000_000
 
 
 def _lattice(n_1d: int, naf_limit: float, factor: int) -> np.ndarray:
-    """NAFs k/((2n-1) * factor) for all integers k within the sweep limit."""
+    """NAFs k/((2n-1) * factor) for all integers k within the sweep limit.
+
+    The limit may pass a point by _LATTICE_TOL minimal steps, at every
+    factor: the tolerance is added before the refinement, so every refined
+    grid holds its minimal grid's points k/(2n-1) as k*factor.
+    """
     if not isinstance(factor, (int, np.integer)) or factor < 1:
         raise ConfigError("factor must be a positive integer")
     if not isinstance(n_1d, (int, np.integer)) or n_1d < 1:
         raise ConfigError("n_1d must be a positive integer")
     if not 0 < naf_limit <= 0.5:
         raise ConfigError("naf_limit must be in (0, 0.5]")
-    step_den = (2 * int(n_1d) - 1) * int(factor)
+    order, factor = 2 * int(n_1d) - 1, int(factor)
     # in exact rationals, so a factor past the float range is still counted
-    k_max = math.floor(Fraction(float(naf_limit)) * step_den + Fraction(_LATTICE_TOL))
+    k_max = math.floor((Fraction(float(naf_limit)) * order + Fraction(_LATTICE_TOL)) * factor)
     if 2 * k_max + 1 > _MAX_LATTICE_POINTS:
         raise ConfigError(
             f"factor {factor} gives a grid of {2 * k_max + 1} points, "
             f"more than the {_MAX_LATTICE_POINTS} allowed"
         )
-    return np.arange(-k_max, k_max + 1) / step_den
+    return np.arange(-k_max, k_max + 1) / (order * factor)
 
 
 def minimal_naf_grid(n_1d: int, naf_limit: float) -> np.ndarray:

@@ -1048,6 +1048,34 @@ def test_reconstruct_omp_builds_its_dictionary_once(tmp_path, monkeypatch):
     assert (tmp_path / "fresh.csv").read_bytes() == outputs[0]
 
 
+def test_evaluate_ranks_a_method_with_no_detection_last(tmp_path, capsys):
+    # at -50 dB dft detects nothing: its pooled RMSE is NaN, printed last
+    out = tmp_path / "eval"
+    argv = ["evaluate", "--snr-db=-50", "--seeds", "1", "--scenarios", "octahedral_far,wall_far",
+            "--methods", "dft,omp", "--out", str(out)]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [
+        "total pooled RMSE (NAF), best first:", "  omp          0.046395", "  dft          nan",
+    ]
+    report = json.loads((out / "report.json").read_text())
+    assert report["ordering"]["total_pooled_rmse_ascending"] == ["omp", "dft"]
+
+
+@pytest.mark.parametrize("limit", [0.3333333333, 0.4666666666, 0.1333333333, 0.26666666666])
+def test_evaluate_runs_a_limit_typed_just_below_a_minimal_beam(tmp_path, limit):
+    # within the lattice tolerance of the beams 5/15, 7/15, 2/15 and 4/15:
+    # the minimal sweep keeps the beam, and so does the oversampled one
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"naf_limit": limit}))
+    out = tmp_path / "eval"
+    argv = ["evaluate", "--config", str(cfg), "--seeds", "1", "--scenarios", "octahedral_far",
+            "--methods", "dft", "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert (out / "report.json").is_file()
+
+
 @pytest.mark.parametrize("factor", [10, 40])
 def test_evaluate_runs_oversampling_factors_inside_the_budget(tmp_path, factor):
     cfg = tmp_path / "cfg.json"
