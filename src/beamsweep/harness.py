@@ -96,8 +96,9 @@ class _WindowBasis:
     r_factor: np.ndarray  # R of W = QR (W = _window_idft), so R^H R = W^H W
 
 
-# The most that one acquisition's arrays, one window basis, one dictionary
-# build, or one campaign's outcome tables may take.
+# The most that one dictionary build or one campaign's outcome tables may
+# take, the sizes that run-time input sets (a CSV's beams, seeds, scenarios);
+# the settings caps (_CAPS, ofdm._CAPS) bound everything else a campaign holds.
 _BUDGET_BYTES = 256 * 2**20
 
 
@@ -105,12 +106,6 @@ def _check_budget(nbytes: int, what: str) -> None:
     """Refuse an allocation of nbytes, before it exists, if it passes the budget."""
     if nbytes > _BUDGET_BYTES:
         raise ConfigError(f"{what} {nbytes} bytes, more than the {_BUDGET_BYTES} allowed")
-
-
-def _dictionary_bytes(geom: ArrayGeometry, n_beams: int, n_candidates: int) -> int:
-    """The largest arrays of one build_dictionary call: the complex TX and RX
-    phasors of every (beam, candidate) lag, 16 B x (n_tx + n_rx) each."""
-    return 16 * n_beams * n_candidates * (geom.n_tx + geom.n_rx)
 
 
 def _window_idft(radio: RadioConfig) -> np.ndarray:
@@ -127,11 +122,6 @@ def _window_idft(radio: RadioConfig) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _window_basis(radio: RadioConfig) -> _WindowBasis:
     """Built on first use per (hashable, frozen) radio config; arrays read-only."""
-    # its peak per (subcarrier, window bin) is 50 B: the index product, the
-    # complex IDFT and QR's copy of it (49 B traced, 49.9 B of RSS at 2000 x 2000)
-    n_sc, n_bins = radio.n_subcarriers, radio.n_range_bins
-    what = f"{n_sc} subcarriers and {n_bins} range bins give a window basis of"
-    _check_budget(50 * n_sc * n_bins, what)
     centers = radio.window_bins() * radio.range_bin_width_m
     lo, hi = RANGE_GATE_EXCLUDE_M
     keep = ~((centers >= lo) & (centers <= hi))
@@ -196,13 +186,13 @@ def _dictionary(
     content like _signal_window; the atoms are read-only.
 
     Every campaign and every reconstruct --method omp call on equal
-    settings shares one entry. The default 9 x 81 entry is 5.8 KB. A build
-    whose phasors (_dictionary_bytes) pass _BUDGET_BYTES is refused, so
-    with an 8 x 8 array an entry's atoms take at most 1/32 of it, 8 MiB.
+    settings shares one entry. The default 9 x 81 entry is 5.8 KB. A CSV
+    sets the beam count, so a build whose largest arrays, the complex TX and
+    RX phasors of every (beam, candidate) lag, pass _BUDGET_BYTES is refused.
     """
     n_beams, n_candidates = beam_plan.n_beams, candidate_plan.n_beams
     what = f"{n_beams} beams and {n_candidates} OMP candidates give a dictionary build of"
-    _check_budget(_dictionary_bytes(geom, n_beams, n_candidates), what)
+    _check_budget(16 * n_beams * n_candidates * (geom.n_tx + geom.n_rx), what)
     dictionary = build_dictionary(
         geom, weights, beam_plan.beam_grid, candidate_plan.beam_grid, kind
     )
@@ -387,6 +377,12 @@ def score_rmse(estimates, ground_truths) -> dict:
     }
 
 
+# The largest settings whose worst campaign was measured inside the memory
+# budget (README, "Memory"); n_rx must equal n_tx. Past 648 truth frames, a
+# draw chunk (one beam of all its frames) would leave the row budget.
+_CAPS = {"n_tx": 12, "oversampling_factor": 50, "ground_truth_frames": _DRAW_CHUNK_ROWS}
+
+
 @dataclass(frozen=True)
 class EvalSettings:
     """Everything run_comparison needs besides scenarios/methods/seeds."""
@@ -413,14 +409,11 @@ class EvalSettings:
                 f"dwell_frames ({self.dwell_frames}) must not exceed "
                 f"ground_truth_frames ({self.ground_truth_frames})"
             )
-        # above it, a draw chunk (one beam of all its frames) leaves the row budget
-        if self.ground_truth_frames > _DRAW_CHUNK_ROWS:
-            raise ConfigError(
-                f"ground_truth_frames ({self.ground_truth_frames}) must not exceed "
-                f"{_DRAW_CHUNK_ROWS}, the rows of one draw chunk"
-            )
         if self.n_tx != self.n_rx:
             raise ConfigError(f"n_tx ({self.n_tx}) and n_rx ({self.n_rx}) must be equal")
+        for name, cap in _CAPS.items():
+            if getattr(self, name) > cap:
+                raise ConfigError(f"{name} ({getattr(self, name)}) must not exceed {cap}")
         if self.dictionary_kind not in DICTIONARY_KINDS:
             raise ConfigError(f"unknown dictionary kind {self.dictionary_kind!r}")
 
@@ -469,28 +462,15 @@ def _build_campaign(settings: EvalSettings, methods: Sequence[str]) -> _Campaign
     minimal_plan = minimal_sweep_plan(
         n_1d, settings.naf_limit, settings.dwell_frames, radio.frame_duration_s
     )
-    # counted before any of them exists: per beam, the complex window bins
-    # and the mean profile, and per (beam, frame) the magnitude and
-    # eligibility that simulate_acquisition keeps; then the dictionary
-    # build, counted without omp too, as a margin for the campaign's other
-    # per-beam arrays, which this count leaves out
-    n_beams, n_frames = over_plan.n_beams, settings.ground_truth_frames
-    size = n_beams * (24 * radio.n_range_bins + 9 * n_frames)
-    size += _dictionary_bytes(geom, minimal_plan.n_beams, n_beams)
-    _check_budget(
-        size,
-        f"oversampling factor {settings.oversampling_factor} gives {n_beams} beams "
-        f"of {n_frames} frames, whose acquisition arrays and dictionary build take",
-    )
-    # checked, and built once, here: concurrent misses of its cache in the
-    # workers would each build it
+    # built once, here: concurrent misses of its cache in the workers would
+    # each build it
     _window_basis(radio)
     dictionary = None
     if "omp" in methods:
         dictionary = _dictionary(geom, weights, minimal_plan, over_plan, settings.dictionary_kind)
     # the lattice keeps every minimal beam k/M0 as its point k*factor, so the
     # minimal beams are the centre one and every factor-th one out from it
-    half = minimal_plan.n_beams // 2
+    n_beams, half = over_plan.n_beams, minimal_plan.n_beams // 2
     min_idx = n_beams // 2 + settings.oversampling_factor * np.arange(-half, half + 1)
     # extract_peaks and OMP return at most max_peaks and max_atoms peaks, and
     # at most one per grid point; a max_peaks below 1 is refused in the workers
@@ -579,6 +559,15 @@ def _run_scenario(
     return runs
 
 
+def _nan_to_null(value):
+    """A copy of a report's dicts and lists with None for every NaN."""
+    if isinstance(value, dict):
+        return {k: _nan_to_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_nan_to_null(v) for v in value]
+    return None if isinstance(value, float) and math.isnan(value) else value
+
+
 # each report group, in report.csv's row order, and the scenario kinds it pools
 _GROUPS = {"reflectors": ("octahedral",), "walls": ("wall",), "total": ("octahedral", "wall")}
 
@@ -590,7 +579,9 @@ class RmseReport:
     data: dict
 
     def to_json_bytes(self) -> bytes:
-        return (json.dumps(self.data, indent=2, sort_keys=True) + "\n").encode()
+        """Strict JSON: a NaN score is written as null; an infinity raises."""
+        text = json.dumps(_nan_to_null(self.data), indent=2, sort_keys=True, allow_nan=False)
+        return (text + "\n").encode()
 
     def write_json(self, path) -> None:
         with open(path, "wb") as fh:

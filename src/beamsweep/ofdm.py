@@ -25,6 +25,11 @@ _RAMP_VERSION = 1
 # magic, version, n_range, n_angle, range min/max (m), NAF min/max
 _RAMP_HEADER = struct.Struct("<4sIIIdddd")
 
+# NR's widest carrier, 275 resource blocks of 12 subcarriers, and the most
+# range bins whose worst campaign was measured inside the memory budget
+# (README, "Memory")
+_CAPS = {"n_subcarriers": 3300, "n_range_bins": 128}
+
 
 @dataclass(frozen=True)
 class RadioConfig:
@@ -54,14 +59,17 @@ class RadioConfig:
             # the window IDFT (n_subcarriers x n_range_bins) must have full
             # column rank for the noise-shaping QR factor to be square
             raise ConfigError("n_range_bins must not exceed n_subcarriers")
+        for name, cap in _CAPS.items():
+            if getattr(self, name) > cap:
+                raise ConfigError(f"{name} ({getattr(self, name)}) must not exceed {cap}")
         lo, hi = self.range_window_m
         if not 0 <= lo < hi:
             raise ConfigError("range window must satisfy 0 <= min < max")
         if hi > self.unambiguous_range_m:
             raise ConfigError("range window exceeds the unambiguous range")
         # range_fft_size before rounding, C0 / step, must be finite (step can
-        # underflow to 0) and at most 2**31 bins: with the window-basis
-        # budget, that keeps _window_idft's int64 index product below 2**63
+        # underflow to 0) and at most 2**31 bins: with the subcarrier cap, that
+        # keeps _window_idft's int64 index products (3,300 x 2**31, 7e12) below 2**63
         step = 2 * self.subcarrier_spacing_hz * ((hi - lo) / self.n_range_bins)
         if not (step > 0 and C0 / step <= 2**31):
             raise ConfigError("range window/bin combination requires more than 2**31 FFT bins")

@@ -2,17 +2,22 @@ import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from argparse import Namespace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from beamsweep import cli, harness
+from beamsweep import cli, harness, ofdm
 from beamsweep import (
     BeamformingWeights,
     ConfigError,
@@ -299,11 +304,11 @@ def test_factor_past_the_grid_limit_exits_one(tmp_path, capsys):
     assert not dst.exists()
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "eval"
+    # evaluate refuses such a factor sooner, by the settings cap
     cfg.write_text(json.dumps({"oversampling_factor": 10**12}))
     assert cli.main(["evaluate", "--config", str(cfg), "--seeds", "1", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: factor 1000000000000 gives a grid of ")
-    assert err.count("\n") == 1
+    assert err == "error: oversampling_factor (1000000000000) must not exceed 50\n"
     assert not out.exists()
 
 
@@ -780,6 +785,86 @@ def test_config_value_of_wrong_kind_exits_one(tmp_path_factory, path, data):
     assert not (work / "x").exists()
 
 
+# edge values of each of cli._RULES's value kinds: zero, tiny, huge and
+# negative values, and every settings cap with its neighbours
+_CAPS = (*harness._CAPS.values(), *ofdm._CAPS.values())
+_FLOAT_EDGES = [0.0, -0.0, 5e-324, 1e-300, 0.5, 1e300, -1.0, -1e300]
+_EDGES = {
+    int: sorted({0, 1, -1, 2**31, 2**63} | {c + d for c in _CAPS for d in (-1, 0, 1)}),
+    float: _FLOAT_EDGES,
+    bool: [False, True],
+    str: ["matched", "flat", ""],
+    tuple: [list(pair) for pair in itertools.product(_FLOAT_EDGES, repeat=2)],
+}
+
+
+def _nested(values: dict) -> dict:
+    """A config object from {key path: value}."""
+    cfg = {}
+    for path, value in values.items():
+        *sections, key = path.split(".")
+        inner = cfg
+        for section in sections:
+            inner = inner.setdefault(section, {})
+        inner[key] = value
+    return cfg
+
+
+# 1 to 3 keys of cli._schema(EvalSettings), each set to an edge value of its kind
+_EDGE_CONFIGS = st.lists(
+    st.sampled_from(sorted(_CONFIG_KEYS)), min_size=1, max_size=3, unique=True
+).flatmap(lambda paths: st.tuples(
+    *(st.sampled_from(_EDGES[_CONFIG_KEYS[p]]) for p in paths)
+).map(lambda values: _nested(dict(zip(paths, values)))))
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(cfg=_EDGE_CONFIGS)
+# arrays that once ended in a numpy traceback: geometry() allocated their
+# element positions before any check ran
+@example(cfg={"array": {"n_tx": 2 * 10**8, "n_rx": 2 * 10**8}})
+@example(cfg={"array": {"n_tx": 2**31, "n_rx": 2**31}})
+@example(cfg={"array": {"n_tx": 2**63, "n_rx": 2**63}})
+@example(cfg={"array": {"n_tx": 10**30, "n_rx": 10**30}})
+def _every_config_builds_or_is_refused(cfg):
+    Path("cfg.json").write_text(json.dumps(cfg))
+    try:
+        built, _ = cli._build_settings(Namespace(config="cfg.json"))
+        campaign = harness._build_campaign(built, harness.METHODS)
+        for scenario in harness.scenario_catalog():
+            if built.snr_db is not None:
+                scenario = dataclasses.replace(scenario, snr_db=built.snr_db)
+            harness.build_scene(scenario, built.radio, campaign.geom, built.include_rear_wall)
+    except ConfigError:
+        pass
+
+
+# Runs the property above in a fresh interpreter whose address space may
+# grow 1 GiB past its size after the imports: a setting that slips past
+# every bound fails at once with MemoryError instead of paging the host.
+_BOUNDED_CHILD = """
+import resource
+import test_cli
+with open("/proc/self/status") as fh:
+    size = next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmSize:"))
+resource.setrlimit(resource.RLIMIT_AS, (size + 2**30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+test_cli._every_config_builds_or_is_refused()
+"""
+
+
+def test_every_config_key_builds_or_is_refused_in_bounded_memory(tmp_path):
+    if not Path("/proc/self/status").is_file():
+        pytest.skip("no /proc/self/status to read the address-space size from")
+    src = Path(harness.__file__).resolve().parents[1]
+    path = [str(src), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-c", _BOUNDED_CHILD], capture_output=True, text=True,
+        timeout=300, cwd=tmp_path, env=env,
+    )
+    assert done.returncode == 0, done.stderr[-4000:]
+
+
 def test_readme_config_example_runs(tmp_path):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("## Configuration file", 1)[1]
@@ -1062,6 +1147,28 @@ def test_evaluate_ranks_a_method_with_no_detection_last(tmp_path, capsys):
     assert report["ordering"]["total_pooled_rmse_ascending"] == ["omp", "dft"]
 
 
+def test_report_json_writes_a_nan_score_as_null(tmp_path):
+    # RFC 8259 has no NaN: report.json writes null, while the report in
+    # memory keeps NaN, which total_rmse and the "best first" print read
+    out = tmp_path / "eval"
+    report = harness.run_comparison(
+        harness.scenario_catalog()[::4], ["dft", "omp"], [1],
+        EvalSettings(snr_db=-50.0), out_dir=out,
+    )
+    assert math.isnan(report.total_rmse("dft"))
+
+    def refuse(constant):
+        raise AssertionError(f"report.json holds {constant}")
+
+    written = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    assert written["groups"]["total"]["dft"]["pooled_rmse"] is None
+    assert written["groups"]["total"]["omp"] == report.data["groups"]["total"]["omp"]
+    assert _read_rows(out / "report.csv")[-1] == {
+        "group": "total", "target": "pooled", "dft": "nan",
+        "omp": repr(report.total_rmse("omp")),
+    }
+
+
 @pytest.mark.parametrize("limit", [0.3333333333, 0.4666666666, 0.1333333333, 0.26666666666])
 def test_evaluate_runs_a_limit_typed_just_below_a_minimal_beam(tmp_path, limit):
     # within the lattice tolerance of the beams 5/15, 7/15, 2/15 and 4/15:
@@ -1088,50 +1195,67 @@ def test_evaluate_runs_oversampling_factors_inside_the_budget(tmp_path, factor):
     assert (out / "report.json").is_file()
 
 
-def test_acquisition_over_the_memory_budget_exits_one(tmp_path, capsys, monkeypatch):
-    # refused from the beam count alone: nothing is synthesized and no
-    # acquisition-sized array is allocated
+def test_array_and_factor_past_their_caps_exit_one(tmp_path, capsys, monkeypatch):
+    # refused by the settings alone: no element positions, grid or
+    # acquisition exists
     def refuse(*args, **kwargs):
         raise AssertionError("no acquisition may be drawn")
 
     monkeypatch.setattr(harness, "simulate_acquisition", refuse)
     monkeypatch.setattr(harness, "scene_subcarrier_profile", refuse)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"oversampling_factor": 100000}))
     out = tmp_path / "eval"
     argv = ["evaluate", "--config", str(cfg), "--seeds", "1", "--scenarios", "octahedral_far",
             "--methods", "dft", "--out", str(out)]
     tracemalloc.start()
     try:
-        assert cli.main(argv) == 1
+        for config, message in (
+            ({"oversampling_factor": 51}, "oversampling_factor (51) must not exceed 50"),
+            ({"array": {"n_tx": 13, "n_rx": 13}}, "n_tx (13) must not exceed 12"),
+        ):
+            cfg.write_text(json.dumps(config))
+            assert cli.main(argv) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20  # the 816,959-point grid itself, not 1.8 GB of phasors
-    # 816,959 x (24 x 42 + 9 x 24) B kept by the draw, plus 16 x 9 x 816,959 x 16 B
-    # of dictionary phasors, counted without omp too
-    assert capsys.readouterr().err == (
-        "error: oversampling factor 100000 gives 816959 beams of 24 frames, whose "
-        "acquisition arrays and dictionary build take 2882231352 bytes, more than "
-        "the 268435456 allowed\n"
-    )
-    assert not out.exists()
-    # at the edge: 9,313 reaches the draw (stopped here before it allocates
-    # anything), 9,314 does not
+    assert peak < 32 * 2**20
+    # at the caps, with the widest limit, the campaign reaches the draw
+    # (stopped here before it allocates anything)
     def reached(scene, geom, weights, radio, plan, *args, **kwargs):
-        raise ConfigError(f"draw of {plan.n_beams} beams reached")
+        raise ConfigError(f"draw of {plan.n_beams} beams of {geom.n_tx} elements reached")
 
     monkeypatch.setattr(harness, "simulate_acquisition", reached)
-    for factor, err in ((9313, "error: draw of 76083 beams reached\n"),
-                        (9314, "error: oversampling factor 9314 gives 76091 beams")):
-        cfg.write_text(json.dumps({"oversampling_factor": factor}))
-        assert cli.main(argv) == 1
-        assert capsys.readouterr().err.startswith(err)
-        assert not out.exists()
+    cfg.write_text(json.dumps(
+        {"array": {"n_tx": 12, "n_rx": 12}, "oversampling_factor": 50, "naf_limit": 0.5}
+    ))
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: draw of 1151 beams of 12 elements reached\n"
+    assert not out.exists()
 
 
-def test_window_basis_over_the_memory_budget_exits_one(tmp_path, capsys, monkeypatch):
-    # refused from the radio config alone: no window IDFT is built and no
+# sizes whose element positions numpy could never allocate; the property
+# test runs the sizes it could (2e8 and 2**31 elements) in bounded memory
+@pytest.mark.parametrize("n", [2**63, 10**30])
+@pytest.mark.parametrize("command", [
+    ["evaluate", "--scenarios", "wall_near", "--methods", "dft", "--seeds", "1"],
+    ["reconstruct", "--method", "omp", "--sweep", "sweep.csv"],
+    ["detect", "--spectrum", "sweep.csv"],
+])
+def test_every_config_command_refuses_an_array_past_its_cap(tmp_path, capsys, n, command):
+    # detect reads only the array's resolution, and once ran with any size
+    _write_sweep(tmp_path / "sweep.csv", np.arange(-4, 5) / 15.0, np.ones(9))
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps({"array": {"n_tx": n, "n_rx": n}}))
+    argv = [arg.replace("sweep.csv", str(tmp_path / "sweep.csv")) for arg in command]
+    assert cli.main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: n_tx ({n}) must not exceed 12\n"
+    assert not out.exists()
+
+
+def test_radio_counts_past_their_caps_exit_one(tmp_path, capsys, monkeypatch):
+    # refused by the radio config alone: no window IDFT is built and no
     # acquisition is drawn
     def refuse(*args, **kwargs):
         raise AssertionError("no window basis may be built")
@@ -1139,37 +1263,35 @@ def test_window_basis_over_the_memory_budget_exits_one(tmp_path, capsys, monkeyp
     for name in ("_window_idft", "simulate_acquisition", "scene_subcarrier_profile"):
         monkeypatch.setattr(harness, name, refuse)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"radio": {"n_subcarriers": 20000, "n_range_bins": 20000}}))
     out = tmp_path / "eval"
     argv = ["evaluate", "--config", str(cfg), "--seeds", "1", "--scenarios", "octahedral_far",
             "--methods", "dft", "--out", str(out)]
     tracemalloc.start()
     try:
-        assert cli.main(argv) == 1
+        for radio, message in (
+            ({"n_subcarriers": 3301}, "n_subcarriers (3301) must not exceed 3300"),
+            ({"n_range_bins": 129}, "n_range_bins (129) must not exceed 128"),
+            ({"n_subcarriers": 20000, "n_range_bins": 20000},
+             "n_subcarriers (20000) must not exceed 3300"),
+        ):
+            cfg.write_text(json.dumps({"radio": radio}))
+            assert cli.main(argv) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
-    # 50 B x 20,000 subcarriers x 20,000 window bins; the per-beam count admits it
-    assert capsys.readouterr().err == (
-        "error: 20000 subcarriers and 20000 range bins give a window basis of "
-        "20000000000 bytes, more than the 268435456 allowed\n"
-    )
-    assert not out.exists()
-    # at the edge, 5,368,709 (subcarrier, bin) pairs of 50 B fit in 256 MiB:
-    # 5,368 x 1,000 reaches the window IDFT (stopped here before it
-    # allocates anything), 5,369 x 1,000 does not
+    # at both caps the campaign reaches the window IDFT (stopped here
+    # before it allocates anything)
     def reached(radio):
-        raise ConfigError(f"window IDFT with {radio.n_subcarriers} subcarriers reached")
+        raise ConfigError(f"window IDFT of {radio.n_subcarriers} x {radio.n_range_bins} reached")
 
     monkeypatch.setattr(harness, "_window_idft", reached)
-    for n, err in ((5368, "error: window IDFT with 5368 subcarriers reached\n"),
-                   (5369, "error: 5369 subcarriers and 1000 range bins give a window basis "
-                          "of 268450000 bytes")):
-        cfg.write_text(json.dumps({"radio": {"n_subcarriers": n, "n_range_bins": 1000}}))
-        assert cli.main(argv) == 1
-        assert capsys.readouterr().err.startswith(err)
-        assert not out.exists()
+    cfg.write_text(json.dumps({"radio": {"n_subcarriers": 3300, "n_range_bins": 128}}))
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: window IDFT of 3300 x 128 reached\n"
+    assert not out.exists()
 
 
 def test_outcome_tables_over_the_memory_budget_exit_one(tmp_path, capsys):
@@ -1209,7 +1331,7 @@ def test_ground_truth_frames_past_one_draw_chunk_exit_one(tmp_path, capsys):
             "--methods", "dft", "--out", str(out)]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == (
-        "error: ground_truth_frames (649) must not exceed 648, the rows of one draw chunk\n"
+        "error: ground_truth_frames (649) must not exceed 648\n"
     )
     assert not out.exists()
 

@@ -293,7 +293,7 @@ def test_ground_truth_frames_are_capped_at_one_draw_chunk(monkeypatch):
     edge = EvalSettings(ground_truth_frames=harness._DRAW_CHUNK_ROWS)
     assert harness._build_campaign(edge, ["dft"]).settings.ground_truth_frames == 648
     with pytest.raises(ConfigError, match=re.escape(
-        "ground_truth_frames (649) must not exceed 648, the rows of one draw chunk"
+        "ground_truth_frames (649) must not exceed 648"
     )):
         EvalSettings(ground_truth_frames=649)
 
@@ -470,20 +470,24 @@ def test_window_basis_is_cached_and_read_only(small_acquisition):
     assert all(arr.shape[0] != radio.n_subcarriers for arr in vars(basis).values())
 
 
-def test_direct_draw_refuses_an_oversize_window_basis(small_acquisition, monkeypatch):
-    # the basis weighs its own build, so a library call is refused before W exists
+def test_direct_draw_takes_the_largest_radio_and_no_larger(small_acquisition, monkeypatch):
+    # the radio config refuses its own counts past the caps, so no library
+    # call can ask for a larger window basis; the largest one draws
     _, geom, weights, scene, plan, _ = small_acquisition
+    largest = RadioConfig(n_subcarriers=3300, n_range_bins=128)
+    acq = simulate_acquisition(scene, geom, weights, largest, plan, 2, (7, 0))
+    assert acq.mean_profile.shape == (plan.n_beams, 128)
 
     def refuse(*args, **kwargs):
         raise AssertionError("no window IDFT may be built")
 
     monkeypatch.setattr(harness, "_window_idft", refuse)
-    radio = RadioConfig(n_subcarriers=5369, n_range_bins=1000)
-    with pytest.raises(ConfigError, match=re.escape(
-        "5369 subcarriers and 1000 range bins give a window basis of 268450000 bytes, "
-        "more than the 268435456 allowed"
-    )):
-        simulate_acquisition(scene, geom, weights, radio, plan, 2, (7, 0))
+    for kwargs, message in (
+        ({"n_subcarriers": 3301}, "n_subcarriers (3301) must not exceed 3300"),
+        ({"n_range_bins": 129}, "n_range_bins (129) must not exceed 128"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            RadioConfig(**kwargs)
 
 
 def test_window_centers_are_the_range_axis_entries():
@@ -1114,15 +1118,16 @@ def test_outcome_tables_are_counted_before_any_exists(tmp_path, monkeypatch):
 
 
 def test_first_seed_maps_are_counted_before_any_scenario_runs(tmp_path, monkeypatch):
-    # 40 scenarios at factor 1,000 (8,169 beams): their rows take 20 KB, but
-    # their first-seed oversampled, dft and spline maps take 314 MiB
+    # 651 scenarios at factor 50 (409 beams): their rows take 115 KB, but
+    # their first-seed oversampled, dft and spline maps, 8 x (3 x 409 x 42
+    # + 9) B each, take 256.1 MiB
     def reached(*args):
         raise AssertionError("no scenario may run")
 
     monkeypatch.setattr(harness, "_run_scenario", reached)
-    walls = [Scenario(f"wall_{k}", "wall", 0.2) for k in range(40)]
-    settings, out = EvalSettings(oversampling_factor=1000), tmp_path / "out"
-    message = "1 seeds of 40 scenarios give outcome tables of 329384000 bytes, more than"
+    walls = [Scenario(f"wall_{k}", "wall", 0.2) for k in range(651)]
+    settings, out = EvalSettings(oversampling_factor=50), tmp_path / "out"
+    message = "1 seeds of 651 scenarios give outcome tables of 268550520 bytes, more than"
     tracemalloc.start()
     try:
         with pytest.raises(ConfigError, match=f"^{message}"):
