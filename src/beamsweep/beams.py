@@ -101,18 +101,25 @@ def beamformed_response(
     scatterers: Sequence[Scatterer],
     steer: NafAngle,
 ) -> complex:
-    """Coherent two-way array response at steering NAF `steer`.
+    """Coherent two-way array response at steering NAF `steer`: the sum of
+    the scatterers' two-way gains, exactly 0 for an empty scene."""
+    return complex(np.sum(_scene_gains(geom, weights, scatterers, steer)))
 
-    Sums, over scatterers, amplitude times the TX and RX weighted phasor
-    sums at lag (steer - scatterer NAF); ranges do not enter (delay handled
-    by the waveform layer). Empty scenes return exactly 0.
-    """
+
+def _scene_gains(
+    geom: ArrayGeometry,
+    weights: BeamformingWeights,
+    scatterers: Sequence[Scatterer],
+    steer,
+) -> np.ndarray:
+    """Each scatterer's two-way gain at each steering NAF, shaped
+    np.shape(steer) + (n_scatterers,): its amplitude times the TX and RX
+    weighted phasor sums at lag (steer - its NAF). Ranges do not enter."""
     weights.check_matches(geom)
-    if not scatterers:
-        return 0.0 + 0.0j
-    nafs = np.array([s.naf for s in scatterers])
+    nafs = np.array([s.naf for s in scatterers], dtype=float)
     amps = np.array([s.amplitude for s in scatterers], dtype=complex)
-    return complex(np.sum(amps * _pair_factor(geom, weights, steer - nafs)))
+    lags = np.asarray(steer, dtype=float)[..., None] - nafs
+    return amps * _pair_factor(geom, weights, lags.ravel()).reshape(lags.shape)
 
 
 def _pair_factor(geom: ArrayGeometry, weights: BeamformingWeights, lags) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .beams import BeamformingWeights, Scatterer, _pair_factor
+from .beams import BeamformingWeights, Scatterer, _scene_gains
 from .errors import ConfigError
 from .geometry import ArrayGeometry, NafAngle
 
@@ -103,24 +103,17 @@ def scene_subcarrier_profile(
     weights: BeamformingWeights,
     steer: NafAngle | np.ndarray,
 ) -> np.ndarray:
-    """Noise-free per-subcarrier response (constant across symbols).
+    """Noise-free per-subcarrier response (constant across symbols), shaped
+    np.shape(steer) + (n_subcarriers,) for one steering NAF or an array."""
+    return _scene_gains(geom, weights, scatterers, steer) @ _delay_phases(config, scatterers)
 
-    `steer` is one steering NAF or an array of them; the result has shape
-    np.shape(steer) + (n_subcarriers,), and the delay phases are built once
-    for all steering NAFs.
-    """
-    steer = np.asarray(steer, dtype=float)
-    if not scatterers:
-        return np.zeros(steer.shape + (config.n_subcarriers,), dtype=complex)
-    weights.check_matches(geom)
-    nafs = np.array([s.naf for s in scatterers])
-    amps = np.array([s.amplitude for s in scatterers], dtype=complex)
-    lags = steer[..., None] - nafs
-    gains = amps * _pair_factor(geom, weights, lags.ravel()).reshape(lags.shape)
-    delays = np.array([2 * s.range_m / C0 for s in scatterers])
+
+def _delay_phases(config: RadioConfig, scatterers: Sequence[Scatterer]) -> np.ndarray:
+    """Each scatterer's two-way delay response, exp(-2j*pi*n*df*2r/c) on
+    subcarrier n, shaped (n_scatterers, n_subcarriers)."""
+    delays = np.array([2 * s.range_m / C0 for s in scatterers], dtype=float)
     n = np.arange(config.n_subcarriers)
-    phases = np.exp(-2j * np.pi * config.subcarrier_spacing_hz * np.outer(delays, n))
-    return gains @ phases
+    return np.exp(-2j * np.pi * config.subcarrier_spacing_hz * np.outer(delays, n))
 
 
 @dataclass(frozen=True)
