@@ -119,11 +119,15 @@ def _parabolic_offset(y_left: float, y_mid: float, y_right: float) -> float:
 
 
 def _peak_power(magnitude: float) -> float:
-    """The power of a picked magnitude, refused when it leaves the float range."""
-    try:
-        power = magnitude ** 2
-    except OverflowError:
-        raise ConfigError(f"peak magnitude {magnitude!r} is too large: its power overflows") from None
+    """The power of a picked magnitude, refused when it leaves the float range.
+
+    magnitude * magnitude is correctly rounded, where a float's ** 2 goes
+    through libm's pow, which misrounds some squares; so a magnitude scaled
+    by 2^m gives exactly 4^m times the power.
+    """
+    power = magnitude * magnitude
+    if power == math.inf:
+        raise ConfigError(f"peak magnitude {magnitude!r} is too large: its power overflows")
     if power == 0.0:
         raise ConfigError(f"peak magnitude {magnitude!r} is too small: its power underflows to 0")
     return power

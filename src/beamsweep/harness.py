@@ -27,16 +27,13 @@ from .beams import (
     BeamformingWeights,
     Dictionary,
     Scatterer,
+    _scene_gains,
     build_dictionary,
 )
 from .detection import CfarConfig, PeakEstimate, ca_cfar, extract_peaks
 from .errors import ConfigError
 from .geometry import ArrayGeometry, naf_resolution
-from .ofdm import (
-    RadioConfig,
-    RangeAngleMap,
-    scene_subcarrier_profile,
-)
+from .ofdm import RadioConfig, RangeAngleMap, _delay_phases
 from .omp import OmpConfig, omp, sparse_to_peaks
 from .reconstruct import (
     AngularSweep,
@@ -139,8 +136,6 @@ def _window_basis(radio: RadioConfig) -> _WindowBasis:
 # window bins a chunk's noise and bins take 0.87 MB (27 beams of 24 frames),
 # against 2.6 MB for a whole 81 x 24 acquisition; 81 x 6 is one chunk.
 _DRAW_CHUNK_ROWS = 648
-# beams per chunk of _signal_window's (beam, subcarrier) profile
-_PROJECTION_CHUNK_BEAMS = 27
 
 
 @functools.lru_cache(maxsize=16)
@@ -158,18 +153,14 @@ def _signal_window(
     arguments' content (the array-holding configs compare and hash by
     value): every seed of a scene, and every equal scene, reuses one
     result. An 81-beam entry is 54 KB; 16 of them hold the catalog twice.
-    A miss builds the window IDFT afresh. The (beam, subcarrier) profile
-    is made and projected a chunk of beams at a time, and a last chunk of
-    one beam joins the one before: numpy sends a 1-row product through
-    gemv, whose last bits can differ.
+    A miss builds the window IDFT afresh. The profile is separable, each
+    beam's gain per scatterer times that scatterer's delay response, so
+    each delay response goes through the window IDFT once and the beams
+    weight the results: no (beam, subcarrier) array is made.
     """
-    grid = plan.beam_grid
     idft = _window_idft(radio)
-    signal = np.empty((grid.size, idft.shape[1]), dtype=complex)
-    starts = list(range(0, max(grid.size - 1, 1), _PROJECTION_CHUNK_BEAMS))
-    for lo, hi in zip(starts, starts[1:] + [grid.size]):
-        profile = scene_subcarrier_profile(radio, scatterers, geom, weights, grid[lo:hi])
-        np.matmul(radio.n_symbols * profile, idft, out=signal[lo:hi])
+    gains = _scene_gains(geom, weights, scatterers, plan.beam_grid)
+    signal = radio.n_symbols * gains @ (_delay_phases(radio, scatterers) @ idft)
     signal.flags.writeable = False
     return signal
 

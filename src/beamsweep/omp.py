@@ -8,7 +8,7 @@ from typing import Tuple
 import numpy as np
 
 from .beams import Dictionary
-from .detection import PeakEstimate
+from .detection import PeakEstimate, _peak_power
 from .errors import ConfigError, ContractViolation
 
 __all__ = ["OmpConfig", "SparseEstimate", "omp", "sparse_to_peaks"]
@@ -119,6 +119,6 @@ def sparse_to_peaks(
             raise ConfigError("support index outside the candidate grid")
         if c == 0.0:
             continue
-        peaks.append(PeakEstimate(float(candidate_grid[idx]), range_m, float(abs(c)) ** 2))
+        peaks.append(PeakEstimate(float(candidate_grid[idx]), range_m, _peak_power(float(abs(c)))))
     peaks.sort(key=lambda p: -p.power)
     return peaks

@@ -1202,7 +1202,7 @@ def test_array_and_factor_past_their_caps_exit_one(tmp_path, capsys, monkeypatch
         raise AssertionError("no acquisition may be drawn")
 
     monkeypatch.setattr(harness, "simulate_acquisition", refuse)
-    monkeypatch.setattr(harness, "scene_subcarrier_profile", refuse)
+    monkeypatch.setattr(harness, "_scene_gains", refuse)
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "eval"
     argv = ["evaluate", "--config", str(cfg), "--seeds", "1", "--scenarios", "octahedral_far",
@@ -1260,7 +1260,7 @@ def test_radio_counts_past_their_caps_exit_one(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("no window basis may be built")
 
-    for name in ("_window_idft", "simulate_acquisition", "scene_subcarrier_profile"):
+    for name in ("_window_idft", "simulate_acquisition", "_scene_gains"):
         monkeypatch.setattr(harness, name, refuse)
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "eval"

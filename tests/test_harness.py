@@ -640,25 +640,10 @@ def test_any_catalog_subset_scores_as_in_the_full_catalog(names):
     _assert_subset_scores_as_in_the_full_catalog(names)
 
 
-def _squares_of_one_magnitude(power, scaled_power, m) -> bool:
-    """Whether the two peak powers are v ** 2 and (v * 2^m) ** 2 for one
-    magnitude v. A Python float square goes through libm's pow, which with
-    glibc 2.36 misrounds about 1 in 1,100 random squares, so the two need
-    not differ by exactly 4^m; v is within one unit in the last place of
-    sqrt(power)."""
-    root = math.sqrt(power)
-    return any(
-        v**2 == power and (v * 2.0**m) ** 2 == scaled_power
-        for v in (root, math.nextafter(root, 0.0), math.nextafter(root, math.inf))
-    )
-
-
-def _assert_power_of_two_scale(index, rear_wall, seeds, m, exact_powers=True):
+def _assert_power_of_two_scale(index, rear_wall, seeds, m):
     """Run catalog scene index on seeds, as built and with amplitudes x 2^m
     and noise power x 4^m, and check that the scale relation holds between
-    the two runs; returns the unscaled one. Without exact_powers, a peak
-    power may instead be the pow-rounded square of the scaled magnitude
-    (_squares_of_one_magnitude)."""
+    the two runs; returns the unscaled one."""
     methods = list(harness.METHODS)
     campaign = harness._build_campaign(EvalSettings(), methods)
     scenario = scenario_catalog()[index]
@@ -674,12 +659,7 @@ def _assert_power_of_two_scale(index, rear_wall, seeds, m, exact_powers=True):
     assert runs.truth.tobytes() == base.truth.tobytes()
     assert runs.counts.tobytes() == base.counts.tobytes()
     assert runs.peaks[..., :2].tobytes() == base.peaks[..., :2].tobytes()
-    if exact_powers:
-        assert runs.peaks[..., 2].tobytes() == (base.peaks[..., 2] * 4.0**m).tobytes()
-    else:
-        found = ~np.isnan(base.peaks[..., 2])
-        for p, q in zip(base.peaks[..., 2][found].tolist(), runs.peaks[..., 2][found].tolist()):
-            assert q == p * 4.0**m or _squares_of_one_magnitude(p, q, m)
+    assert runs.peaks[..., 2].tobytes() == (base.peaks[..., 2] * 4.0**m).tobytes()
     assert runs.sweep_values.tobytes() == (base.sweep_values * 2.0**m).tobytes()
     for method, map_ in base.maps.items():
         assert runs.maps[method].power.tobytes() == (map_.power * 4.0**m).tobytes()
@@ -703,11 +683,9 @@ def test_power_of_two_scale_leaves_every_estimate_and_scales_every_power(index, 
 )
 def test_power_of_two_scale_holds_for_any_scene_seed_and_exponent(index, rear_wall, seed, m):
     # the relation above over catalog scene, rear wall, seed and exponent;
-    # at |m| <= 100 no power leaves the normal float range. Each peak power
-    # pair is checked as squares of one magnitude: the pow behind them
-    # misrounds some squares, which the fixed cases above happen to miss
-    # and a search over seeds and m does not
-    _assert_power_of_two_scale(index, rear_wall, [seed], m, exact_powers=False)
+    # at |m| <= 100 no power leaves the normal float range. Peak powers are
+    # correctly rounded squares, so each one is exactly 4^m times its own
+    _assert_power_of_two_scale(index, rear_wall, [seed], m)
 
 
 def test_a_mirrored_scene_gives_mirrored_estimates():
@@ -1360,19 +1338,29 @@ def test_signal_window_cached_on_content():
     assert (info.hits, info.misses) == (4, 1)
 
 
-def test_signal_window_projects_in_chunks_with_the_bits_of_one_product():
-    # across the 27-beam chunk: a last chunk of one beam joins the one
-    # before, so no row goes through a 1-row product unless the plan has one beam
-    scatterers, geom, weights, radio, plan = _window_args()
+_CAPS_RADIO = RadioConfig(n_subcarriers=3300, n_range_bins=128)
+
+
+@pytest.mark.parametrize("radio", [RadioConfig(), _CAPS_RADIO], ids=["default", "caps"])
+@pytest.mark.parametrize("index", range(8))
+def test_signal_window_is_the_scene_profile_through_the_window_idft(index, radio):
+    # each scatterer's delay response goes through the IDFT once, then the
+    # beams weight it: the (beam, subcarrier) profile's product to rounding
+    geom = ArrayGeometry.uniform_linear(8, 8)
+    weights = BeamformingWeights.all_ones(geom)
+    scatterers = build_scene(scenario_catalog()[index], radio, geom).scatterers
     idft = harness._window_idft(radio)
-    for n_beams in (1, 2, 27, 28, 29, 54, 55, 81):
-        sub = dataclasses.replace(plan, beam_grid=plan.beam_grid[:n_beams])
-        whole = radio.n_symbols * scene_subcarrier_profile(
-            radio, scatterers, geom, weights, sub.beam_grid
+    full = oversampled_sweep_plan(8, harness.DEFAULT_NAF_LIMIT, 10)
+    for n_beams in (1, 28, 81):
+        plan = dataclasses.replace(full, beam_grid=full.beam_grid[:n_beams])
+        want = radio.n_symbols * scene_subcarrier_profile(
+            radio, scatterers, geom, weights, plan.beam_grid
         ) @ idft
-        got = harness._signal_window.__wrapped__(scatterers, geom, weights, radio, sub)
-        assert got.shape == (n_beams, 42)
-        assert got.tobytes() == whole.tobytes()
+        got = harness._signal_window.__wrapped__(scatterers, geom, weights, radio, plan)
+        assert got.shape == (n_beams, radio.n_range_bins)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        empty = harness._signal_window.__wrapped__((), geom, weights, radio, plan)
+        assert empty.shape == got.shape and not np.any(empty)
 
 
 @pytest.mark.parametrize("change", [
