@@ -74,11 +74,7 @@ def ca_cfar(profile, config: CfarConfig, cells=None) -> np.ndarray:
             raise ConfigError(
                 f"cells must be integer indices in [0, {n}), one axis per profile axis"
             )
-    # prefix sums in one call: cumsum adds sequentially along the axis, so a
-    # cell's sum has the same bits as a Python loop over its row; one call
-    # also keeps the GIL released where many small per-cell calls would not
     cs = np.zeros(profile.shape[:-1] + (n + 1,))
-    np.cumsum(profile, axis=-1, out=cs[..., 1:])
     # the leading index of np.take_along_axis, built once for all five gathers
     leading = np.broadcast_shapes(profile.shape[:-1], idx.shape[:-1])
     lead = np.indices(leading + (1,), sparse=True)[:-1]
@@ -91,10 +87,19 @@ def ca_cfar(profile, config: CfarConfig, cells=None) -> np.ndarray:
     left_hi = np.maximum(idx - g, 0)
     right_lo = np.minimum(idx + g + 1, n)
     right_hi = np.minimum(idx + g + 1 + t_side, n)
-    train_sum = (at(left_hi) - at(left_lo)) + (at(right_hi) - at(right_lo))
     counts = (left_hi - left_lo) + (right_hi - right_lo)
     alpha = counts * (config.p_fa ** (-1.0 / counts) - 1.0)
-    return cut > alpha * train_sum / counts
+    try:
+        with np.errstate(over="raise"):
+            # prefix sums in one call: cumsum adds sequentially along the axis,
+            # so a cell's sum has the same bits as a Python loop over its row;
+            # one call also keeps the GIL released where many small per-cell
+            # calls would not
+            np.cumsum(profile, axis=-1, out=cs[..., 1:])
+            train_sum = (at(left_hi) - at(left_lo)) + (at(right_hi) - at(right_lo))
+            return cut > alpha * train_sum / counts
+    except FloatingPointError:
+        raise ConfigError("CA-CFAR training sums overflow the float range") from None
 
 
 @dataclass(frozen=True)
@@ -196,12 +201,13 @@ def extract_peaks(
             value = masked[r, i]
             if not value > 0:  # no eligible bin left, or none positive
                 continue
+            power = _peak_power(float(value))  # refused before the refinement's sums
             naf = float(naf_axis[i])
             if 0 < i < n - 1:
                 step = 0.5 * (naf_axis[i + 1] - naf_axis[i - 1])
                 naf += float(_parabolic_offset(rows[r, i - 1], value, rows[r, i + 1]) * step)
             range_m = float(ranges[r, i]) if ranges is not None else math.nan
-            peaks[r].append(PeakEstimate(naf, range_m, _peak_power(float(value))))
+            peaks[r].append(PeakEstimate(naf, range_m, power))
             nafs[r] = naf
             # the interval is centred on the refined NAF, so a resolution
             # below the parabolic shift would leave the picked bin itself

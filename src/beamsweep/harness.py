@@ -281,10 +281,10 @@ def simulate_acquisition(
         try:
             with np.errstate(over="raise"):
                 power **= 2
+                np.mean(power[:, :mean_frames], axis=1, out=mean_profile[lo:hi])
         except FloatingPointError:
             raise ConfigError("window-bin power overflows the float range") from None
         magnitudes[lo:hi] = np.sqrt(power[..., basis.keep].max(axis=-1))
-        np.mean(power[:, :mean_frames], axis=1, out=mean_profile[lo:hi])
         if cfar is not None:
             eligible[lo:hi] = _eligibility(power, basis.keep, basis.centers, cfar)[0]
     return Acquisition(magnitudes, mean_profile, mean_frames, basis.centers, basis.keep, eligible)
@@ -522,7 +522,11 @@ def _run_scenario(
             elif method != "omp":
                 interpolate = dft_interpolate if method == "dft" else spline_interpolate
                 dense = interpolate(sweep9, over_grid)
-                mapped[method] = dense[:, 0], np.maximum(dense[:, 1:], 0.0) ** 2
+                try:
+                    with np.errstate(over="raise"):
+                        mapped[method] = dense[:, 0], np.maximum(dense[:, 1:], 0.0) ** 2
+                except FloatingPointError:
+                    raise ConfigError(f"{method} map power overflows the float range") from None
 
         method_peaks: Dict[str, List[PeakEstimate]] = {}
         if mapped:

@@ -67,11 +67,18 @@ def omp(dictionary: Dictionary, y, config: OmpConfig = OmpConfig()) -> SparseEst
         Support indices in selection order with their joint least-squares
         coefficients; the residual re-solve keeps D_S^H r at rounding level
         after every iteration.
+
+    The pursuit runs on y scaled by the power of two that brings max|y|
+    into [0.5, 1), as spline_interpolate fits, and scales its results back:
+    the scaling is exact, so y times 2^m gives exactly 2^m times the
+    coefficients, and no norm overflows or underflows on the way.
     """
     d = dictionary.atoms
     y = np.asarray(y, dtype=float)
     if y.shape != (d.shape[0],):
         raise ConfigError("measurement length must equal the number of beams")
+    exponent = int(np.frexp(np.max(np.abs(y)))[1])
+    y = np.ldexp(y, -exponent)
     y_norm = float(np.linalg.norm(y))
     residual = y.copy()
     support: list[int] = []
@@ -97,12 +104,18 @@ def omp(dictionary: Dictionary, y, config: OmpConfig = OmpConfig()) -> SparseEst
         correlations.append(float(np.max(np.abs(sub.T @ residual))))
     if len(set(support)) != len(support):
         raise ContractViolation("an atom entered the support twice")
+    try:
+        with np.errstate(over="raise"):
+            coef = np.ldexp(np.asarray(coef, dtype=float), exponent)
+            norms = np.ldexp([np.linalg.norm(residual)] + correlations, exponent)
+    except FloatingPointError:
+        raise ConfigError("the OMP solution overflows the float range") from None
     return SparseEstimate(
         support=tuple(support),
-        coefficients=np.asarray(coef, dtype=float),
-        residual_norm=float(np.linalg.norm(residual)),
+        coefficients=coef,
+        residual_norm=float(norms[0]),
         iterations=iterations,
-        support_correlations=tuple(correlations),
+        support_correlations=tuple(norms[1:].tolist()),
         rank_deficient=rank_deficient,
         negative_coefficients=bool(np.any(coef < 0)),
     )

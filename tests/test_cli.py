@@ -208,6 +208,38 @@ def test_reconstruct_omp_recovers_single_atom(tmp_path, geom8):
     assert float(rows[45]["naf"]) == pytest.approx(grid[45])
 
 
+def _omp_spectrum(directory, scale_exponent):
+    """reconstruct --method omp on the 9-beam sweep 1/(1 + k^2) at NAFs k/15,
+    scaled by 2**scale_exponent; the dense values, with no stderr or warning."""
+    k = np.arange(-4, 5)
+    src, dst = directory / f"sweep_{scale_exponent}.csv", directory / f"omp_{scale_exponent}.csv"
+    _write_sweep(src, k / 15, np.ldexp(1.0 / (1 + k * k), scale_exponent))
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["reconstruct", "--sweep", str(src), "--method", "omp",
+                             "--out", str(dst)]) == 0
+    assert err.getvalue() == ""
+    return np.array([float(r["value"]) for r in _read_rows(dst)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(m=st.integers(-1000, 1000))
+@example(m=-1000)
+@example(m=-560)
+@example(m=500)
+@example(m=1000)
+def test_reconstruct_omp_scales_exactly_by_any_power_of_two(tmp_path_factory, m):
+    # OMP runs on the sweep brought into [0.5, 1) by a power of two, so a
+    # sweep times 2**m gives the spectrum times 2**m, bit for bit, where
+    # norms once overflowed or underflowed into an all-zero spectrum
+    directory = tmp_path_factory.mktemp("omp_scale")
+    base = _omp_spectrum(directory, 0)
+    assert np.count_nonzero(base) == 4
+    assert _omp_spectrum(directory, m).tolist() == np.ldexp(base, m).tolist()
+
+
 def test_reconstruct_dictionary_from_config(tmp_path):
     mg = minimal_naf_grid(8, 0.5 * np.sin(np.radians(33.0)))
     src = tmp_path / "sweep.csv"
@@ -630,6 +662,37 @@ def test_window_power_overflow_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: window-bin power overflows the float range\n"
     assert not out.exists()
+
+
+def test_symbol_counts_near_the_power_overflow_keep_the_nafs_or_exit_one(tmp_path, capsys):
+    # 14 * 2**k symbols scale every bin by 2**k and every power by 4**k, so a
+    # run either gives the 14-symbol NAFs or is refused with one line, no
+    # numpy warning and no --out: at k = 500 and 501 a CFAR training sum or a
+    # dwell mean of powers overflows, at k = 502 the noise power does
+    def run(name, config):
+        cfg, out = tmp_path / f"{name}.json", tmp_path / name
+        cfg.write_text(json.dumps(config))
+        argv = ["evaluate", "--config", str(cfg), "--scenarios", "octahedral_far,wall_far",
+                "--seeds", "1", "--out", str(out)]
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+        err = capsys.readouterr().err
+        if code:
+            assert code == 1 and err.count("\n") == 1 and err.startswith("error: ")
+            assert not out.exists()
+            return None
+        assert err == ""
+        return [list(row.values())[:5] for row in _read_rows(out / "peaks.csv")]
+
+    outcomes = set()
+    for dwell in (1, 6):
+        want = run(f"base_{dwell}", {"dwell_frames": dwell})
+        for k in range(499, 503):
+            got = run(f"k{k}_{dwell}", {"radio": {"n_symbols": 14 * 2**k}, "dwell_frames": dwell})
+            assert got is None or got == want
+            outcomes.add((k, got is None))
+    assert outcomes == {(499, False), (500, True), (501, True), (502, True)}
 
 
 def test_range_fft_past_2_31_bins_exits_one(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,17 @@ def test_cfar_scale_invariant_bit_for_bit(profiles, exponent, config):
     # a power-of-two factor scales every prefix sum and threshold exactly
     scaled = ca_cfar(2.0**exponent * profiles, config)
     np.testing.assert_array_equal(scaled, ca_cfar(profiles, config))
+
+
+@pytest.mark.parametrize("level", [1e308, 1e306], ids=["prefix_sums", "threshold"])
+def test_cfar_refuses_an_overflowing_sum_or_threshold(level):
+    # finite powers whose prefix sums (at 1e308) or alpha times the training
+    # sum (at 1e306, alpha about 22) pass the float range: one ConfigError,
+    # no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="training sums overflow"):
+            ca_cfar(np.full(64, level), CfarConfig())
 
 
 def test_cfar_false_alarm_rate_on_noise():

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -1294,6 +1295,19 @@ def test_later_scenario_failure_leaves_no_out_dir(tmp_path, monkeypatch, cpus):
         run_comparison(catalog[:3], ["dft"], [1], out_dir=out)
     assert first_done.is_set()
     assert not out.exists()
+
+
+def test_an_interpolated_map_power_that_overflows_is_refused(monkeypatch):
+    # the map squares interpolated magnitudes, which may pass the sampled
+    # ones: a square past the float range is one ConfigError, no warning
+    def overshoot(sweep, grid):
+        return np.full((grid.size,) + sweep.values.shape[1:], 1e155)
+
+    monkeypatch.setattr(harness, "dft_interpolate", overshoot)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="^dft map power overflows the float range$"):
+            run_comparison(scenario_catalog()[:1], ["dft"], [1])
 
 
 def test_two_element_array_runs_without_spline():

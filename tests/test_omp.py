@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from beamsweep import (
+    ArrayGeometry,
+    BeamformingWeights,
     ConfigError,
     Dictionary,
     OmpConfig,
@@ -178,3 +180,28 @@ def test_sparse_to_peaks_rejects_bad_support_index():
     est = SparseEstimate((9,), np.array([1.0]), 0.0, 1)
     with pytest.raises(ConfigError):
         sparse_to_peaks(est, np.array([-0.1, 0.1]))
+
+
+@pytest.mark.parametrize("c, cause", [(2e154, "overflows"), (1e-170, "underflows to 0")])
+def test_sparse_to_peaks_refuses_a_power_outside_the_float_range(c, cause):
+    # a coefficient's power is its correctly rounded square; one past the
+    # float range is refused as extract_peaks refuses it, not left to raise
+    est = SparseEstimate((1,), np.array([c]), 0.0, 1)
+    with pytest.raises(ConfigError, match=cause):
+        sparse_to_peaks(est, np.array([-0.1, 0.1]))
+
+
+@pytest.mark.parametrize("m", [-1000, -600, 600, 1000])
+def test_omp_scales_its_solution_exactly_by_a_power_of_two(m):
+    # y is brought into [0.5, 1) first, so 2**m times y gives 2**m times the
+    # coefficients, residual and correlations, past the range where its norm
+    # overflows (m = 600 and up) or underflows (m = -600 and below)
+    geom = ArrayGeometry.uniform_linear(8, 8)
+    weights = BeamformingWeights.all_ones(geom)
+    d = build_dictionary(geom, weights, minimal_naf_grid(8, NAF_LIMIT), np.linspace(-0.25, 0.25, 61))
+    y = 1.0 / (1.0 + np.arange(-4, 5) ** 2.0)
+    base, scaled = omp(d, y), omp(d, np.ldexp(y, m))
+    assert scaled.support == base.support and len(base.support) > 1
+    assert scaled.coefficients.tolist() == np.ldexp(base.coefficients, m).tolist()
+    assert scaled.residual_norm == float(np.ldexp(base.residual_norm, m))
+    assert scaled.support_correlations == tuple(np.ldexp(base.support_correlations, m).tolist())
