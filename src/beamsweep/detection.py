@@ -1,6 +1,7 @@
 """Cell-averaging CFAR along range and angular peak extraction."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -41,6 +42,30 @@ class CfarConfig:
             raise ConfigError("p_fa must be in (0, 1)")
 
 
+@functools.lru_cache(maxsize=32)
+def _cfar_windows(n: int, config: CfarConfig):
+    """Per cell of an n-cell profile: its training-window bounds (4, n),
+    left_lo, left_hi, right_lo and right_hi, its training-cell count and its
+    threshold factor alpha (both float, n); read-only.
+
+    Built once per (n, config), so a call gathers them at its cells rather
+    than working them out from each cell: fewer numpy calls, each of which
+    a concurrent thread's draw may have to wait out for the GIL.
+    """
+    t_side, g = config.n_training // 2, config.n_guard
+    cells = np.arange(n)
+    bounds = np.stack((
+        np.maximum(cells - g - t_side, 0), np.maximum(cells - g, 0),
+        np.minimum(cells + g + 1, n), np.minimum(cells + g + 1 + t_side, n),
+    ))
+    counts = (bounds[1] - bounds[0]) + (bounds[3] - bounds[2])
+    alpha = counts * (config.p_fa ** (-1.0 / counts) - 1.0)
+    counts = counts.astype(float)
+    for arr in (bounds, counts, alpha):
+        arr.flags.writeable = False
+    return bounds, counts, alpha
+
+
 def ca_cfar(profile, config: CfarConfig, cells=None) -> np.ndarray:
     """Detection mask over power profiles along the last axis.
 
@@ -57,12 +82,11 @@ def ca_cfar(profile, config: CfarConfig, cells=None) -> np.ndarray:
     profile = np.asarray(profile, dtype=float)
     if profile.ndim < 1:
         raise ConfigError("profile must have at least one dimension")
-    if np.any(profile < 0) or not np.all(np.isfinite(profile)):
+    # written so that a NaN fails it
+    if profile.size and not (profile.min() >= 0 and profile.max() < math.inf):
         raise ConfigError("profile must be finite and non-negative")
-    t_side = config.n_training // 2
-    g = config.n_guard
     n = profile.shape[-1]
-    window = 2 * (t_side + g) + 1
+    window = 2 * (config.n_training // 2 + config.n_guard) + 1
     if n < window:
         raise ConfigError(f"profile of {n} cells is too short for a {window}-cell window")
     if cells is None:
@@ -70,25 +94,16 @@ def ca_cfar(profile, config: CfarConfig, cells=None) -> np.ndarray:
     else:
         idx = np.asarray(cells)
         if (idx.dtype.kind not in "iu" or idx.ndim != profile.ndim
-                or np.any((idx < 0) | (idx >= n))):
+                or (idx.size and not (idx.min() >= 0 and idx.max() < n))):
             raise ConfigError(
                 f"cells must be integer indices in [0, {n}), one axis per profile axis"
             )
+    bounds, counts, alpha = _cfar_windows(n, config)
     cs = np.zeros(profile.shape[:-1] + (n + 1,))
-    # the leading index of np.take_along_axis, built once for all five gathers
+    # the leading index of np.take_along_axis, built once for both gathers
     leading = np.broadcast_shapes(profile.shape[:-1], idx.shape[:-1])
     lead = np.indices(leading + (1,), sparse=True)[:-1]
-
-    def at(j):
-        return cs[lead + (j,)]
-
     cut = profile[lead + (idx,)]
-    left_lo = np.maximum(idx - g - t_side, 0)
-    left_hi = np.maximum(idx - g, 0)
-    right_lo = np.minimum(idx + g + 1, n)
-    right_hi = np.minimum(idx + g + 1 + t_side, n)
-    counts = (left_hi - left_lo) + (right_hi - right_lo)
-    alpha = counts * (config.p_fa ** (-1.0 / counts) - 1.0)
     try:
         with np.errstate(over="raise"):
             # prefix sums in one call: cumsum adds sequentially along the axis,
@@ -96,8 +111,9 @@ def ca_cfar(profile, config: CfarConfig, cells=None) -> np.ndarray:
             # one call also keeps the GIL released where many small per-cell
             # calls would not
             np.cumsum(profile, axis=-1, out=cs[..., 1:])
-            train_sum = (at(left_hi) - at(left_lo)) + (at(right_hi) - at(right_lo))
-            return cut > alpha * train_sum / counts
+            left_lo, left_hi, right_lo, right_hi = cs[lead + (bounds[:, idx],)]
+            train_sum = (left_hi - left_lo) + (right_hi - right_lo)
+            return cut > alpha[idx] * train_sum / counts[idx]
     except FloatingPointError:
         raise ConfigError("CA-CFAR training sums overflow the float range") from None
 
@@ -116,7 +132,11 @@ class PeakEstimate:
 
 
 def _parabolic_offset(y_left: float, y_mid: float, y_right: float) -> float:
-    """Sub-bin offset of the vertex through three points, clamped to half a bin."""
+    """Sub-bin offset of the vertex through three points, clamped to half a bin.
+
+    The points are Python floats: their sums have the bits of numpy float64
+    sums, and one that leaves the float range gives inf or nan, not a warning.
+    """
     denom = y_left - 2.0 * y_mid + y_right
     if denom == 0.0:
         return 0.0
@@ -188,6 +208,7 @@ def extract_peaks(
         raise ConfigError("ranges must match the spectrum length")
 
     n = naf_axis.size
+    axis = naf_axis.tolist()
     rows = spectrum.reshape(-1, n)
     eligible = eligible.reshape(rows.shape)
     if ranges is not None:
@@ -196,24 +217,27 @@ def extract_peaks(
     for _ in range(max_peaks):
         masked = np.where(eligible, rows, -np.inf)
         # a row that picks nothing keeps nan, which closes its whole mask
-        nafs = np.full(len(rows), np.nan)
+        nafs = [math.nan] * len(rows)
+        picked = False
+        # the scalar steps run on Python floats read with item(), whose
+        # arithmetic has the bits of numpy's float64 scalars at less cost
         for r, i in enumerate(masked.argmax(axis=-1).tolist()):
-            value = masked[r, i]
+            value = masked.item(r, i)
             if not value > 0:  # no eligible bin left, or none positive
                 continue
-            power = _peak_power(float(value))  # refused before the refinement's sums
-            naf = float(naf_axis[i])
+            power = _peak_power(value)
+            naf = axis[i]
             if 0 < i < n - 1:
-                step = 0.5 * (naf_axis[i + 1] - naf_axis[i - 1])
-                naf += float(_parabolic_offset(rows[r, i - 1], value, rows[r, i + 1]) * step)
-            range_m = float(ranges[r, i]) if ranges is not None else math.nan
+                step = 0.5 * (axis[i + 1] - axis[i - 1])
+                naf += _parabolic_offset(rows.item(r, i - 1), value, rows.item(r, i + 1)) * step
+            range_m = ranges.item(r, i) if ranges is not None else math.nan
             peaks[r].append(PeakEstimate(naf, range_m, power))
-            nafs[r] = naf
+            nafs[r], picked = naf, True
             # the interval is centred on the refined NAF, so a resolution
             # below the parabolic shift would leave the picked bin itself
             # eligible
             eligible[r, i] = False
-        if np.isnan(nafs).all():
+        if not picked:
             break
-        eligible &= np.abs(naf_axis - nafs[:, None]) > resolution
+        eligible &= np.abs(naf_axis - np.array(nafs)[:, None]) > resolution
     return peaks if spectrum.ndim > 1 else peaks[0]

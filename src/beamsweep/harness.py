@@ -5,20 +5,24 @@ everything, the way a captured dataset would: the minimal sweep is every
 tenth beam of it, methods average the first six frames, and ground truth is
 the per-target median over all 24 single-frame estimates of the oversampled
 pipeline. Each acquisition draws from one noise stream derived from (master
-seed, scenario index), so reports are byte-reproducible.
+seed, scenario index), so reports are byte-reproducible. run_comparison
+draws the (scenario, seed) runs on a thread pool and estimates them in
+stacked blocks; each stacked step treats every run on its own, bit for bit,
+so neither the thread count nor the block size moves an output byte.
 """
 from __future__ import annotations
 
 import collections
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,7 +69,7 @@ class Acquisition:
     frame f; mean_profile[b] is its windowed zero-Doppler power profile
     averaged over its first mean_frames frames: the plan's dwell, or every
     frame of a shorter recording. Drawn with a CFAR config, eligible[b, f]
-    is the _eligibility of frame f's gated argmax bin.
+    is the CFAR eligibility of frame f's gated argmax bin (_gated_detection).
     """
 
     magnitudes: np.ndarray
@@ -191,18 +195,29 @@ def _dictionary(
     return dictionary
 
 
+def _gated_detection(
+    profiles: np.ndarray, keep: np.ndarray, cfar: CfarConfig
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one detection rule: each profile's gated bins, the index of their
+    argmax (shaped (..., 1)) and that bin's CFAR eligibility (...).
+
+    The draw's per-frame flags, which the ground truth reads, come from here,
+    and through _eligibility the methods' maps and OMP's range.
+    """
+    gated = profiles[..., keep]
+    i = np.argmax(gated, axis=-1)[..., None]
+    return gated, i, ca_cfar(gated, cfar, cells=i)[..., 0]
+
+
 def _eligibility(
     profiles: np.ndarray, keep: np.ndarray, centers: np.ndarray, cfar: CfarConfig
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-angle CFAR eligibility of the gated argmax bin, plus its range.
 
     profiles is (..., n_beams, n_range); both results are (..., n_beams).
-    The one detection rule: the draw's per-frame flags, which the ground
-    truth reads, the methods' maps and OMP's range all come from here.
     """
-    gated = profiles[..., keep]
-    i = np.argmax(gated, axis=-1)
-    return ca_cfar(gated, cfar, cells=i[..., None])[..., 0], centers[keep][i]
+    _, i, eligible = _gated_detection(profiles, keep, cfar)
+    return eligible, centers[keep][i[..., 0]]
 
 
 def simulate_acquisition(
@@ -284,9 +299,14 @@ def simulate_acquisition(
                 np.mean(power[:, :mean_frames], axis=1, out=mean_profile[lo:hi])
         except FloatingPointError:
             raise ConfigError("window-bin power overflows the float range") from None
-        magnitudes[lo:hi] = np.sqrt(power[..., basis.keep].max(axis=-1))
-        if cfar is not None:
-            eligible[lo:hi] = _eligibility(power, basis.keep, basis.centers, cfar)[0]
+        # one gated copy per chunk; with a CFAR config, the peak is read at
+        # the argmax that the eligibility tests, which holds the max's bits
+        if cfar is None:
+            peak = power[..., basis.keep].max(axis=-1)
+        else:
+            gated, i, eligible[lo:hi] = _gated_detection(power, basis.keep, cfar)
+            peak = np.take_along_axis(gated, i, axis=-1)[..., 0]
+        magnitudes[lo:hi] = np.sqrt(peak)
     return Acquisition(magnitudes, mean_profile, mean_frames, basis.centers, basis.keep, eligible)
 
 
@@ -472,86 +492,113 @@ def _build_campaign(settings: EvalSettings, methods: Sequence[str]) -> _Campaign
     )
 
 
-def _run_scenario(
-    campaign: _Campaign,
-    scenario: Scenario,
-    scene: Scene,
-    stream_index: int,
-    seeds: Sequence[int],
-    methods: Sequence[str],
-) -> _Runs:
-    """Every seed of one scenario, one row of its outcome table each, in
-    seed order. The first seed also keeps the range-angle maps and sweep
-    values, which the output files show."""
-    settings = campaign.settings
-    over_grid = campaign.over_plan.beam_grid
-    shape = (len(seeds), len(scenario.target_nafs))
-    runs = _Runs(
+def _empty_runs(campaign: _Campaign, scenario: Scenario, n_seeds: int, n_methods: int) -> _Runs:
+    """One scenario's outcome table before any run: NaN-padded peak slots."""
+    shape = (n_seeds, len(scenario.target_nafs))
+    return _Runs(
         np.empty(shape), np.empty(shape, dtype=int),
-        np.full((len(seeds), len(methods), campaign.slots, 3), np.nan),
+        np.full((n_seeds, n_methods, campaign.slots, 3), np.nan),
         {}, np.empty(campaign.minimal_plan.n_beams),
     )
-    for i, master_seed in enumerate(seeds):
-        acq = simulate_acquisition(
-            scene, campaign.geom, campaign.weights, settings.radio, campaign.over_plan,
-            settings.ground_truth_frames, (master_seed, stream_index), cfar=settings.cfar,
-        )
 
-        # ground truth: full detection pipeline on each single-frame spectrum
-        frame_peaks = extract_peaks(
-            acq.magnitudes.T, over_grid, campaign.resolution, settings.max_peaks,
-            detected=acq.eligible.T,
-        )
+
+# A run is (scenario, its outcome table, its seed's row). Runs are estimated
+# in blocks of at most _BLOCK_RUNS, one stacked pass per block, as long as
+# the block's truth magnitudes stay within _BLOCK_ROWS (beam, frame) rows:
+# four runs at the defaults (81 beams x 24 frames), one at the settings caps.
+_BLOCK_RUNS = 4
+_BLOCK_ROWS = 4 * 81 * 24
+_Run = Tuple[Scenario, _Runs, int]
+
+
+def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """np.stack, but one array becomes a view with a leading axis of 1: a
+    block of one run, as at the settings caps, copies none of its arrays."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _estimate(
+    campaign: _Campaign, methods: Sequence[str], block: Sequence[_Run],
+    acqs: Sequence[Acquisition],
+) -> None:
+    """Estimate every run of block from its acquisition and write its row.
+
+    The runs go through each step stacked: one truth peak pass over every
+    run's frames, one interpolation per method and one eligibility and peak
+    pass over every run's mapped methods, one eligibility pass over every
+    run's minimal profiles for OMP's range, and OMP per run. Each of these
+    treats the stacked rows or columns on their own, bit for bit as a
+    one-run call would (see their N-D contracts), so no row depends on the
+    block. The first seed's row also keeps the range-angle maps and sweep
+    values, which the output files show, copied out of the stacked arrays.
+    """
+    settings = campaign.settings
+    over_grid = campaign.over_plan.beam_grid
+    keep, centers = acqs[0].gate_keep, acqs[0].range_centers_m
+    mapped = [m for m in methods if m != "omp"]
+
+    # ground truth: full detection pipeline on each single-frame spectrum
+    frame_peaks = extract_peaks(
+        _stack([acq.magnitudes.T for acq in acqs]), over_grid, campaign.resolution,
+        settings.max_peaks, detected=_stack([acq.eligible.T for acq in acqs]),
+    )
+    n_frames = settings.ground_truth_frames
+    for k, (scenario, runs, i) in enumerate(block):
         runs.truth[i], runs.counts[i] = estimate_ground_truth(
-            [[p.naf for p in peaks] for peaks in frame_peaks], scenario.target_nafs
+            [[p.naf for p in peaks] for peaks in frame_peaks[k * n_frames:(k + 1) * n_frames]],
+            scenario.target_nafs,
         )
 
-        avg_profiles = acq.mean_profiles()
-        beam_values = acq.beam_values()
-        values9 = beam_values[campaign.min_idx]
-        profiles9 = avg_profiles[campaign.min_idx]
-        # the beam values and the windowed profiles as magnitudes per range bin,
-        # one sweep column each: an interpolator treats every column on its own
-        sweep9 = AngularSweep(campaign.minimal_plan, np.column_stack((values9, np.sqrt(profiles9))))
+    beam_values = _stack([acq.beam_values() for acq in acqs])  # (runs, beams)
+    avg_profiles = _stack([acq.mean_profiles() for acq in acqs])  # (runs, beams, range)
+    values9 = beam_values[:, campaign.min_idx]
+    profiles9 = avg_profiles[:, campaign.min_idx]
+    # the beam values and the windowed profiles as magnitudes per range bin,
+    # one sweep column each: an interpolator treats every column on its own
+    columns = np.concatenate((values9[..., None], np.sqrt(profiles9)), axis=-1)
+    sweep9 = AngularSweep(campaign.minimal_plan, columns.transpose(1, 0, 2))
+    # each method's spectra (runs, beams) and power maps (runs, beams, range)
+    spectra, power_maps = {}, {}
+    for method in mapped:  # run_comparison has checked every name
+        if method == "oversampled":
+            spectra[method], power_maps[method] = beam_values, avg_profiles
+            continue
+        interpolate = dft_interpolate if method == "dft" else spline_interpolate
+        dense = interpolate(sweep9, over_grid).transpose(1, 0, 2)  # (runs, beams, 1 + range)
+        spectra[method] = dense[..., 0]
+        try:
+            with np.errstate(over="raise"):
+                power_maps[method] = np.maximum(dense[..., 1:], 0.0) ** 2
+        except FloatingPointError:
+            raise ConfigError(f"{method} map power overflows the float range") from None
 
-        # each mapped method's spectrum and power map over the oversampled grid
-        mapped: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-        for method in methods:  # run_comparison has checked every name
-            if method == "oversampled":
-                mapped[method] = beam_values, avg_profiles
-            elif method != "omp":
-                interpolate = dft_interpolate if method == "dft" else spline_interpolate
-                dense = interpolate(sweep9, over_grid)
-                try:
-                    with np.errstate(over="raise"):
-                        mapped[method] = dense[:, 0], np.maximum(dense[:, 1:], 0.0) ** 2
-                except FloatingPointError:
-                    raise ConfigError(f"{method} map power overflows the float range") from None
-
-        method_peaks: Dict[str, List[PeakEstimate]] = {}
-        if mapped:
-            spectra, power_maps = (np.stack(arrays) for arrays in zip(*mapped.values()))
-            eligible, ranges = _eligibility(
-                power_maps, acq.gate_keep, acq.range_centers_m, settings.cfar
-            )
-            found = extract_peaks(
-                spectra, over_grid, campaign.resolution, settings.max_peaks,
-                detected=eligible, ranges_m=ranges,
-            )
-            method_peaks = dict(zip(mapped, found))
+    found: List[List[PeakEstimate]] = []
+    if mapped:
+        maps = np.stack([power_maps[m] for m in mapped], axis=1)  # (runs, methods, beams, range)
+        eligible, ranges = _eligibility(maps, keep, centers, settings.cfar)
+        found = extract_peaks(
+            np.stack([spectra[m] for m in mapped], axis=1), over_grid, campaign.resolution,
+            settings.max_peaks, detected=eligible, ranges_m=ranges,
+        )
+    if "omp" in methods:
+        _, omp_ranges = _eligibility(profiles9, keep, centers, settings.cfar)
+    for k, (_, runs, i) in enumerate(block):
+        method_peaks = dict(zip(mapped, found[k * len(mapped):(k + 1) * len(mapped)]))
         if "omp" in methods:
-            estimate = omp(campaign.dictionary, values9, settings.omp)
-            _, ranges = _eligibility(profiles9, acq.gate_keep, acq.range_centers_m, settings.cfar)
-            range_m = float(ranges[np.argmax(values9)])  # the strongest minimal beam's
+            estimate = omp(campaign.dictionary, values9[k], settings.omp)
+            range_m = float(omp_ranges[k, np.argmax(values9[k])])  # the strongest minimal beam's
             method_peaks["omp"] = sparse_to_peaks(estimate, over_grid, range_m)
-        for k, m in enumerate(methods):
-            for slot, p in enumerate(method_peaks[m]):
-                runs.peaks[i, k, slot] = p.naf, p.range_m, p.power
+        for m, method in enumerate(methods):
+            for slot, p in enumerate(method_peaks[method]):
+                runs.peaks[i, m, slot] = p.naf, p.range_m, p.power
         if i == 0:
-            for m, (_, power_map) in mapped.items():
-                runs.maps[m] = RangeAngleMap(power_map.T, acq.range_centers_m, over_grid)
-            runs.sweep_values[:] = values9
-    return runs
+            for method in mapped:
+                # a view of a stacked map would pin every run's map of the block
+                power = power_maps[method][k].T
+                runs.maps[method] = RangeAngleMap(
+                    power.copy() if len(block) > 1 else power, centers, over_grid
+                )
+            runs.sweep_values[:] = values9[k]
 
 
 def _nan_to_null(value):
@@ -707,6 +754,46 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _draw_and_estimate(
+    campaign: _Campaign, methods: Sequence[str], block: Sequence[_Run],
+    drawn: Sequence[Future], draw_last: Callable[[], Acquisition],
+) -> None:
+    """A block's pool task: draw its last run, collect the draws of the
+    others, submitted before it, then estimate the block. Drawing one run
+    here keeps the worker busy while the others finish.
+
+    The pool's queue is first in, first out, so the awaited draws have
+    started before this task does, and waiting cannot deadlock. Refusals
+    come as the serial (scenario, seed) order meets them: a draw that
+    refuses ends the block, after the runs before it are estimated, so a
+    refusal of theirs is the one raised.
+    """
+    last: Future = Future()
+    try:
+        last.set_result(draw_last())
+    except ConfigError as exc:
+        last.set_exception(exc)
+    acqs: List[Acquisition] = []
+    refused = None
+    try:
+        for future in (*drawn, last):
+            acqs.append(future.result())
+    except ConfigError as exc:
+        refused = exc
+    if acqs:
+        try:
+            _estimate(campaign, methods, block[: len(acqs)], acqs)
+        except ConfigError:
+            # a stacked pass that refuses is run again one run at a time, so
+            # the refusal raised is the first refusing run's, as in the
+            # serial order
+            for run, acq in zip(block, acqs):
+                _estimate(campaign, methods, [run], [acq])
+            raise
+    if refused is not None:
+        raise refused
+
+
 def run_comparison(
     scenarios: Sequence[Scenario],
     methods: Sequence[str],
@@ -722,11 +809,17 @@ def run_comparison(
     Catalog scenarios draw from their catalog index's noise stream; the
     j-th other scenario draws from stream len(catalog) + j.
 
-    Scenarios run on a pool of min(usable CPUs, scenarios) threads; the
-    noise draw and the BLAS products release the GIL. out_dir is created,
-    and every file written, in the calling thread once every scenario has
-    returned, so no output byte depends on the number of threads and a
-    run that fails anywhere leaves no out_dir.
+    The runs, (scenario, seed) pairs, go to a pool of min(usable CPUs,
+    runs) threads in blocks, in (scenario, seed) order: each run of a block
+    but the last draws in its own task, and one more task draws the last
+    run and then estimates the block in one stacked pass (_estimate), while
+    the next block draws. The noise draw and the BLAS products release the
+    GIL. Each run draws from its own seeded stream, and the stacked pass
+    gives each run the bits of a one-run pass, so no output byte depends on
+    the number of threads or on the block size. A refusal is the one the
+    serial (scenario, seed) order meets first. out_dir is created, and every
+    file written, in the calling thread once every run has been estimated,
+    so a run that fails anywhere leaves no out_dir.
     """
     scenarios = list(scenarios)
     methods = list(methods)
@@ -771,8 +864,7 @@ def run_comparison(
     stream = {s.name: i for i, s in enumerate(scenario_catalog())}
     for name in names:
         stream.setdefault(name, len(stream))
-    # every scene is built, and so checked, before any thread starts; the
-    # first seed that needs a scene's window bins builds them, in its worker
+    # every scene is built, and so checked, before any thread starts
     scenes = [
         build_scene(
             s if settings.snr_db is None else dataclasses.replace(s, snr_db=settings.snr_db),
@@ -780,10 +872,43 @@ def run_comparison(
         )
         for s in scenarios
     ]
-    run = functools.partial(_run_scenario, campaign, seeds=seeds, methods=methods)
-    with ThreadPoolExecutor(min(_usable_cpus(), len(scenarios))) as pool:
-        runs = pool.map(run, scenarios, scenes, [stream[n] for n in names])
-        outcomes = list(zip(scenarios, runs))
+    tables = [_empty_runs(campaign, s, len(seeds), len(methods)) for s in scenarios]
+    frames = settings.ground_truth_frames
+    size = max(1, min(_BLOCK_RUNS, _BLOCK_ROWS // (campaign.over_plan.n_beams * frames)))
+    order = ((k, i) for k in range(len(scenarios)) for i in range(len(seeds)))
+    workers = min(_usable_cpus(), len(scenarios) * len(seeds))
+    # blocks in flight: enough to keep every worker busy, and one more, so
+    # the next block draws while the current one is estimated
+    depth = -(-workers // size) + 1
+    window = (campaign.geom, campaign.weights, settings.radio, campaign.over_plan)
+
+    def draw(k: int, i: int) -> Acquisition:
+        return simulate_acquisition(
+            scenes[k], *window, frames, (seeds[i], stream[names[k]]), cfar=settings.cfar
+        )
+
+    # each scene's bins are built here, before any run is submitted, so no
+    # two draws of one scene build them at once
+    for scene in scenes:
+        _signal_window(scene.scatterers, *window)
+    with ThreadPoolExecutor(workers) as pool:
+        pending: collections.deque = collections.deque()
+        try:
+            for block in iter(lambda: list(itertools.islice(order, size)), []):
+                drawn = [pool.submit(draw, k, i) for k, i in block[:-1]]
+                pending.append(pool.submit(
+                    _draw_and_estimate, campaign, methods,
+                    [(scenarios[k], tables[k], i) for k, i in block],
+                    drawn, functools.partial(draw, *block[-1]),
+                ))
+                if len(pending) == depth:
+                    pending.popleft().result()
+            for task in pending:
+                task.result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    outcomes = list(zip(scenarios, tables))
     report = _build_report(campaign, outcomes, methods, seeds)
     if out_dir is not None:
         _write_outputs(Path(out_dir), report, outcomes, campaign.minimal_plan.beam_grid)

@@ -1284,17 +1284,19 @@ def test_array_and_factor_past_their_caps_exit_one(tmp_path, capsys, monkeypatch
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
-    # at the caps, with the widest limit, the campaign reaches the draw
-    # (stopped here before it allocates anything)
-    def reached(scene, geom, weights, radio, plan, *args, **kwargs):
-        raise ConfigError(f"draw of {plan.n_beams} beams of {geom.n_tx} elements reached")
+    # at the caps, with the widest limit, the campaign reaches the window
+    # bins, which it builds before any draw (stopped here before it
+    # allocates anything)
+    def reached(geom, weights, scatterers, steer):
+        raise ConfigError(f"window bins of {len(steer)} beams of {geom.n_tx} elements reached")
 
-    monkeypatch.setattr(harness, "simulate_acquisition", reached)
+    monkeypatch.setattr(harness, "_scene_gains", reached)
+    harness._signal_window.cache_clear()
     cfg.write_text(json.dumps(
         {"array": {"n_tx": 12, "n_rx": 12}, "oversampling_factor": 50, "naf_limit": 0.5}
     ))
     assert cli.main(argv) == 1
-    assert capsys.readouterr().err == "error: draw of 1151 beams of 12 elements reached\n"
+    assert capsys.readouterr().err == "error: window bins of 1151 beams of 12 elements reached\n"
     assert not out.exists()
 
 

@@ -280,6 +280,21 @@ def test_refinement_offset_clamped_to_half_bin():
     assert peak.power == pytest.approx(9.0)
 
 
+def test_refinement_past_the_float_range_keeps_the_peak_without_a_warning():
+    # two huge ineligible neighbours beside the pick: the parabola's
+    # denominator overflows to inf, so the offset is 0 and the pick keeps
+    # its bin centre, with no overflow warning on the way
+    axis = np.linspace(-0.2, 0.2, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (peak,) = extract_peaks(
+            [0, 1e308, 1.0, 1e308, 0], axis, 0.01, 1,
+            detected=[False, False, True, False, False],
+        )
+    assert (peak.naf, peak.power) == (axis[2], 1.0)
+    assert math.isnan(peak.range_m)
+
+
 def test_edge_peak_keeps_bin_center():
     # refinement needs both neighbours, so a peak in an end bin is not moved
     axis = np.linspace(-0.5, 0.5, 101)
@@ -370,7 +385,7 @@ def _loop_peaks(spectrum, axis, resolution, max_peaks, detected, ranges):
             offset = 0.0 if denom == 0.0 else np.clip(0.5 * (y_left - y_right) / denom, -0.5, 0.5)
             naf += offset * (0.5 * (axis[i + 1] - axis[i - 1]))
         range_m = math.nan if ranges is None else float(ranges[i])
-        power = float(value) ** 2
+        power = float(value) * float(value)  # correctly rounded, where ** 2 is not
         if power == 0.0:
             raise ConfigError(
                 f"peak magnitude {float(value)!r} is too small: its power underflows to 0"

@@ -529,6 +529,21 @@ def _slot_bytes(slots, n):
     return slots[:n].tobytes()
 
 
+def _serial_runs(campaign, scenario, scene, stream_index, seeds, methods):
+    """One scenario's outcome table, each seed drawn and then estimated
+    alone, in seed order, in the calling thread: the per-run reference that
+    run_comparison's pool and stacked blocks must reproduce."""
+    settings = campaign.settings
+    runs = harness._empty_runs(campaign, scenario, len(seeds), len(methods))
+    for i, seed in enumerate(seeds):
+        acq = simulate_acquisition(
+            scene, campaign.geom, campaign.weights, settings.radio, campaign.over_plan,
+            settings.ground_truth_frames, (seed, stream_index), cfar=settings.cfar,
+        )
+        harness._estimate(campaign, methods, [(scenario, runs, i)], [acq])
+    return runs
+
+
 def test_run_seed_equals_per_frame_and_per_method_calls(monkeypatch):
     settings = EvalSettings(ground_truth_frames=4, dwell_frames=2)
     methods = ["spline", "omp", "oversampled", "dft"]
@@ -536,18 +551,22 @@ def test_run_seed_equals_per_frame_and_per_method_calls(monkeypatch):
     scenario = scenario_catalog()[0]
     scene = build_scene(scenario, settings.radio, campaign.geom)
     calls = collections.Counter()
-    for name in ("extract_peaks", "_eligibility", "dft_interpolate", "spline_interpolate"):
+    for name in (
+        "extract_peaks", "_eligibility", "_gated_detection", "dft_interpolate",
+        "spline_interpolate",
+    ):
         def counted(*args, _real=getattr(harness, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(harness, name, counted)
-    run = harness._run_scenario(campaign, scenario, scene, 0, [5], methods)
+    run = _serial_runs(campaign, scenario, scene, 0, [5], methods)
     monkeypatch.undo()
     # one peak pass over all frames and one over all mapped methods; one
-    # eligibility pass for the draw's one chunk (81 beams x 4 frames), one
-    # for the mapped methods and one for OMP's range
+    # detection pass for the draw's one chunk (81 beams x 4 frames), and one
+    # eligibility pass for the mapped methods and one for OMP's range
     assert calls == {
-        "extract_peaks": 2, "_eligibility": 3, "dft_interpolate": 1, "spline_interpolate": 1,
+        "extract_peaks": 2, "_eligibility": 2, "_gated_detection": 3,
+        "dft_interpolate": 1, "spline_interpolate": 1,
     }
     # one row, its method axis in the caller's order, max_atoms slots with omp
     assert run.peaks.shape == (1, len(methods), 5, 3)
@@ -654,8 +673,7 @@ def _assert_power_of_two_scale(index, rear_wall, seeds, m):
         scene.noise_power * 4.0**m,
     )
     base, runs = (
-        harness._run_scenario(campaign, scenario, sc, index, seeds, methods)
-        for sc in (scene, scaled)
+        _serial_runs(campaign, scenario, sc, index, seeds, methods) for sc in (scene, scaled)
     )
     assert runs.truth.tobytes() == base.truth.tobytes()
     assert runs.counts.tobytes() == base.counts.tobytes()
@@ -703,7 +721,7 @@ def test_a_mirrored_scene_gives_mirrored_estimates():
     for index in (0, 1, 2, 4, 5, 6):  # far, mid and near, both kinds
         for rear_wall in (True, False):
             scene = build_scene(catalog[index], radio, geom, rear_wall)
-            runs = harness._run_scenario(
+            runs = _serial_runs(
                 campaign, catalog[index], Scene(scene.scatterers, 0.0), index, [1], methods
             )
             truth = runs.truth[0]
@@ -1077,10 +1095,10 @@ def test_every_oversampled_grid_holds_its_minimal_grid(case, factor):
 
 
 def test_outcome_tables_are_counted_before_any_exists(tmp_path, monkeypatch):
-    def reached(campaign, scenario, scene, stream_index, seeds, methods):
-        raise ConfigError(f"{len(seeds)} seeds reached")
+    def reached(campaign, scenario, n_seeds, n_methods):
+        raise ConfigError(f"{n_seeds} seeds reached")
 
-    monkeypatch.setattr(harness, "_run_scenario", reached)
+    monkeypatch.setattr(harness, "_empty_runs", reached)
     out = tmp_path / "out"
     # 8 scenarios x (4 methods x 5 slots x 24 B + 2 targets x 16 B) = 4,096 B
     # per seed, plus each scenario's first-seed maps and sweep values, 8 x
@@ -1100,10 +1118,11 @@ def test_first_seed_maps_are_counted_before_any_scenario_runs(tmp_path, monkeypa
     # 651 scenarios at factor 50 (409 beams): their rows take 115 KB, but
     # their first-seed oversampled, dft and spline maps, 8 x (3 x 409 x 42
     # + 9) B each, take 256.1 MiB
-    def reached(*args):
+    def reached(*args, **kwargs):
         raise AssertionError("no scenario may run")
 
-    monkeypatch.setattr(harness, "_run_scenario", reached)
+    for name in ("_empty_runs", "simulate_acquisition"):
+        monkeypatch.setattr(harness, name, reached)
     walls = [Scenario(f"wall_{k}", "wall", 0.2) for k in range(651)]
     settings, out = EvalSettings(oversampling_factor=50), tmp_path / "out"
     message = "1 seeds of 651 scenarios give outcome tables of 268550520 bytes, more than"
@@ -1185,29 +1204,28 @@ def test_uncatalogued_scenarios_draw_their_own_streams():
 
 
 def _serial_comparison(scenarios, methods, seeds, out):
-    """run_comparison's steps in the calling thread, one scenario after
-    another, then every file: the reference that the thread pool must
-    reproduce."""
+    """run_comparison's steps in the calling thread, one run after another
+    in (scenario, seed) order, each drawn and then estimated alone, then
+    every file: the reference that the pool and its stacked blocks must
+    reproduce. Returns the report and the outcome tables."""
     campaign = harness._build_campaign(EvalSettings(), methods)
     stream = {s.name: i for i, s in enumerate(scenario_catalog())}
     outcomes = []
     for scenario in scenarios:
         stream.setdefault(scenario.name, len(stream))
         scene = build_scene(scenario, campaign.settings.radio, campaign.geom)
-        runs = harness._run_scenario(
-            campaign, scenario, scene, stream[scenario.name], seeds, methods
-        )
+        runs = _serial_runs(campaign, scenario, scene, stream[scenario.name], seeds, methods)
         outcomes.append((scenario, runs))
     report = harness._build_report(campaign, outcomes, methods, seeds)
     harness._write_outputs(out, report, outcomes, campaign.minimal_plan.beam_grid)
-    return report
+    return report, [runs for _, runs in outcomes]
 
 
 def _tree_bytes(out):
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
-@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
 @pytest.mark.parametrize("case", ["catalog", "one", "catalog_and_custom"])
 def test_threaded_comparison_equals_serial_reference(tmp_path, monkeypatch, case, cpus):
     catalog = scenario_catalog()
@@ -1216,9 +1234,9 @@ def test_threaded_comparison_equals_serial_reference(tmp_path, monkeypatch, case
         "catalog": catalog, "one": catalog[6:7], "catalog_and_custom": [catalog[2], custom],
     }[case]
     methods, seeds = list(harness.METHODS), [4, 5]
-    want = _serial_comparison(scenarios, methods, seeds, tmp_path / "serial")
-    # the pool size follows the usable CPUs; three workers interleave even
-    # on a machine with one or two CPUs
+    want, _ = _serial_comparison(scenarios, methods, seeds, tmp_path / "serial")
+    # the pool size follows the usable CPUs, up to one worker per run; three
+    # or eight workers interleave even on a machine with one or two CPUs
     monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
     workers = []
     real_pool = harness.ThreadPoolExecutor
@@ -1235,7 +1253,7 @@ def test_threaded_comparison_equals_serial_reference(tmp_path, monkeypatch, case
         got = run_comparison(scenarios, methods, seeds, out_dir=tmp_path / "threaded")
     finally:
         sys.setswitchinterval(interval)
-    assert workers == [min(cpus, len(scenarios))]
+    assert workers == [min(cpus, len(scenarios) * len(seeds))]
     assert got.to_json_bytes() == want.to_json_bytes()
     files = _tree_bytes(tmp_path / "threaded")
     assert files == _tree_bytes(tmp_path / "serial")
@@ -1247,7 +1265,9 @@ def test_unsimulable_scenario_fails_before_any_thread_or_file(tmp_path, monkeypa
     catalog = scenario_catalog()
     scenarios = [catalog[0], catalog[1], dataclasses.replace(catalog[2], snr_db=4000.0)]
     started = []
-    monkeypatch.setattr(harness, "_run_scenario", lambda *args: started.append(args))
+    monkeypatch.setattr(
+        harness, "simulate_acquisition", lambda *args, **kwargs: started.append(args)
+    )
     out = tmp_path / "out"
     before = threading.active_count()
     with pytest.raises(ConfigError, match="snr_db .* out of range"):
@@ -1274,27 +1294,179 @@ def test_unrunnable_settings_fail_before_any_file(tmp_path, settings, methods, m
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_later_scenario_failure_leaves_no_out_dir(tmp_path, monkeypatch, cpus):
-    # the first scenario completes; the second is refused after it
+    # the first scenario's run is estimated; the second scenario's draw is
+    # refused, in the same block
     catalog = scenario_catalog()
-    real = harness._run_scenario
-    first_done = threading.Event()
+    real_draw, real_estimate = harness.simulate_acquisition, harness._estimate
+    estimated = []
 
-    def run(campaign, scenario, *args, **kwargs):
-        if scenario is catalog[1]:
-            assert first_done.wait(timeout=60)
+    def draw(*args, **kwargs):
+        if args[6][1] == 1:  # catalog[1]'s noise stream
             raise ConfigError("refused by the second scenario")
-        runs = real(campaign, scenario, *args, **kwargs)
-        if scenario is catalog[0]:
-            first_done.set()
-        return runs
+        return real_draw(*args, **kwargs)
+
+    def estimate(campaign, methods, block, acqs):
+        real_estimate(campaign, methods, block, acqs)
+        estimated.extend(scenario.name for scenario, _, _ in block)
 
     monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(harness, "_run_scenario", run)
+    monkeypatch.setattr(harness, "simulate_acquisition", draw)
+    monkeypatch.setattr(harness, "_estimate", estimate)
     out = tmp_path / "out"
     with pytest.raises(ConfigError, match="refused by the second scenario"):
         run_comparison(catalog[:3], ["dft"], [1], out_dir=out)
-    assert first_done.is_set()
+    assert estimated == [catalog[0].name]
     assert not out.exists()
+
+
+def _capture_tables(monkeypatch):
+    """Record every outcome table run_comparison makes, in order."""
+    tables = []
+
+    def empty(*args, _real=harness._empty_runs):
+        tables.append(_real(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(harness, "_empty_runs", empty)
+    return tables
+
+
+def _table_bytes(runs):
+    maps = {m: (a.power.tobytes(), a.range_axis.tobytes(), a.naf_axis.tobytes())
+            for m, a in runs.maps.items()}
+    arrays = (runs.truth, runs.counts, runs.peaks, runs.sweep_values)
+    return [a.tobytes() for a in arrays] + [maps]
+
+
+@pytest.mark.parametrize("block", [1, 3, 4])
+def test_stacked_blocks_equal_the_serial_per_run_reference(tmp_path, monkeypatch, block):
+    # 3 scenarios x 2 seeds: blocks of 3 and 4 runs hold seeds of two
+    # scenarios, and the last block of 4 is short; the middle scenario's
+    # targets stand at another range, so every run's ranges are its own
+    catalog = scenario_catalog()
+    near = dataclasses.replace(catalog[5], name="wall_at_12_m", target_range_m=12.0)
+    scenarios, methods, seeds = [catalog[0], near, catalog[3]], list(harness.METHODS), [4, 5]
+    want, want_tables = _serial_comparison(scenarios, methods, seeds, tmp_path / "serial")
+    monkeypatch.setattr(harness, "_BLOCK_RUNS", block)
+    tables = _capture_tables(monkeypatch)
+    blocks = []
+
+    def estimate(campaign, methods, runs, acqs, _real=harness._estimate):
+        blocks.append([(scenario.name, i) for scenario, _, i in runs])
+        _real(campaign, methods, runs, acqs)
+
+    monkeypatch.setattr(harness, "_estimate", estimate)
+    got = run_comparison(scenarios, methods, seeds, out_dir=tmp_path / "blocks")
+    runs = [(s.name, i) for s in scenarios for i in range(len(seeds))]
+    blocks.sort(key=lambda b: runs.index(b[0]))  # the pool may estimate them out of order
+    assert blocks == [runs[k:k + block] for k in range(0, len(runs), block)]
+    assert [_table_bytes(t) for t in tables] == [_table_bytes(t) for t in want_tables]
+    assert got.to_json_bytes() == want.to_json_bytes()
+    assert _tree_bytes(tmp_path / "blocks") == _tree_bytes(tmp_path / "serial")
+    # a first-seed map pins no other run's map of its block: the memory it
+    # views holds its own bins only
+    for t in tables:
+        for map_ in t.maps.values():
+            owner = map_.power
+            while owner.base is not None:
+                owner = owner.base
+            assert owner.size == map_.power.size
+
+
+@pytest.mark.parametrize("frames, block", [(24, 4), (48, 2), (96, 1), (100, 1)])
+def test_blocks_keep_within_the_row_budget(monkeypatch, frames, block):
+    # four default runs (81 beams x 24 frames) fill the 7,776-row budget;
+    # longer recordings stack fewer runs, and a run past it is a block of
+    # its own, as every run at the settings caps (1,151 beams x 648 frames)
+    sizes = []
+
+    def estimate(campaign, methods, runs, acqs, _real=harness._estimate):
+        sizes.append(len(runs))
+        _real(campaign, methods, runs, acqs)
+
+    monkeypatch.setattr(harness, "_estimate", estimate)
+    settings = EvalSettings(ground_truth_frames=frames)
+    run_comparison(scenario_catalog()[:1], ["oversampled"], range(1, 6), settings)
+    assert sorted(sizes, reverse=True) == [block] * (5 // block) + [5 % block] * (5 % block > 0)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("block", [1, 3, 4])
+@pytest.mark.parametrize("draw_refused", [(1, 0), (2, 0)], ids=["same_block", "later_block"])
+def test_the_serial_order_picks_the_refusal(tmp_path, monkeypatch, cpus, block, draw_refused):
+    # run (scenario 0, seed 2) refuses in its estimation, and a later run,
+    # (scenario 1 or 2, seed 1), in its draw: the serial (scenario, seed)
+    # order meets the estimation's refusal first, so it is the one raised
+    catalog = scenario_catalog()
+    real_draw, real_estimate = harness.simulate_acquisition, harness._estimate
+
+    def draw(*args, **kwargs):
+        seed, stream = args[6]
+        if (stream, seed) == (draw_refused[0], 1):
+            raise ConfigError(f"draw of stream {stream} refused")
+        return real_draw(*args, **kwargs)
+
+    def estimate(campaign, methods, runs, acqs):
+        if (catalog[0], 1) in [(scenario, i) for scenario, _, i in runs]:
+            raise ConfigError("estimation of octahedral_far seed 2 refused")
+        real_estimate(campaign, methods, runs, acqs)
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(harness, "_BLOCK_RUNS", block)
+    monkeypatch.setattr(harness, "simulate_acquisition", draw)
+    monkeypatch.setattr(harness, "_estimate", estimate)
+    out = tmp_path / "out"
+    before = threading.active_count()
+    with pytest.raises(ConfigError, match="^estimation of octahedral_far seed 2 refused$"):
+        run_comparison(catalog[:3], ["dft"], [1, 2], out_dir=out)
+    assert not out.exists()
+    assert threading.active_count() == before
+    # with no estimation refusal, the draw's is raised
+    monkeypatch.setattr(harness, "_estimate", real_estimate)
+    with pytest.raises(ConfigError, match=f"^draw of stream {draw_refused[0]} refused$"):
+        run_comparison(catalog[:3], ["dft"], [1, 2], out_dir=out)
+    assert not out.exists()
+
+
+def test_a_stacked_refusal_is_the_first_refusing_runs(monkeypatch):
+    # each run's power map overflows its square on its own dft or spline
+    # map: stacked, the dft maps of every run square first, but the serial
+    # order meets run 0's spline overflow first
+    catalog = scenario_catalog()
+    real = {"dft": harness.dft_interpolate, "spline": harness.spline_interpolate}
+    overflow = {"spline": 0, "dft": 1}  # the sweep column that overflows per method
+
+    def interpolate(method):
+        def run(sweep, grid):
+            dense = real[method](sweep, grid)
+            if dense.ndim == 3 and dense.shape[1] > overflow[method]:
+                dense[:, overflow[method], 1:] = 1e155
+            return dense
+        return run
+
+    for method in real:
+        monkeypatch.setattr(harness, f"{method}_interpolate", interpolate(method))
+    with pytest.raises(ConfigError, match="^spline map power overflows the float range$"):
+        run_comparison(catalog[:1], ["dft", "spline"], [1, 2])
+
+
+def test_each_distinct_scene_builds_its_window_bins_once(monkeypatch):
+    # runs of one scene draw in parallel; each scene's bins are built before
+    # its runs are submitted, so no two draws build the same bins, and an
+    # equal scene under another name shares them
+    catalog = scenario_catalog()
+    twin = dataclasses.replace(catalog[0], name="twin_of_octahedral_far")
+    calls = []
+
+    def counted(*args, _real=harness._scene_gains):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(harness, "_scene_gains", counted)
+    harness._signal_window.cache_clear()
+    run_comparison([catalog[0], catalog[1], twin, catalog[4]], ["dft"], [1, 2, 3, 4, 5])
+    assert len(calls) == 3
 
 
 def test_an_interpolated_map_power_that_overflows_is_refused(monkeypatch):
@@ -1394,7 +1566,7 @@ def test_signal_window_misses_on_other_content(change):
 
 def test_campaign_draws_through_simulate_acquisition(tmp_path, monkeypatch):
     # each (scenario, seed) is one simulate_acquisition call, and each
-    # scene's window bins are built by its first seed only
+    # scene's window bins are built once, before its runs draw
     scenarios, methods, seeds = scenario_catalog()[:2], ["dft", "omp"], [1, 2, 3]
     want = run_comparison(scenarios, methods, seeds, out_dir=tmp_path / "plain")
     calls = []
@@ -1408,7 +1580,7 @@ def test_campaign_draws_through_simulate_acquisition(tmp_path, monkeypatch):
     got = run_comparison(scenarios, methods, seeds, out_dir=tmp_path / "counted")
     assert len(calls) == len(scenarios) * len(seeds)
     info = harness._signal_window.cache_info()
-    assert (info.misses, info.hits) == (2, 4)
+    assert (info.misses, info.hits) == (2, 6)
     assert got.to_json_bytes() == want.to_json_bytes()
     assert _tree_bytes(tmp_path / "counted") == _tree_bytes(tmp_path / "plain")
 
