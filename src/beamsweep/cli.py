@@ -27,6 +27,7 @@ from .detection import extract_peaks
 from .errors import ConfigError, ContractViolation
 from .geometry import naf_resolution
 from .harness import EvalSettings, METHODS, _dictionary, _write_spectrum_csv, run_comparison
+from .ofdm import _write_bytes
 from .omp import omp
 from .reconstruct import (
     AngularSweep,
@@ -267,10 +268,8 @@ def cmd_detect(args) -> int:
         args.resolution if args.resolution is not None else naf_resolution(settings.n_tx)
     )
     peaks = extract_peaks(values, naf, resolution, args.max_peaks)
-    with open(args.out, "w", newline="") as fh:
-        fh.write("naf,range_m,power\n")
-        for p in peaks:
-            fh.write(f"{p.naf!r},{p.range_m!r},{p.power!r}\n")
+    rows = "".join(f"{p.naf!r},{p.range_m!r},{p.power!r}\n" for p in peaks)
+    _write_bytes(args.out, ("naf,range_m,power\n" + rows).encode())
     print(f"{len(peaks)} peak(s) written to {args.out}")
     return 0
 

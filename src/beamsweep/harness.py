@@ -37,7 +37,7 @@ from .beams import (
 from .detection import CfarConfig, PeakEstimate, ca_cfar, extract_peaks
 from .errors import ConfigError
 from .geometry import ArrayGeometry, naf_resolution
-from .ofdm import RadioConfig, RangeAngleMap, _delay_phases
+from .ofdm import RadioConfig, RangeAngleMap, _delay_phases, _write_bytes
 from .omp import OmpConfig, omp, sparse_to_peaks
 from .reconstruct import (
     AngularSweep,
@@ -626,8 +626,7 @@ class RmseReport:
         return (text + "\n").encode()
 
     def write_json(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_json_bytes())
+        _write_bytes(path, self.to_json_bytes())
 
     def write_csv(self, path) -> None:
         methods = self.data["metadata"]["methods"]
@@ -638,14 +637,14 @@ class RmseReport:
             entry = self.data["groups"][group][m]
             return repr(pick(entry)) if entry is not None else "nan"
 
-        with open(path, "w", newline="") as fh:
-            fh.write("group,target," + ",".join(methods) + "\n")
-            for group in _GROUPS:
-                for t in range(n_targets):
-                    cells = [cell(group, m, lambda e: e["rmse_per_target"][t]) for m in methods]
-                    fh.write(f"{group},t{t + 1}," + ",".join(cells) + "\n")
-            cells = [cell("total", m, lambda e: e["pooled_rmse"]) for m in methods]
-            fh.write("total,pooled," + ",".join(cells) + "\n")
+        lines = ["group,target," + ",".join(methods)]
+        for group in _GROUPS:
+            for t in range(n_targets):
+                cells = [cell(group, m, lambda e: e["rmse_per_target"][t]) for m in methods]
+                lines.append(f"{group},t{t + 1}," + ",".join(cells))
+        cells = [cell("total", m, lambda e: e["pooled_rmse"]) for m in methods]
+        lines.append("total,pooled," + ",".join(cells))
+        _write_bytes(path, ("\n".join(lines) + "\n").encode())
 
     def total_rmse(self, method: str) -> float:
         return self.data["groups"]["total"][method]["pooled_rmse"]
@@ -711,10 +710,8 @@ def _build_report(
 
 def _write_spectrum_csv(path, grid, values) -> None:
     """A naf,value CSV, the format that reconstruct and detect read."""
-    with open(path, "w", newline="") as fh:
-        fh.write("naf,value\n")
-        for g, v in zip(grid, values):
-            fh.write(f"{float(g)!r},{float(v)!r}\n")
+    pairs = zip(np.asarray(grid, dtype=float).tolist(), np.asarray(values, dtype=float).tolist())
+    _write_bytes(path, ("naf,value\n" + "".join(f"{g!r},{v!r}\n" for g, v in pairs)).encode())
 
 
 def _write_outputs(
@@ -728,13 +725,13 @@ def _write_outputs(
     report.write_json(out / "report.json")
     report.write_csv(out / "report.csv")
     meta = report.data["metadata"]
-    with open(out / "peaks.csv", "w") as fh:
-        fh.write("scenario,method,seed,naf,range_m,power\n")
-        for scenario, runs in outcomes:
-            found = ~np.isnan(runs.peaks[..., 0])  # in (seed, method, slot) order
-            for (i, k, _), peak in zip(np.argwhere(found).tolist(), runs.peaks[found].tolist()):
-                row = [scenario.name, meta["methods"][k], str(meta["master_seeds"][i])]
-                fh.write(",".join(row + [repr(v) for v in peak]) + "\n")
+    lines = ["scenario,method,seed,naf,range_m,power\n"]
+    for scenario, runs in outcomes:
+        found = ~np.isnan(runs.peaks[..., 0])  # in (seed, method, slot) order
+        for (i, k, _), peak in zip(np.argwhere(found).tolist(), runs.peaks[found].tolist()):
+            row = [scenario.name, meta["methods"][k], str(meta["master_seeds"][i])]
+            lines.append(",".join(row + [repr(v) for v in peak]) + "\n")
+    _write_bytes(out / "peaks.csv", "".join(lines).encode())
     for scenario, runs in outcomes:
         for m, map_ in runs.maps.items():
             dump_ramp(map_, out / f"{scenario.name}_{m}.ramp")

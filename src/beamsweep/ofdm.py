@@ -8,6 +8,8 @@ RAMP binary layout.
 """
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -154,9 +156,30 @@ def dump_ramp(map_: RangeAngleMap, path) -> None:
         float(map_.naf_axis[0]),
         float(map_.naf_axis[-1]),
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(map_.power, dtype="<f8").tobytes())
+    _write_bytes(path, header + np.ascontiguousarray(map_.power, dtype="<f8").tobytes())
+
+
+def _write_bytes(path, data: bytes) -> None:
+    """Write data to path in place, the one way every output file is written.
+
+    No O_TRUNC: on ext4, truncating a file that the last run just wrote
+    waits for that file's writeback (70-140 us a rewrite, against 5-6 us
+    in place). A longer regular file is cut to len(data) after the write; a
+    device or FIFO (/dev/null, /dev/stdout) is never cut. O_BINARY keeps
+    line ends as written on Windows, and mode 0o666 lets the umask apply,
+    as open(path, "w") does. A write that fails partway leaves the file's
+    content undefined.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        info = os.fstat(fd)
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def load_ramp(path) -> RangeAngleMap:

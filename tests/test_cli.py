@@ -61,14 +61,20 @@ def test_catalog_json(capsys):
     assert payload[4]["target_amplitude_db"] == 15.0
 
 
-def test_detect_finds_two_peaks(tmp_path, capsys):
+def _two_peak_spectrum(path):
+    """A 91-point spectrum, 2.0 at bin 30 and 1.5 at bin 60; returns its axis."""
     axis = (np.arange(91) - 45) / 150.0
     spectrum = np.zeros(91)
     spectrum[30] = 2.0
     spectrum[60] = 1.5
+    _write_sweep(path, axis, spectrum)
+    return axis
+
+
+def test_detect_finds_two_peaks(tmp_path, capsys):
     src = tmp_path / "spectrum.csv"
     dst = tmp_path / "peaks.csv"
-    _write_sweep(src, axis, spectrum)
+    axis = _two_peak_spectrum(src)
     assert cli.main(["detect", "--spectrum", str(src), "--out", str(dst)]) == 0
     rows = _read_rows(dst)
     assert len(rows) == 2
@@ -144,13 +150,9 @@ def test_detect_rejects_unordered_axis(tmp_path, capsys):
 
 
 def test_detect_max_peaks_flag(tmp_path):
-    axis = (np.arange(91) - 45) / 150.0
-    spectrum = np.zeros(91)
-    spectrum[30] = 2.0
-    spectrum[60] = 1.5
     src = tmp_path / "spectrum.csv"
     dst = tmp_path / "one.csv"
-    _write_sweep(src, axis, spectrum)
+    _two_peak_spectrum(src)
     rc = cli.main(
         ["detect", "--spectrum", str(src), "--out", str(dst), "--max-peaks", "1"]
     )
@@ -519,6 +521,62 @@ def test_unwritable_output_exits_one(tmp_path, capsys, command):
     err = captured.err
     assert err.startswith("error: ") and err.endswith(f": {path}\n") and err.count("\n") == 1
     assert not missing.parent.exists()
+
+
+def _file_command(tmp_path, command):
+    """argv for reconstruct (a 9-beam dft sweep) or detect (a two-peak
+    spectrum), up to --out, then the flags of a longer and a shorter output."""
+    src = tmp_path / "in.csv"
+    if command == "reconstruct":
+        _write_sweep(src, minimal_naf_grid(8, 0.5 * np.sin(np.radians(33.0))), np.ones(9))
+        argv = ["reconstruct", "--sweep", str(src), "--method", "dft"]
+        return argv, ["--factor", "20"], ["--factor", "10"]
+    _two_peak_spectrum(src)
+    return ["detect", "--spectrum", str(src)], ["--max-peaks", "2"], ["--max-peaks", "1"]
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "detect"])
+def test_shorter_output_overwrites_in_place(tmp_path, command):
+    # the second run writes fewer bytes into the first run's file: it gives
+    # the bytes of a fresh write, in the same file with the same mode
+    base, longer, shorter = _file_command(tmp_path, command)
+    out, fresh = tmp_path / "out.csv", tmp_path / "fresh.csv"
+    assert cli.main(base + longer + ["--out", str(out)]) == 0
+    os.chmod(out, 0o640)
+    before = os.stat(out)
+    assert cli.main(base + shorter + ["--out", str(out)]) == 0
+    assert cli.main(base + shorter + ["--out", str(fresh)]) == 0
+    after = os.stat(out)
+    assert 0 < after.st_size < before.st_size
+    assert out.read_bytes() == fresh.read_bytes()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    # a new file gets the mode open(path, "w") gives: 0o666 less the umask
+    probe = tmp_path / "probe"
+    probe.touch()
+    assert fresh.stat().st_mode == probe.stat().st_mode
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null on this platform")
+@pytest.mark.parametrize("command", ["reconstruct", "detect"])
+def test_output_to_dev_null_exits_zero(tmp_path, command):
+    argv, _, _ = _file_command(tmp_path, command)
+    assert cli.main(argv + ["--out", "/dev/null"]) == 0
+
+
+def test_evaluate_over_an_earlier_output_gives_the_fresh_files(tmp_path):
+    # 2 seeds, then 1 seed into the same directory: every file is the one a
+    # fresh 1-seed directory gets, though peaks.csv and the reports shrink
+    over, fresh = tmp_path / "over", tmp_path / "fresh"
+    argv = ["evaluate", "--scenarios", "octahedral_far,wall_far", "--out"]
+    assert cli.main(argv + [str(over), "--seeds", "2"]) == 0
+    sizes = {p.name: p.stat().st_size for p in over.iterdir()}
+    assert cli.main(argv + [str(over), "--seeds", "1"]) == 0
+    assert cli.main(argv + [str(fresh), "--seeds", "1"]) == 0
+    names = sorted(p.name for p in fresh.iterdir())
+    assert sorted(p.name for p in over.iterdir()) == names
+    assert (fresh / "peaks.csv").stat().st_size < sizes["peaks.csv"]
+    for name in names:
+        assert (over / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 def test_config_file_errors(tmp_path, capsys):

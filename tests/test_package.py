@@ -1,4 +1,6 @@
-"""Package surface: every exported name exists, and no command needs scipy."""
+"""Package surface: every exported name exists, no command needs scipy, and
+one function writes every output file."""
+import ast
 import importlib
 import json
 import os
@@ -24,6 +26,38 @@ def test_every_all_entry_resolves():
         namespace = {}
         exec(f"from {module.__name__} import *", namespace)
         assert set(module.__all__) <= set(namespace)
+
+
+def _open_mode(call: ast.Call):
+    """The mode an open(path, ...) or path.open(...) call passes, "r" when none."""
+    positional = 1 if isinstance(call.func, ast.Name) else 0
+    if len(call.args) > positional:
+        return call.args[positional]
+    return next((k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+
+
+def test_one_function_writes_every_file():
+    # ofdm._write_bytes is the only writer: no open( call in the package uses
+    # a mode that writes, none calls Path.write_text or write_bytes, and the
+    # one os.open call is the writer's own
+    os_opens = []
+    for path in sorted(Path(beamsweep.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        spans = {f.name: (f.lineno, f.end_lineno) for f in ast.walk(tree)
+                 if isinstance(f, ast.FunctionDef)}
+        for call in (c for c in ast.walk(tree) if isinstance(c, ast.Call)):
+            where = f"{path.name}:{call.lineno}"
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if ast.unparse(call.func) == "os.open":
+                lo, hi = spans.get("_write_bytes", (0, -1))
+                os_opens.append((path.name, lo <= call.lineno <= hi))
+            elif name == "open":
+                mode = _open_mode(call)
+                assert isinstance(mode, ast.Constant), f"{where}: open mode is not a literal"
+                assert not set(mode.value) & set("wax+"), f"{where}: open(..., {mode.value!r})"
+            else:
+                assert name not in ("write_text", "write_bytes"), f"{where}: {name}"
+    assert os_opens == [("ofdm.py", True)]
 
 
 # Runs in a fresh interpreter in which any scipy import fails: runs each
