@@ -227,6 +227,17 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+def _status(out, line: str) -> None:
+    """Print line, unless out is the file behind stdout: the line would land
+    on the bytes just written there."""
+    try:
+        if os.path.samestat(os.stat(out), os.fstat(1)):
+            return
+    except OSError:
+        pass
+    print(line)
+
+
 def cmd_reconstruct(args) -> int:
     if args.factor < 1:
         raise ConfigError("--factor must be a positive integer")
@@ -257,7 +268,7 @@ def cmd_reconstruct(args) -> int:
         dense = np.zeros(grid.size)
         dense[list(estimate.support)] = estimate.coefficients
     _write_spectrum_csv(args.out, grid, dense)
-    print(f"wrote {grid.size}-point {args.method} spectrum to {args.out}")
+    _status(args.out, f"wrote {grid.size}-point {args.method} spectrum to {args.out}")
     return 0
 
 
@@ -270,11 +281,13 @@ def cmd_detect(args) -> int:
     peaks = extract_peaks(values, naf, resolution, args.max_peaks)
     rows = "".join(f"{p.naf!r},{p.range_m!r},{p.power!r}\n" for p in peaks)
     _write_bytes(args.out, ("naf,range_m,power\n" + rows).encode())
-    print(f"{len(peaks)} peak(s) written to {args.out}")
+    _status(args.out, f"{len(peaks)} peak(s) written to {args.out}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
+    if args.seeds < 1:
+        raise ConfigError("--seeds must be a positive integer")
     settings, base = _build_settings(args)
     seeds = range(base, base + args.seeds)
     # an empty list value names one empty name, which is refused, not "all"

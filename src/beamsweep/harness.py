@@ -6,9 +6,10 @@ tenth beam of it, methods average the first six frames, and ground truth is
 the per-target median over all 24 single-frame estimates of the oversampled
 pipeline. Each acquisition draws from one noise stream derived from (master
 seed, scenario index), so reports are byte-reproducible. run_comparison
-draws the (scenario, seed) runs on a thread pool and estimates them in
-stacked blocks; each stacked step treats every run on its own, bit for bit,
-so neither the thread count nor the block size moves an output byte.
+gives each block of (scenario, seed) runs one task on a thread pool, which
+draws the runs and estimates them in one stacked pass; each stacked step
+treats every run on its own, bit for bit, so neither the thread count nor
+the block size moves an output byte.
 """
 from __future__ import annotations
 
@@ -19,10 +20,10 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -503,10 +504,9 @@ def _empty_runs(campaign: _Campaign, scenario: Scenario, n_seeds: int, n_methods
 
 
 # A run is (scenario, its outcome table, its seed's row). Runs are estimated
-# in blocks of at most _BLOCK_RUNS, one stacked pass per block, as long as
-# the block's truth magnitudes stay within _BLOCK_ROWS (beam, frame) rows:
-# four runs at the defaults (81 beams x 24 frames), one at the settings caps.
-_BLOCK_RUNS = 4
+# in blocks, one stacked pass per block, whose truth magnitudes stay within
+# _BLOCK_ROWS (beam, frame) rows: four runs at the defaults (81 beams x 24
+# frames), one at the settings caps.
 _BLOCK_ROWS = 4 * 81 * 24
 _Run = Tuple[Scenario, _Runs, int]
 
@@ -751,46 +751,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _draw_and_estimate(
-    campaign: _Campaign, methods: Sequence[str], block: Sequence[_Run],
-    drawn: Sequence[Future], draw_last: Callable[[], Acquisition],
-) -> None:
-    """A block's pool task: draw its last run, collect the draws of the
-    others, submitted before it, then estimate the block. Drawing one run
-    here keeps the worker busy while the others finish.
-
-    The pool's queue is first in, first out, so the awaited draws have
-    started before this task does, and waiting cannot deadlock. Refusals
-    come as the serial (scenario, seed) order meets them: a draw that
-    refuses ends the block, after the runs before it are estimated, so a
-    refusal of theirs is the one raised.
-    """
-    last: Future = Future()
-    try:
-        last.set_result(draw_last())
-    except ConfigError as exc:
-        last.set_exception(exc)
-    acqs: List[Acquisition] = []
-    refused = None
-    try:
-        for future in (*drawn, last):
-            acqs.append(future.result())
-    except ConfigError as exc:
-        refused = exc
-    if acqs:
-        try:
-            _estimate(campaign, methods, block[: len(acqs)], acqs)
-        except ConfigError:
-            # a stacked pass that refuses is run again one run at a time, so
-            # the refusal raised is the first refusing run's, as in the
-            # serial order
-            for run, acq in zip(block, acqs):
-                _estimate(campaign, methods, [run], [acq])
-            raise
-    if refused is not None:
-        raise refused
-
-
 def run_comparison(
     scenarios: Sequence[Scenario],
     methods: Sequence[str],
@@ -807,11 +767,11 @@ def run_comparison(
     j-th other scenario draws from stream len(catalog) + j.
 
     The runs, (scenario, seed) pairs, go to a pool of min(usable CPUs,
-    runs) threads in blocks, in (scenario, seed) order: each run of a block
-    but the last draws in its own task, and one more task draws the last
-    run and then estimates the block in one stacked pass (_estimate), while
-    the next block draws. The noise draw and the BLAS products release the
-    GIL. Each run draws from its own seeded stream, and the stacked pass
+    runs) threads in blocks, in (scenario, seed) order, as many runs as fit
+    the row budget and no more than give every worker a block. One task
+    per block draws its runs in order and then estimates them in one
+    stacked pass (_estimate). The noise draw and the BLAS products release
+    the GIL. Each run draws from its own seeded stream, and the stacked pass
     gives each run the bits of a one-run pass, so no output byte depends on
     the number of threads or on the block size. A refusal is the one the
     serial (scenario, seed) order meets first. out_dir is created, and every
@@ -871,34 +831,44 @@ def run_comparison(
     ]
     tables = [_empty_runs(campaign, s, len(seeds), len(methods)) for s in scenarios]
     frames = settings.ground_truth_frames
-    size = max(1, min(_BLOCK_RUNS, _BLOCK_ROWS // (campaign.over_plan.n_beams * frames)))
     order = ((k, i) for k in range(len(scenarios)) for i in range(len(seeds)))
-    workers = min(_usable_cpus(), len(scenarios) * len(seeds))
-    # blocks in flight: enough to keep every worker busy, and one more, so
-    # the next block draws while the current one is estimated
-    depth = -(-workers // size) + 1
+    n_runs = len(scenarios) * len(seeds)
+    workers = min(_usable_cpus(), n_runs)
+    # blocks within the row budget, and small enough to give every worker one
+    size = max(1, min(_BLOCK_ROWS // (campaign.over_plan.n_beams * frames), -(-n_runs // workers)))
     window = (campaign.geom, campaign.weights, settings.radio, campaign.over_plan)
 
-    def draw(k: int, i: int) -> Acquisition:
-        return simulate_acquisition(
-            scenes[k], *window, frames, (seeds[i], stream[names[k]]), cfar=settings.cfar
-        )
+    def run_block(block: List[Tuple[int, int]]) -> None:
+        """A block's pool task: draw its runs in order, then estimate them
+        in one stacked pass. A refused draw ends the block."""
+        runs = [(scenarios[k], tables[k], i) for k, i in block]
+        acqs: List[Acquisition] = []
+        try:
+            for k, i in block:
+                acqs.append(simulate_acquisition(
+                    scenes[k], *window, frames, (seeds[i], stream[names[k]]), cfar=settings.cfar
+                ))
+            _estimate(campaign, methods, runs, acqs)
+        except ConfigError:
+            # the runs drawn are estimated again one at a time, so the
+            # refusal raised is the one the serial order meets first: the
+            # first refusing run's, else the refused draw's
+            for run, acq in zip(runs, acqs):
+                _estimate(campaign, methods, [run], [acq])
+            raise
 
     # each scene's bins are built here, before any run is submitted, so no
     # two draws of one scene build them at once
     for scene in scenes:
         _signal_window(scene.scatterers, *window)
     with ThreadPoolExecutor(workers) as pool:
+        # submitted lazily: a block is waited on once more than a block per
+        # worker is pending, so the queue stays short for any seed count
         pending: collections.deque = collections.deque()
         try:
             for block in iter(lambda: list(itertools.islice(order, size)), []):
-                drawn = [pool.submit(draw, k, i) for k, i in block[:-1]]
-                pending.append(pool.submit(
-                    _draw_and_estimate, campaign, methods,
-                    [(scenarios[k], tables[k], i) for k, i in block],
-                    drawn, functools.partial(draw, *block[-1]),
-                ))
-                if len(pending) == depth:
+                pending.append(pool.submit(run_block, block))
+                if len(pending) > workers:
                     pending.popleft().result()
             for task in pending:
                 task.result()

@@ -318,6 +318,16 @@ def test_reconstruct_rejects_non_positive_factor(tmp_path, capsys):
     assert not dst.exists()
 
 
+def test_evaluate_rejects_non_positive_seeds(tmp_path, capsys):
+    out = tmp_path / "out"
+    for seeds in ("0", "-3"):
+        assert cli.main(["evaluate", f"--seeds={seeds}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--seeds must be a positive integer" in err
+        assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_factor_past_the_grid_limit_exits_one(tmp_path, capsys):
     # refused before any grid is allocated: one line naming the factor and
     # the point count, no traceback, no output
@@ -561,6 +571,25 @@ def test_shorter_output_overwrites_in_place(tmp_path, command):
 def test_output_to_dev_null_exits_zero(tmp_path, command):
     argv, _, _ = _file_command(tmp_path, command)
     assert cli.main(argv + ["--out", "/dev/null"]) == 0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout on this platform")
+@pytest.mark.parametrize("command", ["reconstruct", "detect"])
+def test_output_to_dev_stdout_holds_only_the_output(tmp_path, command):
+    # with --out /dev/stdout redirected to a file, the status line would go
+    # to the same file at offset 0, over the CSV header: it is left out
+    argv, _, _ = _file_command(tmp_path, command)
+    fresh, redirected = tmp_path / "fresh.csv", tmp_path / "redirected.csv"
+    assert cli.main(argv + ["--out", str(fresh)]) == 0
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    with open(redirected, "wb") as stdout:
+        done = subprocess.run(
+            [sys.executable, "-m", "beamsweep.cli", *argv, "--out", "/dev/stdout"],
+            stdout=stdout, stderr=subprocess.PIPE, timeout=120, env=env,
+        )
+    assert done.returncode == 0, done.stderr
+    assert redirected.read_bytes() == fresh.read_bytes()
 
 
 def test_evaluate_over_an_earlier_output_gives_the_fresh_files(tmp_path):
