@@ -4,10 +4,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from numpy.typing import ArrayLike
+
+if TYPE_CHECKING:  # annotations only: importing numpy.typing costs a cold start
+    from numpy.typing import ArrayLike
 
 from .errors import ConfigError
 
@@ -158,6 +160,13 @@ def _peak_power(magnitude: float) -> float:
     return power
 
 
+def _check_max_peaks(max_peaks: int) -> None:
+    """extract_peaks' rule on its peak count, which a campaign checks from
+    its settings before anything is drawn."""
+    if max_peaks < 1:
+        raise ConfigError("max_peaks must be at least 1")
+
+
 def extract_peaks(
     spectrum,
     naf_axis,
@@ -194,8 +203,7 @@ def extract_peaks(
         raise ConfigError("NAF axis must be strictly increasing")
     if not resolution > 0:
         raise ConfigError("resolution must be positive")
-    if max_peaks < 1:
-        raise ConfigError("max_peaks must be at least 1")
+    _check_max_peaks(max_peaks)
     eligible = (
         np.ones(spectrum.shape, dtype=bool)
         if detected is None

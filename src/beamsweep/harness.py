@@ -35,14 +35,15 @@ from .beams import (
     _scene_gains,
     build_dictionary,
 )
-from .detection import CfarConfig, PeakEstimate, ca_cfar, extract_peaks
+from .detection import CfarConfig, PeakEstimate, _check_max_peaks, ca_cfar, extract_peaks
 from .errors import ConfigError
 from .geometry import ArrayGeometry, naf_resolution
-from .ofdm import RadioConfig, RangeAngleMap, _delay_phases, _write_bytes
+from .ofdm import RadioConfig, RangeAngleMap, _delay_phases, _write_bytes, dump_ramp
 from .omp import OmpConfig, omp, sparse_to_peaks
 from .reconstruct import (
     AngularSweep,
     SweepPlan,
+    _check_spline_samples,
     dft_interpolate,
     minimal_sweep_plan,
     oversampled_sweep_plan,
@@ -137,10 +138,29 @@ def _window_basis(radio: RadioConfig) -> _WindowBasis:
     return basis
 
 
-# (beam, frame) rows per chunk of the draw, which bound its workspace: at 42
-# window bins a chunk's noise and bins take 0.87 MB (27 beams of 24 frames),
-# against 2.6 MB for a whole 81 x 24 acquisition; 81 x 6 is one chunk.
-_DRAW_CHUNK_ROWS = 648
+# Bytes of one draw chunk's noise and window bins, 32 per window bin per
+# (beam, frame) row: a whole default 81 x 24 run at 42 window bins is one
+# chunk, so a run makes one pass of numpy calls, each of which may wait out
+# the other worker's GIL-bound stacked pass. At 128 bins it gives 637 rows,
+# so a beam of 648 frames is a chunk of its own.
+_DRAW_CHUNK_BYTES = 32 * 81 * 24 * 42
+
+# Flat noise arrays that finished draws handed back for later draws, at
+# most one per draw that ever ran at once. A draw that freed its noise as
+# well as its window bins would hand both back to the OS (glibc's malloc
+# trims a free heap top of twice the largest block it has unmapped, and each
+# array is one such block), and the next draw would fault them in afresh:
+# about 640 page faults per default run, 2 us each on a 2-vCPU Xeon.
+_SPARE_NOISE: List[np.ndarray] = []
+
+
+def _spare_noise(size: int) -> np.ndarray:
+    """A flat complex array of at least size elements: a spare one, else new."""
+    try:
+        spare = _SPARE_NOISE.pop()  # atomic: two draws never take one spare
+    except IndexError:
+        return np.empty(size, dtype=complex)
+    return spare if spare.size >= size else np.empty(size, dtype=complex)
 
 
 @functools.lru_cache(maxsize=16)
@@ -199,15 +219,18 @@ def _dictionary(
 def _gated_detection(
     profiles: np.ndarray, keep: np.ndarray, cfar: CfarConfig
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one detection rule: each profile's gated bins, the index of their
-    argmax (shaped (..., 1)) and that bin's CFAR eligibility (...).
+    """The one detection rule: each profile's strongest gated bin, as its
+    power (...), its index among the gated bins (shaped (..., 1)) and its
+    CFAR eligibility (...). The power is read at the argmax, so it holds
+    the max's bits; the gated copy is freed on return.
 
-    The draw's per-frame flags, which the ground truth reads, come from here,
-    and through _eligibility the methods' maps and OMP's range.
+    The draw's per-frame flags and peaks, which the ground truth reads, come
+    from here, and through _eligibility the methods' maps and OMP's range.
     """
     gated = profiles[..., keep]
     i = np.argmax(gated, axis=-1)[..., None]
-    return gated, i, ca_cfar(gated, cfar, cells=i)[..., 0]
+    peak = np.take_along_axis(gated, i, axis=-1)[..., 0]
+    return peak, i, ca_cfar(gated, cfar, cells=i)[..., 0]
 
 
 def _eligibility(
@@ -243,19 +266,24 @@ def simulate_acquisition(
     One default_rng(seed_prefix) stream draws the noise of every beam and
     frame, in beam order, a chunk of beams at a time: standard_normal fills
     its output sequentially, so the chunks hold the same numbers as one
-    whole-acquisition draw. The explicit per-symbol path in
-    tests/csi_oracle.py (the full CSI grid, then the zero-Doppler column of
-    its range-Doppler transform) is the reference; the two agree exactly
-    without noise and in distribution, inter-bin correlation included,
-    with it. R depends on the radio config alone and is built once per
-    config; the noise-free bins are built once per (scatterers, geometry,
-    weights, radio, plan) and reused by every seed.
+    whole-acquisition draw. A chunk holds as many beams as keep its noise
+    and window bins within _DRAW_CHUNK_BYTES, and at least one. The
+    explicit per-symbol path in tests/csi_oracle.py (the full CSI grid,
+    then the zero-Doppler column of its range-Doppler transform) is the
+    reference; the two agree exactly without noise and in distribution,
+    inter-bin correlation included, with it. R depends on the radio config
+    alone and is built once per config; the noise-free bins are built once
+    per (scatterers, geometry, weights, radio, plan) and reused by every
+    seed.
 
-    Each chunk's power is reduced in the workspace to what the pipeline
+    Each chunk's power is reduced in the noise array to what the pipeline
     reads (see Acquisition), the means over the plan's first dwell_frames
     frames, or over all n_frames when fewer: every reduction works row by
     row, so it has the bits of the same reduction over the whole (beam,
-    frame, window) power cube, which never exists.
+    frame, window) power cube, which never exists. The window bins are
+    freed once their power is in the spent noise, so the chunk's CA-CFAR
+    pass reuses their memory; the noise array is a spare one that an
+    earlier draw handed back (_SPARE_NOISE), and is handed back in turn.
 
     mode must be "poc". Frames are combined only after |.|^2, so a
     per-frame phase, such as the free-running phase of the hardware, would
@@ -271,17 +299,20 @@ def simulate_acquisition(
     n_beams, n_window = signal.shape
     rng = np.random.default_rng(tuple(int(s) for s in seed_prefix))
     scale = np.sqrt(radio.n_symbols * scene.noise_power / 2)
-    chunk = max(1, min(n_beams, _DRAW_CHUNK_ROWS // n_frames))
-    noise_ws, bins_ws = np.empty((2, chunk, n_frames, n_window), dtype=complex)
+    chunk = max(1, min(n_beams, _DRAW_CHUNK_BYTES // (32 * n_window) // n_frames))
+    size = chunk * n_frames * n_window
+    kept = _spare_noise(size)
+    noise_ws = kept[:size].reshape(chunk, n_frames, n_window)
     magnitudes = np.empty((n_beams, n_frames))
     mean_profile = np.empty((n_beams, n_window))
     eligible = None if cfar is None else np.empty((n_beams, n_frames), dtype=bool)
     for lo in range(0, n_beams, chunk):
         hi = min(lo + chunk, n_beams)
-        noise, bins = noise_ws[: hi - lo], bins_ws[: hi - lo]
+        noise = noise_ws[: hi - lo]
         # the stream of a fresh (n_beams, n_frames, 2 * n_window) normal draw
         rng.standard_normal(out=noise.view(float))
         noise *= scale
+        bins = np.empty_like(noise)
         # R^H R = W^H W: white noise times R has the covariance of white
         # noise seen through W. Over several frames the chunk's rows make
         # one 2-D product (the reshapes are views of the workspace rows),
@@ -292,8 +323,10 @@ def simulate_acquisition(
         else:
             np.matmul(noise, basis.r_factor, out=bins)
         bins += signal[lo:hi, None, :]
-        # the noise is spent once it is in the bins: its real parts take the power
+        # the noise is spent once it is in the bins: its real parts take the
+        # power, and the bins' memory is free for the gated copy and CA-CFAR
         power = np.abs(bins, out=noise.real)
+        del bins
         try:
             with np.errstate(over="raise"):
                 power **= 2
@@ -301,13 +334,13 @@ def simulate_acquisition(
         except FloatingPointError:
             raise ConfigError("window-bin power overflows the float range") from None
         # one gated copy per chunk; with a CFAR config, the peak is read at
-        # the argmax that the eligibility tests, which holds the max's bits
+        # the argmax that the eligibility tests
         if cfar is None:
             peak = power[..., basis.keep].max(axis=-1)
         else:
-            gated, i, eligible[lo:hi] = _gated_detection(power, basis.keep, cfar)
-            peak = np.take_along_axis(gated, i, axis=-1)[..., 0]
+            peak, _, eligible[lo:hi] = _gated_detection(power, basis.keep, cfar)
         magnitudes[lo:hi] = np.sqrt(peak)
+    _SPARE_NOISE.append(kept)  # a refused draw drops its array instead
     return Acquisition(magnitudes, mean_profile, mean_frames, basis.centers, basis.keep, eligible)
 
 
@@ -390,9 +423,9 @@ def score_rmse(estimates, ground_truths) -> dict:
 
 
 # The largest settings whose worst campaign was measured inside the memory
-# budget (README, "Memory"); n_rx must equal n_tx. Past 648 truth frames, a
-# draw chunk (one beam of all its frames) would leave the row budget.
-_CAPS = {"n_tx": 12, "oversampling_factor": 50, "ground_truth_frames": _DRAW_CHUNK_ROWS}
+# budget (README, "Memory"); n_rx must equal n_tx. That campaign draws 648
+# truth frames, one beam per chunk.
+_CAPS = {"n_tx": 12, "oversampling_factor": 50, "ground_truth_frames": 648}
 
 
 @dataclass(frozen=True)
@@ -474,6 +507,10 @@ def _build_campaign(settings: EvalSettings, methods: Sequence[str]) -> _Campaign
     minimal_plan = minimal_sweep_plan(
         n_1d, settings.naf_limit, settings.dwell_frames, radio.frame_duration_s
     )
+    # the refusals that the settings alone decide, before any scene is built
+    _check_max_peaks(settings.max_peaks)
+    if "spline" in methods:
+        _check_spline_samples(minimal_plan.n_beams)
     # built once, here: concurrent misses of its cache in the workers would
     # each build it
     _window_basis(radio)
@@ -485,7 +522,7 @@ def _build_campaign(settings: EvalSettings, methods: Sequence[str]) -> _Campaign
     n_beams, half = over_plan.n_beams, minimal_plan.n_beams // 2
     min_idx = n_beams // 2 + settings.oversampling_factor * np.arange(-half, half + 1)
     # extract_peaks and OMP return at most max_peaks and max_atoms peaks, and
-    # at most one per grid point; a max_peaks below 1 is refused in the workers
+    # at most one per grid point
     widths = [settings.omp.max_atoms if m == "omp" else settings.max_peaks for m in methods]
     return _Campaign(
         settings, geom, weights, over_plan, minimal_plan, min_idx,
@@ -719,8 +756,6 @@ def _write_outputs(
 ) -> None:
     """Create out, then write report.json, report.csv, peaks.csv and, per
     scenario, its first-seed maps (.ramp) and minimal sweep."""
-    from .ofdm import dump_ramp
-
     out.mkdir(parents=True, exist_ok=True)
     report.write_json(out / "report.json")
     report.write_csv(out / "report.csv")

@@ -9,9 +9,7 @@ lattice points contribute zero.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -49,8 +47,11 @@ def _lattice(n_1d: int, naf_limit: float, factor: int) -> np.ndarray:
     if not 0 < naf_limit <= 0.5:
         raise ConfigError("naf_limit must be in (0, 0.5]")
     order, factor = 2 * int(n_1d) - 1, int(factor)
-    # in exact rationals, so a factor past the float range is still counted
-    k_max = math.floor((Fraction(float(naf_limit)) * order + Fraction(_LATTICE_TOL)) * factor)
+    # floor((limit * order + tol) * factor) in exact integers, each float an
+    # integer ratio p / q, so a factor past the float range is still counted
+    p, q = float(naf_limit).as_integer_ratio()
+    t, u = _LATTICE_TOL.as_integer_ratio()
+    k_max = (p * order * u + t * q) * factor // (q * u)
     if 2 * k_max + 1 > _MAX_LATTICE_POINTS:
         raise ConfigError(
             f"factor {factor} gives a grid of {2 * k_max + 1} points, "
@@ -203,6 +204,13 @@ def dft_interpolate(sweep: AngularSweep, target_grid) -> np.ndarray:
     return dirichlet_resample(sweep.plan.beam_grid, sweep.values, target_grid, order)
 
 
+def _check_spline_samples(n_samples: int) -> None:
+    """spline_interpolate's rule on its sweep, which a campaign checks on its
+    minimal plan before anything is drawn."""
+    if n_samples < 4:
+        raise ConfigError("spline interpolation needs at least 4 samples")
+
+
 def spline_interpolate(sweep: AngularSweep, target_grid) -> np.ndarray:
     """Natural cubic spline through the sample magnitudes, clamped at 0.
 
@@ -220,8 +228,7 @@ def spline_interpolate(sweep: AngularSweep, target_grid) -> np.ndarray:
     target_grid = np.asarray(target_grid, dtype=float)
     if target_grid.size == 0:
         raise ConfigError("target grid must be non-empty")
-    if sweep.plan.n_beams < 4:
-        raise ConfigError("spline interpolation needs at least 4 samples")
+    _check_spline_samples(sweep.plan.n_beams)
     x = sweep.plan.beam_grid
     mags = np.abs(sweep.values).astype(float)
     y = mags.reshape(x.size, -1)

@@ -291,12 +291,19 @@ def test_ground_truth_frames_are_capped_at_one_draw_chunk(monkeypatch):
         raise AssertionError("no acquisition may be drawn")
 
     monkeypatch.setattr(harness, "simulate_acquisition", refuse)
-    edge = EvalSettings(ground_truth_frames=harness._DRAW_CHUNK_ROWS)
-    assert harness._build_campaign(edge, ["dft"]).settings.ground_truth_frames == 648
+    cap = harness._CAPS["ground_truth_frames"]
+    assert cap == 648
+    edge = EvalSettings(ground_truth_frames=cap)
+    assert harness._build_campaign(edge, ["dft"]).settings.ground_truth_frames == cap
     with pytest.raises(ConfigError, match=re.escape(
         "ground_truth_frames (649) must not exceed 648"
     )):
-        EvalSettings(ground_truth_frames=649)
+        EvalSettings(ground_truth_frames=cap + 1)
+    # the byte budget holds a capped beam at the defaults' 42 window bins;
+    # at the radio cap's 128 it holds fewer rows, and the beam is a chunk
+    # of its own, never split
+    rows = harness._DRAW_CHUNK_BYTES // 32
+    assert rows // 42 >= cap > rows // 128
 
 
 def test_scenario_catalog_layout():
@@ -781,13 +788,16 @@ def test_chunked_draw_equals_one_shot_draw():
     campaign = harness._build_campaign(settings, ["oversampled"])
     radio, geom, weights = settings.radio, campaign.geom, campaign.weights
     scene = build_scene(scenario_catalog()[4], radio, geom)
-    # a chunk holds 648 // n_frames beams (27 at 24 frames, 25 at 25), so
-    # these cross the chunk edges; with more than one frame a chunk is one
-    # 2-D product, bitwise equal to the per-beam products, even at row counts
-    # that are not multiples of the kernel unroll; one frame takes the gemv path
+    # at 42 window bins a chunk holds 1,944 // n_frames beams (81 at 24
+    # frames, 77 at 25, 40 at 48), so the last cases cross the chunk edges;
+    # with more than one frame a chunk is one 2-D product, bitwise equal to
+    # the per-beam products, even at row counts that are not multiples of
+    # the kernel unroll; one frame takes the gemv path
+    assert harness._DRAW_CHUNK_BYTES // (32 * 42) == 1944
     cases = [(n_beams, n_frames) for n_beams in (1, 26, 27, 28, 81)
              for n_frames in (1, 2, 5, 6, 24, 25)]
-    cases += [(n_beams, 25) for n_beams in (24, 25, 51)]
+    cases += [(n_beams, 25) for n_beams in (76, 77, 78)]
+    cases += [(n_beams, 48) for n_beams in (39, 40, 41, 81)]
     for n_beams, n_frames in cases:
         plan = dataclasses.replace(
             campaign.over_plan, beam_grid=campaign.over_plan.beam_grid[:n_beams]
@@ -842,16 +852,31 @@ def _draw_peak_bytes(n_beams, n_frames, cfar):
     return peak, sum(a.nbytes for a in outputs if a is not None)
 
 
-def test_draw_workspace_stays_within_the_row_budget():
-    # noise and window bins of one chunk of _DRAW_CHUNK_ROWS (beam, frame) rows
-    workspace = 2 * harness._DRAW_CHUNK_ROWS * 42 * 16
+def test_draw_workspace_stays_within_the_row_budget(monkeypatch):
+    spares = []
+    monkeypatch.setattr(harness, "_SPARE_NOISE", spares)
+    cfar = EvalSettings().cfar
+    # a chunk's complex noise and window bins take 32 bytes per window bin
+    # per (beam, frame) row; numpy's buffer for the broadcast signal add
+    # (8,192 complex elements) and the draw's small arrays stay under the slack
+    slack = 2**18
     # criterion 7's 81 x 6 sweep is one chunk of 486 rows
     peak, outputs = _draw_peak_bytes(81, 6, None)
-    assert peak < workspace + outputs
-    # a 24-frame sweep keeps 27-beam chunks: one 81 x 24 chunk would take
-    # three workspaces
-    peak, outputs = _draw_peak_bytes(81, 24, EvalSettings().cfar)
-    assert peak < 2 * workspace + outputs
+    assert peak < 32 * 486 * 42 + outputs + slack
+    # a default 81 x 24 run is one chunk of the whole budget, and 81 x 48
+    # three chunks within it; the CA-CFAR pass reuses the freed window bins,
+    # where keeping them would add its gated copy and prefix sums, about
+    # half the budget more
+    for n_frames in (48, 24):
+        spares.clear()
+        peak, outputs = _draw_peak_bytes(81, n_frames, cfar)
+        assert peak < harness._DRAW_CHUNK_BYTES + outputs + slack
+    # each draw hands its noise array back, and the next one reuses it, so
+    # it allocates only its window bins: half the budget
+    assert [a.nbytes for a in spares] == [harness._DRAW_CHUNK_BYTES // 2]
+    peak, outputs = _draw_peak_bytes(81, 24, cfar)
+    assert peak < harness._DRAW_CHUNK_BYTES // 2 + outputs + slack
+    assert len(spares) == 1
 
 
 def _oracle_window_power(radio, geom, weights, scene, steer, n_frames, seed):
@@ -1277,15 +1302,27 @@ def test_unsimulable_scenario_fails_before_any_thread_or_file(tmp_path, monkeypa
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("settings, methods, message", [
+@pytest.mark.parametrize("settings, methods, message, drawn", [
     (EvalSettings(cfar=CfarConfig(n_training=40)), ["dft"],
-     "profile of 36 cells is too short for a 45-cell window"),
+     "profile of 36 cells is too short for a 45-cell window", True),
     (EvalSettings(n_tx=2, n_rx=2), ["dft", "spline"],
-     "spline interpolation needs at least 4 samples"),
-    (EvalSettings(max_peaks=0), ["oversampled"], "max_peaks must be at least 1"),
-], ids=["cfar_window", "spline_samples", "max_peaks"])
-def test_unrunnable_settings_fail_before_any_file(tmp_path, settings, methods, message):
-    # each is refused by every seed of every scenario, inside the workers
+     "spline interpolation needs at least 4 samples", False),
+    (EvalSettings(naf_limit=0.1), ["spline"],
+     "spline interpolation needs at least 4 samples", False),
+    (EvalSettings(max_peaks=0), ["oversampled"], "max_peaks must be at least 1", False),
+], ids=["cfar_window", "spline_samples", "spline_limit", "max_peaks"])
+def test_unrunnable_settings_fail_before_any_file(
+    tmp_path, monkeypatch, settings, methods, message, drawn
+):
+    # each is refused by every seed of every scenario: the CFAR window on
+    # the first drawn chunk, and the refusals that the settings alone decide
+    # by _build_campaign, before any scene is built or drawn
+    if not drawn:
+        def refuse(*args, **kwargs):
+            raise AssertionError("no acquisition may be drawn")
+
+        monkeypatch.setattr(harness, "simulate_acquisition", refuse)
+        monkeypatch.setattr(harness, "build_scene", refuse)
     out = tmp_path / "out"
     with pytest.raises(ConfigError, match=re.escape(message)):
         run_comparison(scenario_catalog()[:2], methods, [1], settings, out_dir=out)

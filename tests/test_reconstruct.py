@@ -1,5 +1,7 @@
 """Sweep planning and dense reconstruction from minimal samples."""
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from beamsweep import (
     minimal_naf_grid,
     minimal_sweep_plan,
     oversampled_sweep_plan,
+    reconstruct,
     spline_interpolate,
     sweep_duration,
 )
@@ -63,6 +66,25 @@ def test_oversampled_grid_point_limit():
     for factor in (10**12, 10**20, 10**400, np.int64(2**62)):
         with pytest.raises(ConfigError, match=f"^factor {factor} gives a grid of "):
             oversampled_sweep_plan(8, LIMIT, factor)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 64),
+    limit=st.floats(0.0, 0.5, exclude_min=True),
+    factor=st.one_of(st.integers(1, 2_000), st.integers(1, 10**30)),
+)
+def test_lattice_counts_points_as_the_exact_rational_formula(n, limit, factor):
+    # the point count in exact integers equals the rational floor of
+    # (limit * order + tolerance) * factor, up to factors past the float range
+    tol = Fraction(reconstruct._LATTICE_TOL)
+    points = 2 * math.floor((Fraction(limit) * (2 * n - 1) + tol) * factor) + 1
+    if points > 1_000_000:
+        message = f"factor {factor} gives a grid of {points} points"
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
+            oversampled_sweep_plan(n, limit, factor)
+    else:
+        assert oversampled_sweep_plan(n, limit, factor).n_beams == points
 
 
 def test_sweep_plan_refuses_a_nan_grid():
